@@ -13,7 +13,7 @@ from .measures import (extract_submatrix, log_negativity, pt_min_symplectic,
                        one_vs_rest_contangle, residual_contangle_min,
                        gaussian_discord, correlation_report, CorrelationReport)
 from .steadystate import solve_steady_state, effective_params, SteadyState
-from .pipeline import evaluate_point, evaluate_matrices, require_covariance
+from .pipeline import evaluate_point, evaluate_matrices
 from .sweep import (Axis, SweepSpec, SweepResult, run_sweep, figure_preset,
                     to_csv, to_json_lines)
 
@@ -28,7 +28,7 @@ __all__ = [
     "one_vs_rest_contangle", "residual_contangle_min", "gaussian_discord",
     "correlation_report", "CorrelationReport",
     "solve_steady_state", "effective_params", "SteadyState",
-    "evaluate_point", "evaluate_matrices", "require_covariance",
+    "evaluate_point", "evaluate_matrices",
     "Axis", "SweepSpec", "SweepResult", "run_sweep", "figure_preset",
     "to_csv", "to_json_lines",
 ]

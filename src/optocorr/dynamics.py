@@ -18,8 +18,6 @@ import numpy as np
 from .errors import NumericDomainError
 from .params import SystemParams
 
-BASIS_LABELS = ("dx1", "dy1", "dx2", "dy2", "dq_at", "dp_at", "dq", "dp")
-
 # single source of truth for mode -> quadrature-index block
 MODE_BLOCKS = {
     "c1": (0, 1),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DIM, assess_stability
+from .dynamics import assess_stability
 from .errors import SingularSystemError, UnstableDriftError
 
 RESIDUAL_RTOL = 1.0e-10
@@ -54,10 +54,3 @@ def residual_bound(a: np.ndarray, v: np.ndarray, d: np.ndarray,
     """Acceptance bound rtol*(||A||_F ||V||_F + ||D||_F) for the residual."""
     return rtol * (np.linalg.norm(a, "fro") * np.linalg.norm(v, "fro")
                    + np.linalg.norm(d, "fro"))
-
-
-def steady_covariance(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Convenience wrapper returning just the 8x8 matrix."""
-    if a.shape != (DIM, DIM):
-        raise ValueError(f"expected {DIM}x{DIM} drift matrix")
-    return solve_lyapunov(a, d).matrix

@@ -6,6 +6,12 @@ partially transposed covariance matrix drops below 1/2.
 
 Canonical pairs and triple follow the {c2, a, b} sector; pairs involving
 c1 work through the same API but are not part of the standard report.
+
+Every two-mode measure is a function of the four Seralian invariants of
+its pair (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
+`correlation_report` computes them once per canonical pair and derives
+E_N, D_G (Adesso & Datta, PRL 105, 030501 (2010)) and the pair
+contangles of the residual from that one pass.
 """
 
 from __future__ import annotations
@@ -41,10 +47,12 @@ PT_MATRICES = {
     "b": np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
 }
 
+# one-vs-two partitions: the singled-out mode, then the pair contangles
+# subtracted from the partition's contangle, in this order
 PARTITIONS = {
-    "c2|ab": "c2",
-    "a|c2b": "a",
-    "b|c2a": "b",
+    "c2|ab": ("c2", ("c2a", "c2b")),
+    "a|c2b": ("a", ("c2a", "ab")),
+    "b|c2a": ("b", ("c2b", "ab")),
 }
 
 
@@ -95,31 +103,41 @@ def _seralian_invariants(v4: np.ndarray):
     return i1, i2, i3, i4
 
 
-def pt_symplectic_min(v4: np.ndarray) -> float:
-    """Minimum symplectic eigenvalue of the partially transposed 4x4 CM.
+def _symplectic_pair(inv, transposed: bool):
+    """Symplectic eigenvalues (nu_-, nu_+) from the Seralian invariants.
 
     Partial transposition flips the sign of the inter-mode block
-    determinant, so the Seralian enters with -2 det(psi3).
+    determinant, so the transposed Seralian enters with -2 det(psi3).
     """
-    i1, i2, i3, i4 = _seralian_invariants(v4)
-    sigma = i1 + i2 - 2.0 * i3
+    i1, i2, i3, i4 = inv
+    sigma = i1 + i2 - 2.0 * i3 if transposed else i1 + i2 + 2.0 * i3
     disc = sigma * sigma - 4.0 * i4
     if disc < -DISCRIMINANT_TOL:
-        raise NumericDomainError(f"negative PT discriminant {disc!r}: unphysical input")
-    disc = max(disc, 0.0)
-    inner = 0.5 * (sigma - math.sqrt(disc))
+        kind = "PT discriminant" if transposed else "discriminant"
+        raise NumericDomainError(f"negative {kind} {disc!r}: unphysical input")
+    root = math.sqrt(max(disc, 0.0))
+    inner = 0.5 * (sigma - root)
     if inner < -DISCRIMINANT_TOL:
         raise NumericDomainError(f"negative squared symplectic eigenvalue {inner!r}")
-    return math.sqrt(max(inner, 0.0))
+    return math.sqrt(max(inner, 0.0)), math.sqrt(max(0.5 * (sigma + root), 0.0))
 
 
-def log_negativity(v4: np.ndarray) -> float:
-    """Logarithmic negativity E_N = max[0, -ln(2 nu_-^PT)] of a 4x4 CM."""
-    nu = pt_symplectic_min(v4)
+def pt_symplectic_min(v4: np.ndarray) -> float:
+    """Minimum symplectic eigenvalue of the partially transposed 4x4 CM."""
+    return _symplectic_pair(_seralian_invariants(v4), transposed=True)[0]
+
+
+def _en_from_nu(nu: float) -> float:
+    """E_N = max[0, -ln(2 nu)] from a minimum PT symplectic eigenvalue."""
     if nu <= 0.0:
         raise NumericDomainError("PT symplectic eigenvalue vanished; unphysical input")
     val = -math.log(2.0 * nu)
     return val if val > EN_ZERO_TOL else 0.0
+
+
+def log_negativity(v4: np.ndarray) -> float:
+    """Logarithmic negativity E_N = max[0, -ln(2 nu_-^PT)] of a 4x4 CM."""
+    return _en_from_nu(pt_symplectic_min(v4))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +154,7 @@ def pt_min_symplectic(v6: np.ndarray, partition: str) -> float:
     """
     if partition not in PARTITIONS:
         raise ValueError(f"unknown partition {partition!r}; expected one of {sorted(PARTITIONS)}")
-    p = PT_MATRICES[PARTITIONS[partition]]
+    p = PT_MATRICES[PARTITIONS[partition][0]]
     v_pt = p @ (0.5 * (v6 + v6.T)) @ p
     eigs = np.linalg.eigvals(1j * OMEGA_3 @ v_pt)
     if not np.all(np.isfinite(eigs)):
@@ -146,14 +164,13 @@ def pt_min_symplectic(v6: np.ndarray, partition: str) -> float:
 
 def one_vs_rest_contangle(v6: np.ndarray, partition: str) -> float:
     """Contangle (squared log-negativity) of a one-vs-two bipartition."""
-    eta = pt_min_symplectic(v6, partition)
-    val = -math.log(2.0 * eta)
-    return val ** 2 if val > EN_ZERO_TOL else 0.0
+    return _en_from_nu(pt_min_symplectic(v6, partition)) ** 2
 
 
-def pair_contangle(v4: np.ndarray) -> float:
-    """Contangle of a two-mode subsystem."""
-    return log_negativity(v4) ** 2
+def _residuals(v6: np.ndarray, e_n: dict) -> dict:
+    """C_{i|jk} - C_{i|j} - C_{i|k} per partition, with C_{i|j} = E_N(ij)^2."""
+    return {tag: one_vs_rest_contangle(v6, tag) - e_n[first] ** 2 - e_n[second] ** 2
+            for tag, (_, (first, second)) in PARTITIONS.items()}
 
 
 def residual_contangle_min(v6: np.ndarray):
@@ -162,22 +179,12 @@ def residual_contangle_min(v6: np.ndarray):
     Returns (r_min, residuals) where residuals maps each one-vs-two
     partition tag to C_{i|jk} - C_{i|j} - C_{i|k} (raw, unclamped).
     """
-    sub = {
-        ("c2", "a"): v6[np.ix_([0, 1, 2, 3], [0, 1, 2, 3])],
-        ("c2", "b"): v6[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])],
-        ("a", "b"): v6[np.ix_([2, 3, 4, 5], [2, 3, 4, 5])],
-    }
-    pairc = {k: pair_contangle(m) for k, m in sub.items()}
-
-    def pc(i, j):
-        return pairc[(i, j)] if (i, j) in pairc else pairc[(j, i)]
-
-    partners = {"c2": ("a", "b"), "a": ("c2", "b"), "b": ("c2", "a")}
-    residuals = {}
-    for tag, single in PARTITIONS.items():
-        j, k = partners[single]
-        residuals[tag] = (one_vs_rest_contangle(v6, tag)
-                          - pc(single, j) - pc(single, k))
+    blocks = {"c2": [0, 1], "a": [2, 3], "b": [4, 5]}  # quadratures within v6
+    e_n = {}
+    for i, j in CANONICAL_PAIRS:
+        idx = blocks[i] + blocks[j]
+        e_n[_pair_key((i, j))] = log_negativity(v6[np.ix_(idx, idx)])
+    residuals = _residuals(v6, e_n)
     return min(residuals.values()), residuals
 
 
@@ -197,16 +204,7 @@ def _g(x: float) -> float:
 
 def unPT_symplectic_pair(v4: np.ndarray):
     """Symplectic eigenvalues (nu_-, nu_+) of the untransposed 4x4 CM."""
-    i1, i2, i3, i4 = _seralian_invariants(v4)
-    sigma = i1 + i2 + 2.0 * i3
-    disc = sigma * sigma - 4.0 * i4
-    if disc < -DISCRIMINANT_TOL:
-        raise NumericDomainError(f"negative discriminant {disc!r}: unphysical input")
-    disc = max(disc, 0.0)
-    root = math.sqrt(disc)
-    lo = math.sqrt(max(0.5 * (sigma - root), 0.0))
-    hi = math.sqrt(0.5 * (sigma + root))
-    return lo, hi
+    return _symplectic_pair(_seralian_invariants(v4), transposed=False)
 
 
 def _measurement_witness(i1, i2, i3, i4) -> float:
@@ -224,21 +222,25 @@ def _measurement_witness(i1, i2, i3, i4) -> float:
     return (s - math.sqrt(disc)) / (2.0 * i1)
 
 
+def _discord(inv) -> float:
+    """D_G from the Seralian invariants of a pair; see gaussian_discord."""
+    nu_lo, nu_hi = _symplectic_pair(inv, transposed=False)
+    w = _measurement_witness(*inv)
+    if w < 0.0:
+        raise NumericDomainError(f"negative measurement determinant {w!r}")
+    val = _g(math.sqrt(inv[0])) - _g(nu_lo) - _g(nu_hi) + _g(math.sqrt(w))
+    if val < -1.0e-10:
+        return val  # genuine negative indicates an upstream bug; surface it
+    return max(val, 0.0)
+
+
 def gaussian_discord(v4: np.ndarray) -> float:
     """Gaussian quantum discord of a 4x4 CM (measurement on the second mode).
 
     D_G = g(sqrt(I1)) - g(nu_-) - g(nu_+) + g(sqrt(W)); tiny negative
     round-off is clamped to zero.
     """
-    i1, i2, i3, i4 = _seralian_invariants(v4)
-    nu_lo, nu_hi = unPT_symplectic_pair(v4)
-    w = _measurement_witness(i1, i2, i3, i4)
-    if w < 0.0:
-        raise NumericDomainError(f"negative measurement determinant {w!r}")
-    val = _g(math.sqrt(i1)) - _g(nu_lo) - _g(nu_hi) + _g(math.sqrt(w))
-    if val < -1.0e-10:
-        return val  # genuine negative indicates an upstream bug; surface it
-    return max(val, 0.0)
+    return _discord(_seralian_invariants(v4))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +289,18 @@ def _clamp_residual(r: float) -> float:
 
 def correlation_report(v: np.ndarray, verdict: StabilityVerdict, n_th: float,
                        params_echo: dict | None = None) -> CorrelationReport:
-    """Compute every canonical measure from the steady-state CM."""
+    """Compute every canonical measure from the steady-state CM.
+
+    One Seralian pass per canonical pair feeds E_N, D_G and, as E_N^2,
+    the pair contangles of the residual.
+    """
     e_n = {}
     d_g = {}
     for pair in CANONICAL_PAIRS:
-        v4 = extract_submatrix(v, pair)
-        e_n[_pair_key(pair)] = log_negativity(v4)
-        d_g[_pair_key(pair)] = gaussian_discord(v4)
-    v6 = extract_submatrix(v, TRIPLE_MODES)
-    _, raw = residual_contangle_min(v6)
+        inv = _seralian_invariants(extract_submatrix(v, pair))
+        e_n[_pair_key(pair)] = _en_from_nu(_symplectic_pair(inv, transposed=True)[0])
+        d_g[_pair_key(pair)] = _discord(inv)
+    raw = _residuals(extract_submatrix(v, TRIPLE_MODES), e_n)
     clamped = {tag: _clamp_residual(val) for tag, val in raw.items()}
     return CorrelationReport(
         e_n=e_n, d_g=d_g,

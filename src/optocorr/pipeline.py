@@ -8,7 +8,7 @@ import numpy as np
 
 from .dynamics import (StabilityVerdict, assess_stability, build_diffusion,
                        build_drift, default_margin_tol)
-from .errors import OptocorrError, UnstableDriftError
+from .errors import OptocorrError
 from .lyapunov import solve_lyapunov
 from .measures import CorrelationReport, correlation_report
 from .params import SystemParams, thermal_occupation
@@ -46,12 +46,3 @@ def evaluate_point(params: SystemParams, params_echo: dict | None = None) -> Poi
                            covariance=None, error=f"{type(exc).__name__}: {exc}")
     return PointResult(verdict=verdict, n_th=n_th, report=report,
                        covariance=cm.matrix, error=None)
-
-
-def require_covariance(params: SystemParams) -> np.ndarray:
-    """Covariance matrix of a point that must be stable (raises otherwise)."""
-    a, d, verdict, _ = evaluate_matrices(params)
-    if not verdict.stable:
-        raise UnstableDriftError(
-            f"parameter point is unstable (max Re eig = {verdict.max_real_part:.6g})")
-    return solve_lyapunov(a, d, check_stability=False).matrix

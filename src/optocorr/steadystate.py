@@ -50,11 +50,6 @@ def _rhs(state, raw: RawDriveParams, base: SystemParams, j_ac: complex):
     return (new_a1, new_a2, new_xi, new_b)
 
 
-def _residual(state, raw, base, j_ac) -> float:
-    rhs = _rhs(state, raw, base, j_ac)
-    return max(abs(x - y) for x, y in zip(state, rhs))
-
-
 def solve_steady_state(raw: RawDriveParams, base: SystemParams,
                        max_iter: int = MAX_ITER) -> SteadyState:
     """Damped fixed-point iteration from the decoupled closed form.
@@ -81,14 +76,16 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams,
         0.0 + 0.0j,
     )
     lam = DAMPING_DEFAULT
-    res = _residual(state, raw, base, j_ac)
+    # the map at the current state gives both its residual and the next update
+    rhs = _rhs(state, raw, base, j_ac)
+    res = max(abs(x - y) for x, y in zip(state, rhs))
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if res <= tol:
             break
-        rhs = _rhs(state, raw, base, j_ac)
         state = tuple((1.0 - lam) * x + lam * y for x, y in zip(state, rhs))
-        new_res = _residual(state, raw, base, j_ac)
+        rhs = _rhs(state, raw, base, j_ac)
+        new_res = max(abs(x - y) for x, y in zip(state, rhs))
         if new_res > res:
             lam = DAMPING_FALLBACK
         res = new_res

@@ -132,6 +132,13 @@ class TestSweepAndFigure:
         assert code == 3
         assert "unstable" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exit_2(self, capsys, workers):
+        code, out, err = run_cli(capsys, "figure", "fig5", "--grid", "3",
+                                 "--workers", workers)
+        assert code == 2
+        assert "workers" in err and out == ""
+
     def test_io_failure_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--out", "/nonexistent/dir/x.csv")
         assert code == 4

@@ -8,9 +8,12 @@ from optocorr import (extract_submatrix, gaussian_discord, log_negativity,
                       residual_contangle_min, correlation_report,
                       assess_stability, evaluate_point)
 from optocorr.errors import NumericDomainError
-from optocorr.measures import (OMEGA_3, PT_MATRICES, det2, det4,
-                               pt_symplectic_min, unPT_symplectic_pair)
+import optocorr.measures as measures
+from optocorr.dynamics import StabilityVerdict
+from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PT_MATRICES, TRIPLE_MODES,
+                               det2, det4, pt_symplectic_min, unPT_symplectic_pair)
 from optocorr.params import TWO_PI
+from optocorr.sweep import _apply_axes, figure_preset
 
 from conftest import random_physical_cm, tmsv_cm
 
@@ -132,6 +135,10 @@ class TestContangle:
         assert one_vs_rest_contangle(v6, "c2|ab") == pytest.approx(pair, rel=1e-9)
         assert one_vs_rest_contangle(v6, "a|c2b") == pytest.approx(pair, rel=1e-9)
 
+    def test_zero_matrix_raises_domain_error(self):
+        with pytest.raises(NumericDomainError):
+            one_vs_rest_contangle(np.zeros((6, 6)), "c2|ab")
+
     def test_vacuum_residuals_zero(self):
         r_min, residuals = residual_contangle_min(0.5 * np.eye(6))
         assert r_min == 0.0
@@ -246,3 +253,49 @@ class TestCorrelationReport:
                 assert rep.r_tau[tag] == 0.0
             else:
                 assert rep.r_tau[tag] == raw
+
+
+class TestSharedInvariants:
+    """The report shares one invariant pass per pair; the standalone
+    measures must still give exactly the same numbers."""
+
+    @staticmethod
+    def assert_report_matches_standalone(v, report):
+        for pair in CANONICAL_PAIRS:
+            key = f"{pair[0]}{pair[1]}"
+            v4 = extract_submatrix(v, pair)
+            assert report.e_n[key] == log_negativity(v4)
+            assert report.d_g[key] == gaussian_discord(v4)
+        _, raw = residual_contangle_min(extract_submatrix(v, TRIPLE_MODES))
+        assert report.r_tau_raw == raw
+
+    def test_random_physical_states(self):
+        rng = np.random.default_rng(59)
+        verdict = StabilityVerdict(stable=True, max_real_part=-1.0)
+        for _ in range(30):
+            v = random_physical_cm(4, rng)
+            self.assert_report_matches_standalone(v, correlation_report(v, verdict, 0.0))
+
+    @pytest.mark.parametrize("preset,counts", [("fig3", (4, 4)), ("fig5", (7,))])
+    def test_figure_points(self, base_params, preset, counts):
+        spec = figure_preset(preset, base_params, counts=counts)
+        checked = 0
+        for point in spec.grid():
+            result = evaluate_point(_apply_axes(spec.base, spec, point))
+            if result.report is not None:
+                self.assert_report_matches_standalone(result.covariance, result.report)
+                checked += 1
+        assert checked >= 4
+
+    def test_one_invariant_pass_per_pair(self, base_params, monkeypatch):
+        v = evaluate_point(base_params).covariance
+        calls = []
+        original = measures._seralian_invariants
+
+        def counting(v4):
+            calls.append(1)
+            return original(v4)
+
+        monkeypatch.setattr(measures, "_seralian_invariants", counting)
+        correlation_report(v, StabilityVerdict(stable=True, max_real_part=-1.0), 0.0)
+        assert len(calls) == len(CANONICAL_PAIRS)

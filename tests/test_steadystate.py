@@ -7,6 +7,7 @@ import pytest
 from optocorr import RawDriveParams, solve_steady_state, effective_params
 from optocorr.errors import NonConvergenceError
 from optocorr.params import TWO_PI
+import optocorr.steadystate as steadystate
 from optocorr.steadystate import apply_steady_state
 
 
@@ -83,6 +84,21 @@ class TestCoupledSolve:
         real_roots = roots[np.abs(roots.imag) < 1e-9].real
         # the solver tolerance scales with |E1|, so the root match does too
         assert np.min(np.abs(real_roots - ss.beta.real)) < 1e-9 * max(1.0, abs(e1))
+
+    def test_one_map_evaluation_per_iteration(self, base_params, monkeypatch):
+        raw = make_raw(g1=TWO_PI * 2e-3, g2=TWO_PI * 3e-3, e1=2000.0, e2=1500.0,
+                       base=base_params)
+        calls = []
+        original = steadystate._rhs
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(steadystate, "_rhs", counting)
+        ss = solve_steady_state(raw, base_params)
+        assert ss.iterations > 1
+        assert len(calls) == ss.iterations
 
     def test_nonconvergence_reports_residual(self, base_params):
         raw = make_raw(g1=TWO_PI * 2e-3, e1=2000.0, base=base_params)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import re
 
 import pytest
 
 from optocorr import Axis, SweepSpec, figure_preset, run_sweep, to_csv, to_json_lines
 from optocorr.errors import ConfigError, UnstableDriftError
-from optocorr.sweep import PRESET_IDS
+from optocorr.sweep import PRESET_IDS, config_hash
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,10 +72,35 @@ class TestRunSweep:
         with pytest.raises(UnstableDriftError):
             run_sweep(spec("error"))
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, base_params, workers):
+        spec = SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 2),
+                         measures=("EN_c2a",))
+        with pytest.raises(ConfigError, match="workers"):
+            run_sweep(spec, workers=workers)
+
     def test_unknown_measure_rejected(self, base_params):
         with pytest.raises(ConfigError):
             SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 2),
                       measures=("EN_bogus",))
+
+
+class TestProvenance:
+    def test_presets_on_one_base_hash_differently(self, base_params):
+        fig3 = figure_preset("fig3", base_params)
+        fig6 = figure_preset("fig6", base_params)
+        assert fig3.base == fig6.base
+        assert config_hash(fig3) != config_hash(fig6)
+
+    def test_same_spec_same_hash(self, base_params):
+        spec = figure_preset("fig3", base_params)
+        assert config_hash(spec) == config_hash(figure_preset("fig3", base_params))
+        assert re.fullmatch(r"[0-9a-f]{12}", config_hash(spec))
+
+    def test_measures_and_policy_enter_the_hash(self, base_params):
+        spec = figure_preset("fig3", base_params)
+        assert config_hash(spec) != config_hash(dataclasses.replace(spec, measures=("EN_c2a",)))
+        assert config_hash(spec) != config_hash(dataclasses.replace(spec, unstable_policy="skip"))
 
 
 class TestSerialization:
