@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 config/usage error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -171,7 +172,7 @@ def cmd_measure(args) -> int:
     cfg = _resolve_config(args)
     params = params_from_config(cfg)
     echo = {**SYSTEM_KEY_DEFAULTS, **{k: v for k, v in cfg.items() if k in SYSTEM_KEY_DEFAULTS}}
-    result = evaluate_point(params, params_echo=echo)
+    result = evaluate_point(params)
     if result.report is None:
         if result.error is not None:
             raise NumericDomainError(result.error)
@@ -204,9 +205,7 @@ def cmd_figure(args) -> int:
     cfg = _resolve_config(args)
     params = params_from_config(cfg)
     spec = figure_preset(args.preset, params, counts=_parse_grid(args.grid))
-    if args.unstable != spec.unstable_policy:
-        spec = SweepSpec(base=spec.base, axis1=spec.axis1, axis2=spec.axis2,
-                         measures=spec.measures, unstable_policy=args.unstable)
+    spec = dataclasses.replace(spec, unstable_policy=args.unstable)
     return _run_and_emit(args, spec, args.workers)
 
 

@@ -6,6 +6,10 @@ Quadrature basis order, fixed once for the whole package:
 
 i.e. cavity 1, cavity 2, atomic ensemble, mechanical oscillator, each
 contributing an (amplitude, phase) quadrature pair.
+
+The model is written once, as the Hamiltonian matrix H and the damping
+vector Gamma: A = Omega H - diag(Gamma) (Serafini, Quantum Continuous
+Variables, CRC 2017, ch. 5).
 """
 
 from __future__ import annotations
@@ -43,59 +47,45 @@ class StabilityVerdict:
         return -self.max_real_part
 
 
+def _hamiltonian(p: SystemParams) -> np.ndarray:
+    """Symmetric matrix H of the quadratic Hamiltonian (1/2) r^T H r.
+
+    Detunings (delta1_eff, delta2_eff, delta_at, omega_m) on the diagonal;
+    each coupling placed once above it and mirrored: the c1-a beam splitter
+    J_ac (e^{i phi} c1^dag a + h.c.) = J_ac [cos(phi) (x1 q_at + y1 p_at)
+    - sin(phi) (x1 p_at - y1 q_at)], and 2 G1 x1 q, 2 G2 x2 q, 2 J_ab q_at q.
+    """
+    jc = p.j_ac_mag * math.cos(p.phi)
+    js = p.j_ac_mag * math.sin(p.phi)
+    u = np.zeros((DIM, DIM))
+    u[0:2, 4:6] = ((jc, -js), (js, jc))
+    u[0, 6] = 2.0 * p.g1_eff
+    u[2, 6] = 2.0 * p.g2_eff
+    u[4, 6] = 2.0 * p.j_ab
+    h = u + u.T
+    h.flat[::DIM + 1] = (p.delta1_eff, p.delta1_eff, p.delta2_eff, p.delta2_eff,
+                         p.delta_at, p.delta_at, p.omega_m, p.omega_m)
+    return h
+
+
+def _damping(p: SystemParams) -> np.ndarray:
+    """Amplitude damping rate of each quadrature: kappa1, kappa2, f, gamma_m."""
+    return np.array([p.kappa1, p.kappa1, p.kappa2, p.kappa2,
+                     p.f, p.f, p.gamma_m, p.gamma_m])
+
+
 def build_drift(p: SystemParams) -> np.ndarray:
-    """Assemble the 8x8 drift matrix of the quadrature fluctuations."""
-    s = math.sin(p.phi)
-    c = math.cos(p.phi)
-    j = p.j_ac_mag
-    a = np.zeros((DIM, DIM))
-
-    # cavity 1
-    a[0, 0] = -p.kappa1
-    a[0, 1] = p.delta1_eff
-    a[0, 4] = j * s
-    a[0, 5] = j * c
-    a[1, 0] = -p.delta1_eff
-    a[1, 1] = -p.kappa1
-    a[1, 4] = -j * c
-    a[1, 5] = j * s
-    a[1, 6] = -2.0 * p.g1_eff
-
-    # cavity 2
-    a[2, 2] = -p.kappa2
-    a[2, 3] = p.delta2_eff
-    a[3, 2] = -p.delta2_eff
-    a[3, 3] = -p.kappa2
-    a[3, 6] = -2.0 * p.g2_eff
-
-    # atomic ensemble
-    a[4, 0] = -j * s
-    a[4, 1] = j * c
-    a[4, 4] = -p.f
-    a[4, 5] = p.delta_at
-    a[5, 0] = -j * c
-    a[5, 1] = -j * s
-    a[5, 4] = -p.delta_at
-    a[5, 5] = -p.f
-    a[5, 6] = -2.0 * p.j_ab
-
-    # mechanical oscillator
-    a[6, 6] = -p.gamma_m
-    a[6, 7] = p.omega_m
-    a[7, 0] = -2.0 * p.g1_eff
-    a[7, 2] = -2.0 * p.g2_eff
-    a[7, 4] = -2.0 * p.j_ab
-    a[7, 6] = -p.omega_m
-    a[7, 7] = -p.gamma_m
-    return a
+    """8x8 drift matrix A = Omega H - Gamma of the quadrature fluctuations."""
+    return OMEGA_4 @ _hamiltonian(p) - np.diag(_damping(p))
 
 
 def build_diffusion(p: SystemParams, n_th: float) -> np.ndarray:
-    """Diagonal diffusion matrix of the uncorrelated input noises."""
+    """Diagonal diffusion: the drift's damping rates, mechanics scaled by 2 n_th + 1."""
     if n_th < 0.0:
         raise NumericDomainError(f"n_th must be non-negative, got {n_th!r}")
-    mech = p.gamma_m * (2.0 * n_th + 1.0)
-    return np.diag([p.kappa1, p.kappa1, p.kappa2, p.kappa2, p.f, p.f, mech, mech])
+    gamma = _damping(p)
+    gamma[6:] *= 2.0 * n_th + 1.0
+    return np.diag(gamma)
 
 
 def assess_stability(a: np.ndarray, margin_tol: float = 0.0) -> StabilityVerdict:

@@ -17,11 +17,11 @@ contangles of the residual from that one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MODE_BLOCKS, StabilityVerdict
+from .dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
 from .errors import NumericDomainError
 
 CANONICAL_PAIRS = (("c2", "a"), ("a", "b"), ("c2", "b"))
@@ -36,16 +36,17 @@ MONOGAMY_CLAMP = 1.0e-9
 # below this floor cannot be distinguished from the separability threshold
 EN_ZERO_TOL = 1.0e-12
 
-# 6x6 symplectic form, three [[0,1],[-1,0]] blocks
-OMEGA_3 = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+# quadrature indices of each mode in extract_submatrix(v, TRIPLE_MODES)
+_TRIPLE_BLOCKS = {m: (2 * k, 2 * k + 1) for k, m in enumerate(TRIPLE_MODES)}
+_TRIPLE_DIM = 2 * len(TRIPLE_MODES)
 
-# one-vs-two partial transposition matrices for mode order (c2, a, b):
+# symplectic form of the triple: the leading blocks of the four-mode form
+OMEGA_3 = OMEGA_4[:_TRIPLE_DIM, :_TRIPLE_DIM].copy()
+
+# one-vs-two partial transposition matrices of the triple:
 # flip the momentum quadrature of the singled-out mode
-PT_MATRICES = {
-    "c2": np.diag([1.0, -1.0, 1.0, 1.0, 1.0, 1.0]),
-    "a": np.diag([1.0, 1.0, 1.0, -1.0, 1.0, 1.0]),
-    "b": np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]),
-}
+PT_MATRICES = {m: np.diag([-1.0 if i == _TRIPLE_BLOCKS[m][1] else 1.0 for i in range(_TRIPLE_DIM)])
+               for m in TRIPLE_MODES}
 
 # one-vs-two partitions: the singled-out mode, then the pair contangles
 # subtracted from the partition's contangle, in this order
@@ -54,6 +55,10 @@ PARTITIONS = {
     "a|c2b": ("a", ("c2a", "ab")),
     "b|c2a": ("b", ("c2b", "ab")),
 }
+
+
+def _pair_key(pair) -> str:
+    return f"{pair[0]}{pair[1]}"
 
 
 def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:
@@ -135,9 +140,23 @@ def _en_from_nu(nu: float) -> float:
     return val if val > EN_ZERO_TOL else 0.0
 
 
+def _pair_en(inv) -> float:
+    """E_N of a pair from its Seralian invariants."""
+    return _en_from_nu(_symplectic_pair(inv, transposed=True)[0])
+
+
 def log_negativity(v4: np.ndarray) -> float:
     """Logarithmic negativity E_N = max[0, -ln(2 nu_-^PT)] of a 4x4 CM."""
-    return _en_from_nu(pt_symplectic_min(v4))
+    return _pair_en(_seralian_invariants(v4))
+
+
+def _triple_invariants(v6: np.ndarray) -> dict:
+    """Seralian invariants of each canonical pair of the (c2, a, b) block."""
+    out = {}
+    for pair in CANONICAL_PAIRS:
+        idx = _TRIPLE_BLOCKS[pair[0]] + _TRIPLE_BLOCKS[pair[1]]
+        out[_pair_key(pair)] = _seralian_invariants(v6[np.ix_(idx, idx)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +198,7 @@ def residual_contangle_min(v6: np.ndarray):
     Returns (r_min, residuals) where residuals maps each one-vs-two
     partition tag to C_{i|jk} - C_{i|j} - C_{i|k} (raw, unclamped).
     """
-    blocks = {"c2": [0, 1], "a": [2, 3], "b": [4, 5]}  # quadratures within v6
-    e_n = {}
-    for i, j in CANONICAL_PAIRS:
-        idx = blocks[i] + blocks[j]
-        e_n[_pair_key((i, j))] = log_negativity(v6[np.ix_(idx, idx)])
+    e_n = {key: _pair_en(inv) for key, inv in _triple_invariants(v6).items()}
     residuals = _residuals(v6, e_n)
     return min(residuals.values()), residuals
 
@@ -247,10 +262,6 @@ def gaussian_discord(v4: np.ndarray) -> float:
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def _pair_key(pair) -> str:
-    return f"{pair[0]}{pair[1]}"
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """All correlation measures for one parameter point.
@@ -266,7 +277,6 @@ class CorrelationReport:
     r_tau_min: float
     stability: StabilityVerdict
     n_th: float
-    params_echo: dict = field(default_factory=dict)
 
     def as_flat_dict(self) -> dict:
         out = {}
@@ -283,29 +293,18 @@ class CorrelationReport:
         return out
 
 
-def _clamp_residual(r: float) -> float:
-    return 0.0 if -MONOGAMY_CLAMP <= r < 0.0 else r
-
-
-def correlation_report(v: np.ndarray, verdict: StabilityVerdict, n_th: float,
-                       params_echo: dict | None = None) -> CorrelationReport:
+def correlation_report(v: np.ndarray, verdict: StabilityVerdict,
+                       n_th: float) -> CorrelationReport:
     """Compute every canonical measure from the steady-state CM.
 
-    One Seralian pass per canonical pair feeds E_N, D_G and, as E_N^2,
-    the pair contangles of the residual.
+    One Seralian pass per canonical pair of the (c2, a, b) block feeds
+    E_N, D_G and, as E_N^2, the pair contangles of the residual.
     """
-    e_n = {}
-    d_g = {}
-    for pair in CANONICAL_PAIRS:
-        inv = _seralian_invariants(extract_submatrix(v, pair))
-        e_n[_pair_key(pair)] = _en_from_nu(_symplectic_pair(inv, transposed=True)[0])
-        d_g[_pair_key(pair)] = _discord(inv)
-    raw = _residuals(extract_submatrix(v, TRIPLE_MODES), e_n)
-    clamped = {tag: _clamp_residual(val) for tag, val in raw.items()}
-    return CorrelationReport(
-        e_n=e_n, d_g=d_g,
-        r_tau=clamped, r_tau_raw=raw,
-        r_tau_min=min(clamped.values()),
-        stability=verdict, n_th=n_th,
-        params_echo=params_echo or {},
-    )
+    v6 = extract_submatrix(v, TRIPLE_MODES)
+    e_n, d_g = {}, {}
+    for key, inv in _triple_invariants(v6).items():
+        e_n[key], d_g[key] = _pair_en(inv), _discord(inv)
+    raw = _residuals(v6, e_n)
+    clamped = {tag: 0.0 if -MONOGAMY_CLAMP <= val < 0.0 else val for tag, val in raw.items()}
+    return CorrelationReport(e_n=e_n, d_g=d_g, r_tau=clamped, r_tau_raw=raw,
+                             r_tau_min=min(clamped.values()), stability=verdict, n_th=n_th)

@@ -133,7 +133,10 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega_m * RAD_PER_US_TO_RAD_PER_S / (K_B * temperature)
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # x > ~709.8: n_th < 1e-308, so 2 n_th + 1 == 1
+        return 0.0
 
 
 def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:

@@ -32,7 +32,7 @@ def evaluate_matrices(params: SystemParams):
     return a, d, verdict, n_th
 
 
-def evaluate_point(params: SystemParams, params_echo: dict | None = None) -> PointResult:
+def evaluate_point(params: SystemParams) -> PointResult:
     """Full pipeline for one point; numeric errors are captured, not raised."""
     a, d, verdict, n_th = evaluate_matrices(params)
     if not verdict.stable:
@@ -40,7 +40,7 @@ def evaluate_point(params: SystemParams, params_echo: dict | None = None) -> Poi
                            covariance=None, error=None)
     try:
         cm = solve_lyapunov(a, d, check_stability=False)
-        report = correlation_report(cm.matrix, verdict, n_th, params_echo=params_echo)
+        report = correlation_report(cm.matrix, verdict, n_th)
     except OptocorrError as exc:
         return PointResult(verdict=verdict, n_th=n_th, report=None,
                            covariance=None, error=f"{type(exc).__name__}: {exc}")

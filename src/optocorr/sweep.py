@@ -221,7 +221,8 @@ def figure_preset(preset_id: str, base: SystemParams,
 
     `base` supplies the fixed operating point (normally the package
     defaults); the preset overrides whatever the scan caption fixes.
-    `counts` optionally overrides the grid resolution (n1,) or (n1, n2).
+    `counts` optionally overrides the grid resolution (n1,) or (n1, n2);
+    more counts than the preset has axes is a ConfigError.
     """
     two_pi = 2.0 * math.pi
 
@@ -231,52 +232,57 @@ def figure_preset(preset_id: str, base: SystemParams,
         return Axis(name, start, stop, count)
 
     if preset_id == "fig2":
-        return SweepSpec(base=base,
+        spec = SweepSpec(base=base,
                          axis1=ax("G1", 0.1, 5.0, 50),
                          axis2=ax("G2", 0.1, 5.0, 50, which=1),
                          measures=("stability",))
-    if preset_id == "fig3":
-        return SweepSpec(base=base,
+    elif preset_id == "fig3":
+        spec = SweepSpec(base=base,
                          axis1=ax("delta_at", -2.0, 0.0, 100),
                          axis2=ax("delta_eff_common", 0.0, 2.0, 100, which=1),
                          measures=EN_MEASURES)
-    if preset_id == "fig4":
+    elif preset_id == "fig4":
         p = base.with_values(delta1_eff=base.omega_m, delta2_eff=base.omega_m,
                              delta_at=-base.omega_m)
-        return SweepSpec(base=p,
+        spec = SweepSpec(base=p,
                          axis1=ax("Jac", 6.0, 18.0, 100),
                          axis2=ax("Jab", 0.0, 3.0, 100, which=1),
                          measures=EN_MEASURES)
-    if preset_id == "fig5":
+    elif preset_id == "fig5":
         p = base.with_values(delta1_eff=base.omega_m, delta2_eff=base.omega_m,
                              delta_at=-base.omega_m)
-        return SweepSpec(base=p, axis1=ax("phi", 0.0, two_pi, 201),
+        spec = SweepSpec(base=p, axis1=ax("phi", 0.0, two_pi, 201),
                          measures=EN_MEASURES + ("Rtau_min",))
-    if preset_id == "fig6":
-        return SweepSpec(base=base,
+    elif preset_id == "fig6":
+        spec = SweepSpec(base=base,
                          axis1=ax("delta_at", -2.0, 0.0, 100),
                          axis2=ax("T", 0.001, 0.4, 100, which=1),
                          measures=EN_MEASURES)
-    if preset_id == "fig7":
+    elif preset_id == "fig7":
         p = base.with_values(delta_at=-base.omega_m)
-        return SweepSpec(base=p,
+        spec = SweepSpec(base=p,
                          axis1=ax("T", 0.001, 0.4, 100),
-                         axis2=Axis("Jab", 1.0, 3.0, 3),
+                         axis2=ax("Jab", 1.0, 3.0, 3, which=1),
                          measures=EN_MEASURES + ("Rtau_min",))
-    if preset_id == "fig8":
-        return SweepSpec(base=base,
+    elif preset_id == "fig8":
+        spec = SweepSpec(base=base,
                          axis1=ax("delta_at", -2.0, 0.0, 100),
                          axis2=ax("T", 0.001, 0.4, 100, which=1),
                          measures=DG_MEASURES)
-    if preset_id == "fig9":
-        return SweepSpec(base=base,
+    elif preset_id == "fig9":
+        spec = SweepSpec(base=base,
                          axis1=ax("delta_at", -2.0, 0.0, 100),
-                         axis2=Axis("f", 1.0, 3.0, 3),
+                         axis2=ax("f", 1.0, 3.0, 3, which=1),
                          measures=DG_MEASURES)
-    if preset_id == "fig10":
+    elif preset_id == "fig10":
         p = base.with_values(delta1_eff=base.omega_m, delta2_eff=base.omega_m,
                              delta_at=-base.omega_m)
-        return SweepSpec(base=p, axis1=ax("phi", 0.0, two_pi, 201),
+        spec = SweepSpec(base=p, axis1=ax("phi", 0.0, two_pi, 201),
                          measures=DG_MEASURES)
-    raise ConfigError(f"unknown figure preset {preset_id!r}; "
-                      f"choose from {', '.join(PRESET_IDS)}")
+    else:
+        raise ConfigError(f"unknown figure preset {preset_id!r}; "
+                          f"choose from {', '.join(PRESET_IDS)}")
+    n_axes = 1 if spec.axis2 is None else 2
+    if counts is not None and len(counts) > n_axes:
+        raise ConfigError(f"{preset_id} has {n_axes} axis(es), got {len(counts)} grid counts")
+    return spec

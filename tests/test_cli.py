@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from optocorr import figure_preset, params_from_config
 from optocorr.cli import main
+from optocorr.sweep import config_hash
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +42,12 @@ class TestMeasure:
                                "--set", "G2_mhz=0.1")
         assert code == 3
         assert "unstable" in err
+
+    def test_microkelvin_bath_has_zero_occupation(self, capsys):
+        # hbar omega_m / kB T ~ 1150 overflows exp; the occupation is 0 to double precision
+        code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e-6", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["n_th"] == 0.0
 
     def test_json_and_kv_encode_same_values(self, capsys):
         _, kv_out, _ = run_cli(capsys, "measure")
@@ -112,6 +121,30 @@ class TestSweepAndFigure:
         code, out, _ = run_cli(capsys, "figure", "fig2", "--grid", "5x4")
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 20
+
+    def test_extra_grid_count_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "figure", "fig5", "--grid", "5x7")
+        assert code == 2
+        assert "grid" in err and out == ""
+
+    def test_fixed_second_axis_takes_grid_count(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig7", "--grid", "4x5")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2 + 20
+
+    def test_unstable_override_keeps_the_rest_of_the_spec(self, capsys):
+        code, out, _ = run_cli(capsys, "figure", "fig2", "--grid", "3x3", "--unstable", "skip")
+        assert code == 0
+        spec = figure_preset("fig2", params_from_config({}), counts=(3, 3))
+        want = config_hash(dataclasses.replace(spec, unstable_policy="skip"))
+        assert out.split("\n")[0].endswith(f"config={want}")
+
+    def test_temperature_axis_through_microkelvin(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "T=1e-7:1e-5:3",
+                                 "--measures", "EN_c2a")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert len(rows) == 3 and all(r[-1] == "" for r in rows)
 
     def test_sweep_axis_flags(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--axis", "phi=0:3.14:5",

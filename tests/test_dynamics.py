@@ -2,28 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from optocorr import (assess_stability, build_diffusion, build_drift,
-                      thermal_occupation)
+from optocorr import (OMEGA_4, assess_stability, build_diffusion, build_drift,
+                      params_from_config, thermal_occupation)
 from optocorr.dynamics import MODE_BLOCKS, default_margin_tol
 from optocorr.errors import NumericDomainError
 from optocorr.params import TWO_PI
 
 
-def hand_drift_matrix():
-    """The baseline drift matrix transcribed entry by entry by hand.
+def hand_drift_matrix(phi=math.pi / 2, g1=2.0, g2=4.0, jac=12.0, jab=1.0):
+    """The drift matrix at the baseline rates transcribed entry by entry by hand.
 
-    G1/2pi = 2, G2/2pi = 4, |Jac|/2pi = 12, Jab/2pi = 1 (MHz), phi = pi/2,
-    effective cavity detunings = omega_m, atomic detuning = -omega_m,
-    kappa/2pi = 2 MHz, f/2pi = 1 MHz, gamma_m/2pi = 100 Hz.
+    Couplings G1, G2, |Jac|, Jab in MHz (/2pi; defaults are the baseline
+    2, 4, 12, 1), phase phi in rad; effective cavity detunings = omega_m,
+    atomic detuning = -omega_m, kappa/2pi = 2 MHz, f/2pi = 1 MHz,
+    gamma_m/2pi = 100 Hz.
     """
     wm = TWO_PI * 24.0
     k = TWO_PI * 2.0
     f = TWO_PI * 1.0
-    gm = TWO_PI * 100e-6
-    g1, g2 = TWO_PI * 2.0, TWO_PI * 4.0
-    jac, jab = TWO_PI * 12.0, TWO_PI * 1.0
-    s, c = 1.0, 0.0  # sin/cos of pi/2
+    gm = TWO_PI * 100.0 * 1.0e-6
+    g1, g2 = TWO_PI * g1, TWO_PI * g2
+    jac, jab = TWO_PI * jac, TWO_PI * jab
+    s, c = math.sin(phi), math.cos(phi)
     return np.array([
         [-k,    wm,   0,    0,    jac * s,  jac * c,  0,        0],
         [-wm,  -k,    0,    0,   -jac * c,  jac * s, -2 * g1,   0],
@@ -36,12 +38,76 @@ def hand_drift_matrix():
     ])
 
 
+def damping_rates(p):
+    """Amplitude damping rate of each quadrature, in basis order."""
+    return np.array([p.kappa1, p.kappa1, p.kappa2, p.kappa2, p.f, p.f, p.gamma_m, p.gamma_m])
+
+
+def paper_hamiltonian_matrix(p):
+    """H of (1/2) r^T H r from the complex-amplitude Hamiltonian, by polarization.
+
+    H = D1|c1|^2 + D2|c2|^2 + Dat|a|^2 + wm|b|^2 + Jac (e^{i phi} c1* a + c.c.)
+        + G1 (c1 + c1*)(b + b*) + G2 (c2 + c2*)(b + b*) + Jab (a + a*)(b + b*)
+    with c = (x + i y)/sqrt(2) for every mode, evaluated as a c-number
+    function of the quadratures; H_ij = E(e_i + e_j) - E(e_i) - E(e_j).
+    """
+    def energy(r):
+        c1, c2, a, b = (complex(r[2 * m], r[2 * m + 1]) / math.sqrt(2.0) for m in range(4))
+        return (p.delta1_eff * abs(c1) ** 2 + p.delta2_eff * abs(c2) ** 2
+                + p.delta_at * abs(a) ** 2 + p.omega_m * abs(b) ** 2
+                + 2.0 * (p.j_ac_mag * complex(math.cos(p.phi), math.sin(p.phi))
+                         * c1.conjugate() * a).real
+                + (p.g1_eff * (2 * c1.real) + p.g2_eff * (2 * c2.real)
+                   + p.j_ab * (2 * a.real)) * (2 * b.real))
+
+    eye = np.eye(8)
+    h = np.empty((8, 8))
+    for i in range(8):
+        for j in range(8):
+            h[i, j] = (energy(eye[i] + eye[j]) - energy(eye[i]) - energy(eye[j])
+                       if i != j else 2.0 * energy(eye[i]))
+    return h
+
+
 class TestBuildDrift:
     def test_baseline_matches_hand_transcription(self, base_params):
-        got = build_drift(base_params)
-        want = hand_drift_matrix()
-        # sin/cos(pi/2) carry float trig round-off in the built matrix
-        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        assert np.array_equal(build_drift(base_params), hand_drift_matrix())
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2, 2.5])
+    def test_matches_hand_transcription_at_each_phase(self, base_params, phi):
+        g1, g2, jac, jab = 3.1, 0.7, 9.5, 2.2
+        p = base_params.with_values(phi=phi, g1_eff=TWO_PI * g1, g2_eff=TWO_PI * g2,
+                                    j_ac_mag=TWO_PI * jac, j_ab=TWO_PI * jab)
+        assert np.array_equal(build_drift(p), hand_drift_matrix(phi, g1, g2, jac, jab))
+
+    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2, 2.5, 4.0])
+    def test_drift_is_omega_times_paper_hamiltonian(self, base_params, phi):
+        # fixes the J_ac phase convention and the sign of every coupling
+        p = base_params.with_values(phi=phi, g1_eff=TWO_PI * 3.1, j_ab=TWO_PI * 2.2)
+        h = OMEGA_4.T @ (build_drift(p) + np.diag(damping_rates(p)))
+        want = paper_hamiltonian_matrix(p)
+        assert np.allclose(h, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rates=st.lists(st.floats(1e-6, 1e3), min_size=5, max_size=5),
+           detunings=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+           couplings=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+                              min_size=4, max_size=4),
+           phi=st.floats(-20.0, 20.0), n_th=st.floats(0.0, 1e6))
+    def test_drift_and_diffusion_share_one_model(self, rates, detunings, couplings, phi, n_th):
+        omega_m, gamma_m, f, kappa1, kappa2 = rates
+        d1, d2, dat = detunings
+        g1, g2, jac, jab = couplings
+        p = params_from_config({}).with_values(
+            omega_m=omega_m, gamma_m=gamma_m, f=f, kappa1=kappa1, kappa2=kappa2,
+            delta1_eff=d1, delta2_eff=d2, delta_at=dat,
+            g1_eff=g1, g2_eff=g2, j_ac_mag=jac, phi=phi, j_ab=jab)
+        gamma = damping_rates(p)
+        # Omega^T (A + Gamma) is the Hamiltonian matrix, exactly symmetric
+        h = OMEGA_4.T @ (build_drift(p) + np.diag(gamma))
+        assert np.array_equal(h, h.T)
+        scale = np.array([1.0] * 6 + [2.0 * n_th + 1.0] * 2)
+        assert np.array_equal(build_diffusion(p, n_th), np.diag(gamma * scale))
 
     def test_named_entries(self, base_params):
         a = build_drift(base_params)

@@ -1,8 +1,9 @@
-"""Golden-file pins of the default CSV output.
+"""Golden-file pins of the default CLI output.
 
-Each file under tests/data holds the column line and data rows of one
-small figure run; every line after the provenance comment must match
-byte for byte.
+Each figure file under tests/data holds the column line and data rows of
+one small figure run; every line after the provenance comment must match
+byte for byte.  The matrix and measure files are whole outputs at the
+package defaults and must match byte for byte.
 """
 
 import re
@@ -28,3 +29,16 @@ def test_figure_rows_match_golden_file(args, name, tmp_path):
     header, *rows = out.read_bytes().splitlines(keepends=True)
     assert re.fullmatch(rb"# optocorr v0\.1\.0 config=[0-9a-f]{12}\n", header)
     assert rows == (DATA / name).read_bytes().splitlines(keepends=True)
+
+
+POINT_GOLDEN = [
+    (("matrix", "--with-cm"), "golden_matrix_with_cm.txt"),
+    (("measure", "--format", "json"), "golden_measure.json"),
+]
+
+
+@pytest.mark.parametrize("args,name", POINT_GOLDEN, ids=[g[1] for g in POINT_GOLDEN])
+def test_point_output_matches_golden_file(args, name, tmp_path):
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()

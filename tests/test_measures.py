@@ -9,7 +9,7 @@ from optocorr import (extract_submatrix, gaussian_discord, log_negativity,
                       assess_stability, evaluate_point)
 from optocorr.errors import NumericDomainError
 import optocorr.measures as measures
-from optocorr.dynamics import StabilityVerdict
+from optocorr.dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
 from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PT_MATRICES, TRIPLE_MODES,
                                det2, det4, pt_symplectic_min, unPT_symplectic_pair)
 from optocorr.params import TWO_PI
@@ -101,6 +101,16 @@ class TestTripartiteSpectrum:
     def test_pt_matrices_are_involutions(self):
         for p in PT_MATRICES.values():
             assert np.array_equal(p @ p, np.eye(6))
+
+    def test_triple_layout_matches_the_eight_mode_layout(self):
+        # Omega_3 and each PT flip are the four-mode ones restricted to (c2, a, b)
+        assert np.array_equal(OMEGA_3, extract_submatrix(OMEGA_4, TRIPLE_MODES))
+        v = random_physical_cm(4, np.random.default_rng(31))
+        for mode, p6 in PT_MATRICES.items():
+            p8 = np.eye(8)
+            p8[MODE_BLOCKS[mode][1], MODE_BLOCKS[mode][1]] = -1.0
+            assert np.array_equal(extract_submatrix(p8 @ v @ p8, TRIPLE_MODES),
+                                  p6 @ extract_submatrix(v, TRIPLE_MODES) @ p6)
 
     def test_matches_independent_eigen_pipeline(self):
         rng = np.random.default_rng(29)

@@ -36,6 +36,13 @@ class TestThermalOccupation:
         vals = [thermal_occupation(w, 0.01) for w in freqs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_deep_cold_underflows_to_zero(self):
+        # hbar w / kB T ~ 1150 at 1 uK: exp overflows, the occupation is e^-1150
+        assert thermal_occupation(OMEGA_M, 1.0e-6) == 0.0
+        # just below the overflow edge (x ~ 709.8) the closed form still runs
+        t_700 = HBAR * OMEGA_M * 1.0e6 / (K_B * 700.0)
+        assert thermal_occupation(OMEGA_M, t_700) == pytest.approx(math.exp(-700.0), rel=1e-12)
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             thermal_occupation(0.0, 0.01)
