@@ -1,8 +1,8 @@
 """Steady-state covariance matrix from the Lyapunov equation A V + V A^T = -D.
 
 The 8x8 problem is solved by vectorization: (I (x) A + A (x) I) vec(V) =
--vec(D), a dense 64x64 linear system.  At this size the Kronecker route
-is trivially fast and easy to audit; no Bartels-Stewart machinery.
+-vec(D), a dense 64x64 linear system whose operator is written by index
+instead of as two mostly-zero Kronecker products; no Bartels-Stewart.
 """
 
 from __future__ import annotations
@@ -27,6 +27,15 @@ def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
     return float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
 
 
+def _kron_sum(a: np.ndarray) -> np.ndarray:
+    """I (x) A + A (x) I: A in each diagonal block, A[i, j] on block (i, j)'s diagonal."""
+    n, r = a.shape[0], np.arange(a.shape[0])
+    k = np.zeros((n, n, n, n))
+    k[r, :, r, :] = a
+    k[:, r, :, r] += a
+    return k.reshape(n * n, n * n)
+
+
 def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -> CovarianceMatrix:
     """Solve A V + V A^T = -D for the steady-state covariance matrix.
 
@@ -38,10 +47,8 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
         raise ValueError("A and D must be square matrices of equal size")
     if check_stability and not assess_stability(a).stable:
         raise UnstableDriftError("drift matrix has a non-negative eigenvalue real part")
-    eye = np.eye(n)
-    k = np.kron(eye, a) + np.kron(a, eye)
     try:
-        vec_v = np.linalg.solve(k, -d.reshape(n * n, order="F"))
+        vec_v = np.linalg.solve(_kron_sum(a), -d.reshape(n * n, order="F"))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"vectorized Lyapunov system is singular: {exc}") from exc
     v = vec_v.reshape((n, n), order="F")

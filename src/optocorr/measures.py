@@ -40,6 +40,10 @@ EN_ZERO_TOL = 1.0e-12
 _TRIPLE_BLOCKS = {m: (2 * k, 2 * k + 1) for k, m in enumerate(TRIPLE_MODES)}
 _TRIPLE_DIM = 2 * len(TRIPLE_MODES)
 
+# rows and columns of each canonical pair ("c2a", ...) in that block
+_PAIR_INDEX = {p + q: np.ix_(_TRIPLE_BLOCKS[p] + _TRIPLE_BLOCKS[q], _TRIPLE_BLOCKS[p] + _TRIPLE_BLOCKS[q])
+               for p, q in CANONICAL_PAIRS}
+
 # symplectic form of the triple: the leading blocks of the four-mode form
 OMEGA_3 = OMEGA_4[:_TRIPLE_DIM, :_TRIPLE_DIM].copy()
 
@@ -55,6 +59,7 @@ PARTITIONS = {
     "a|c2b": ("a", ("c2a", "ab")),
     "b|c2a": ("b", ("c2b", "ab")),
 }
+_PARTITION_PT = np.stack([PT_MATRICES[mode] for mode, _ in PARTITIONS.values()])
 
 
 def _pair_key(pair) -> str:
@@ -100,11 +105,11 @@ def det4(m) -> float:
 
 def _seralian_invariants(v4: np.ndarray):
     """I1 = det psi1, I2 = det psi2, I3 = det psi3, I4 = det V4."""
-    v4 = 0.5 * (v4 + v4.T)  # measures see only the symmetric part
-    i1 = det2(v4[:2, :2])
-    i2 = det2(v4[2:, 2:])
-    i3 = det2(v4[:2, 2:])
-    i4 = det4(v4)
+    m = (0.5 * (v4 + v4.T)).tolist()  # the symmetric part, as Python floats
+    i1 = det2([row[:2] for row in m[:2]])
+    i2 = det2([row[2:] for row in m[2:]])
+    i3 = det2([row[2:] for row in m[:2]])
+    i4 = det4(m)
     return i1, i2, i3, i4
 
 
@@ -152,33 +157,31 @@ def log_negativity(v4: np.ndarray) -> float:
 
 def _triple_invariants(v6: np.ndarray) -> dict:
     """Seralian invariants of each canonical pair of the (c2, a, b) block."""
-    out = {}
-    for pair in CANONICAL_PAIRS:
-        idx = _TRIPLE_BLOCKS[pair[0]] + _TRIPLE_BLOCKS[pair[1]]
-        out[_pair_key(pair)] = _seralian_invariants(v6[np.ix_(idx, idx)])
-    return out
+    return {key: _seralian_invariants(v6[idx]) for key, idx in _PAIR_INDEX.items()}
 
 
 # ---------------------------------------------------------------------------
 # tripartite sector
 # ---------------------------------------------------------------------------
 
-def pt_min_symplectic(v6: np.ndarray, partition: str) -> float:
-    """Minimum |eigenvalue| of i Omega_3 (P V6 P) for a one-vs-two partition.
-
-    The eigenvalues of i Omega V come in +/- pairs; the symplectic
-    spectrum is their modulus, so the minimum is taken over absolute
-    values (a literal signed minimum would be negative and meaningless
-    in the entanglement formula).
+def _pt_minima(v6: np.ndarray, p: np.ndarray):
+    """Minimum |eigenvalue| of i Omega_3 (P V6 P) for a PT flip P, or for each
+    P of a stack in one eigenvalue call.  The eigenvalues of i Omega V come
+    in +/- pairs and the symplectic spectrum is their modulus, so the
+    minimum is over absolute values (a signed minimum would be negative).
     """
-    if partition not in PARTITIONS:
-        raise ValueError(f"unknown partition {partition!r}; expected one of {sorted(PARTITIONS)}")
-    p = PT_MATRICES[PARTITIONS[partition][0]]
     v_pt = p @ (0.5 * (v6 + v6.T)) @ p
     eigs = np.linalg.eigvals(1j * OMEGA_3 @ v_pt)
     if not np.all(np.isfinite(eigs)):
         raise NumericDomainError("non-finite eigenvalues in tripartite PT spectrum")
-    return float(np.min(np.abs(eigs)))
+    return np.min(np.abs(eigs), axis=-1)
+
+
+def pt_min_symplectic(v6: np.ndarray, partition: str) -> float:
+    """Minimum symplectic eigenvalue of P V6 P for a one-vs-two partition."""
+    if partition not in PARTITIONS:
+        raise ValueError(f"unknown partition {partition!r}; expected one of {sorted(PARTITIONS)}")
+    return float(_pt_minima(v6, PT_MATRICES[PARTITIONS[partition][0]]))
 
 
 def one_vs_rest_contangle(v6: np.ndarray, partition: str) -> float:
@@ -188,8 +191,9 @@ def one_vs_rest_contangle(v6: np.ndarray, partition: str) -> float:
 
 def _residuals(v6: np.ndarray, e_n: dict) -> dict:
     """C_{i|jk} - C_{i|j} - C_{i|k} per partition, with C_{i|j} = E_N(ij)^2."""
-    return {tag: one_vs_rest_contangle(v6, tag) - e_n[first] ** 2 - e_n[second] ** 2
-            for tag, (_, (first, second)) in PARTITIONS.items()}
+    nus = _pt_minima(v6, _PARTITION_PT).tolist()
+    return {tag: _en_from_nu(nu) ** 2 - e_n[first] ** 2 - e_n[second] ** 2
+            for (tag, (_, (first, second))), nu in zip(PARTITIONS.items(), nus)}
 
 
 def residual_contangle_min(v6: np.ndarray):
@@ -245,15 +249,15 @@ def _discord(inv) -> float:
         raise NumericDomainError(f"negative measurement determinant {w!r}")
     val = _g(math.sqrt(inv[0])) - _g(nu_lo) - _g(nu_hi) + _g(math.sqrt(w))
     if val < -1.0e-10:
-        return val  # genuine negative indicates an upstream bug; surface it
+        raise NumericDomainError(f"negative Gaussian discord {val!r} beyond round-off")
     return max(val, 0.0)
 
 
 def gaussian_discord(v4: np.ndarray) -> float:
     """Gaussian quantum discord of a 4x4 CM (measurement on the second mode).
 
-    D_G = g(sqrt(I1)) - g(nu_-) - g(nu_+) + g(sqrt(W)); tiny negative
-    round-off is clamped to zero.
+    D_G = g(sqrt(I1)) - g(nu_-) - g(nu_+) + g(sqrt(W)); round-off down to
+    -1e-10 is clamped to zero, a lower value raises NumericDomainError.
     """
     return _discord(_seralian_invariants(v4))
 

@@ -3,7 +3,8 @@
 Each figure file under tests/data holds the column line and data rows of
 one small figure run; every line after the provenance comment must match
 byte for byte.  The matrix and measure files are whole outputs at the
-package defaults and must match byte for byte.
+package defaults, and the sweep file is a whole JSON-lines sweep over phi
+(its header carries the spec's hash); each must match byte for byte.
 """
 
 import re
@@ -34,6 +35,8 @@ def test_figure_rows_match_golden_file(args, name, tmp_path):
 POINT_GOLDEN = [
     (("matrix", "--with-cm"), "golden_matrix_with_cm.txt"),
     (("measure", "--format", "json"), "golden_measure.json"),
+    (("sweep", "--axis", "phi=0:6.283185307:9", "--measures", "EN_c2a,DG_ab,Rtau_min",
+      "--format", "json"), "golden_sweep_phi9.jsonl"),
 ]
 
 

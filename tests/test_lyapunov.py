@@ -4,7 +4,10 @@ from scipy.integrate import solve_ivp
 
 from optocorr import solve_lyapunov
 from optocorr.errors import SingularSystemError, UnstableDriftError
-from optocorr.lyapunov import lyapunov_residual, residual_bound
+from optocorr.lyapunov import _kron_sum, lyapunov_residual, residual_bound
+from optocorr.params import params_from_config
+from optocorr.pipeline import evaluate_matrices
+from optocorr.sweep import _apply_axes, figure_preset
 
 from conftest import random_stable_system
 
@@ -105,3 +108,39 @@ class TestErrorPaths:
         a = -np.eye(4)
         v = 0.5 * np.eye(4)
         assert lyapunov_residual(a, v, np.eye(4)) <= 1e-15
+
+
+class TestIndexWrittenOperator:
+    """The operator written by index is exactly the Kronecker sum, so the
+    solve sees the same matrix as np.kron(I, A) + np.kron(A, I)."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_equals_kronecker_sum(self, n):
+        rng = np.random.default_rng(60 + n)
+        eye = np.eye(n)
+        for _ in range(50):
+            a = rng.normal(size=(n, n))
+            a[rng.random((n, n)) < 0.2] = 0.0
+            a[rng.random((n, n)) < 0.2] = -0.0
+            assert np.array_equal(_kron_sum(a), np.kron(eye, a) + np.kron(a, eye))
+
+    @staticmethod
+    def kron_route(a, d):
+        n = a.shape[0]
+        eye = np.eye(n)
+        v = np.linalg.solve(np.kron(eye, a) + np.kron(a, eye), -d.reshape(n * n, order="F"))
+        v = v.reshape((n, n), order="F")
+        return 0.5 * (v + v.T)
+
+    def test_covariance_equals_kronecker_route(self):
+        rng = np.random.default_rng(67)
+        systems = [random_stable_system(8, rng) for _ in range(30)]
+        spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
+        for point in spec.grid():
+            a, d, verdict, _ = evaluate_matrices(_apply_axes(spec.base, spec, point))
+            if verdict.stable:
+                systems.append((a, d))
+        assert len(systems) > 40
+        for a, d in systems:
+            assert np.array_equal(solve_lyapunov(a, d, check_stability=False).matrix,
+                                  self.kron_route(a, d))

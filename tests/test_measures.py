@@ -10,7 +10,7 @@ from optocorr import (extract_submatrix, gaussian_discord, log_negativity,
 from optocorr.errors import NumericDomainError
 import optocorr.measures as measures
 from optocorr.dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
-from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PT_MATRICES, TRIPLE_MODES,
+from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, PT_MATRICES, TRIPLE_MODES,
                                det2, det4, pt_symplectic_min, unPT_symplectic_pair)
 from optocorr.params import TWO_PI
 from optocorr.sweep import _apply_axes, figure_preset
@@ -197,6 +197,16 @@ class TestGaussianDiscord:
                 assert gaussian_discord(v) > 0.0
         assert found > 20  # the sample must actually contain entangled states
 
+    def test_genuine_negative_raises(self, base_params, monkeypatch):
+        # W = 1/4 makes g(sqrt W) vanish, so a thermal product state gives
+        # D_G = g(1.7) - g(1.7) - g(0.9) = -g(0.9) < 0
+        monkeypatch.setattr(measures, "_measurement_witness", lambda *inv: 0.25)
+        with pytest.raises(NumericDomainError, match="negative Gaussian discord"):
+            gaussian_discord(np.diag([1.7, 1.7, 0.9, 0.9]))
+        result = evaluate_point(base_params)
+        assert result.report is None
+        assert result.error.startswith("NumericDomainError: negative Gaussian discord")
+
     def test_separable_but_correlated_state(self):
         # classically correlated two-mode state: no entanglement, finite discord
         a, c = 1.0, 0.3
@@ -309,3 +319,53 @@ class TestSharedInvariants:
         monkeypatch.setattr(measures, "_seralian_invariants", counting)
         correlation_report(v, StabilityVerdict(stable=True, max_real_part=-1.0), 0.0)
         assert len(calls) == len(CANONICAL_PAIRS)
+
+
+def extract_pair(v6, key):
+    """4x4 block of a canonical pair ("c2a", "ab" or "c2b") of a (c2, a, b) CM."""
+    first, second = {f"{p}{q}": (p, q) for p, q in CANONICAL_PAIRS}[key]
+    idx = [2 * TRIPLE_MODES.index(m) + k for m in (first, second) for k in (0, 1)]
+    return v6[np.ix_(idx, idx)]
+
+
+def fig3_triples(base_params):
+    """(c2, a, b) covariance blocks of the stable fig3 --grid 4x4 points."""
+    spec = figure_preset("fig3", base_params, counts=(4, 4))
+    covs = [evaluate_point(_apply_axes(spec.base, spec, point)).covariance for point in spec.grid()]
+    return [extract_submatrix(v, TRIPLE_MODES) for v in covs if v is not None]
+
+
+class TestExactFastPaths:
+    """The fast routes give exactly (==) the numbers of the plain numpy ones."""
+
+    @staticmethod
+    def states(base_params):
+        rng = np.random.default_rng(71)
+        return [random_physical_cm(3, rng) for _ in range(30)] + fig3_triples(base_params)
+
+    def test_stacked_pt_minima_equal_per_partition_loop(self, base_params):
+        states = self.states(base_params)
+        assert len(states) > 40
+        for v6 in states:
+            v6s = 0.5 * (v6 + v6.T)
+            loop = [float(np.min(np.abs(np.linalg.eigvals(1j * OMEGA_3 @ (p @ v6s @ p)))))
+                    for p in (PT_MATRICES[mode] for mode, _ in PARTITIONS.values())]
+            assert measures._pt_minima(v6, measures._PARTITION_PT).tolist() == loop
+            assert [pt_min_symplectic(v6, tag) for tag in PARTITIONS] == loop
+            _, raw = residual_contangle_min(v6)
+            assert list(raw.values()) == [
+                one_vs_rest_contangle(v6, tag) - log_negativity(extract_pair(v6, first)) ** 2
+                - log_negativity(extract_pair(v6, second)) ** 2
+                for tag, (_, (first, second)) in PARTITIONS.items()]
+
+    def test_list_invariants_equal_numpy_slices(self, base_params):
+        rng = np.random.default_rng(73)
+        blocks = [random_physical_cm(2, rng) + rng.normal(scale=1e-3, size=(4, 4))
+                  for _ in range(30)]
+        for v6 in fig3_triples(base_params):
+            blocks.extend(extract_pair(v6, key) for key in ("c2a", "ab", "c2b"))
+        for v4 in blocks:
+            s = 0.5 * (v4 + v4.T)
+            assert measures._seralian_invariants(v4) == (
+                det2(s[:2, :2]), det2(s[2:, 2:]), det2(s[:2, 2:]), det4(s))
+

@@ -44,6 +44,13 @@ class TestRunSweep:
                          measures=("EN_c2a",))
         assert to_csv(run_sweep(spec, workers=2)) == to_csv(run_sweep(spec, workers=1))
 
+    def test_parallel_chunks_keep_row_order(self, base_params):
+        # 143 points: two full chunks of 64 and a partial one, unstable points included
+        spec = figure_preset("fig2", base_params, counts=(13, 11))
+        serial = run_sweep(spec, workers=1)
+        assert sum(r[2] is False for r in serial.rows) > 0
+        assert to_csv(run_sweep(spec, workers=2)) == to_csv(serial)
+
     def test_axis_columns_monotone(self, base_params):
         spec = SweepSpec(base=base_params, axis1=Axis("delta_at", -2.0, 0.0, 5),
                          axis2=Axis("T", 0.001, 0.1, 3), measures=("EN_c2a",))
