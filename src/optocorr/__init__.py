@@ -12,7 +12,7 @@ from .lyapunov import solve_lyapunov, CovarianceMatrix
 from .measures import (extract_submatrix, log_negativity, pt_min_symplectic,
                        one_vs_rest_contangle, residual_contangle_min,
                        gaussian_discord, correlation_report, CorrelationReport)
-from .steadystate import solve_steady_state, effective_params, SteadyState
+from .steadystate import solve_steady_state, SteadyState
 from .pipeline import evaluate_point, evaluate_matrices
 from .sweep import (Axis, SweepSpec, SweepResult, run_sweep, figure_preset,
                     to_csv, to_json_lines)
@@ -27,7 +27,7 @@ __all__ = [
     "extract_submatrix", "log_negativity", "pt_min_symplectic",
     "one_vs_rest_contangle", "residual_contangle_min", "gaussian_discord",
     "correlation_report", "CorrelationReport",
-    "solve_steady_state", "effective_params", "SteadyState",
+    "solve_steady_state", "SteadyState",
     "evaluate_point", "evaluate_matrices",
     "Axis", "SweepSpec", "SweepResult", "run_sweep", "figure_preset",
     "to_csv", "to_json_lines",

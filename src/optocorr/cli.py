@@ -20,7 +20,7 @@ from .pipeline import evaluate_matrices, evaluate_point
 from .lyapunov import solve_lyapunov
 from .steadystate import solve_steady_state
 from .sweep import (Axis, PRESET_IDS, SweepSpec, figure_preset, run_sweep,
-                    to_csv, to_json_lines, MEASURE_KEYS, SWEEPABLE)
+                    to_csv, to_json_lines, MEASURE_KEYS, SWEEPABLE, UNSTABLE_POLICIES)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,6 +37,12 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
+
+
+def _add_run_options(sub):
+    sub.add_argument("--unstable", choices=UNSTABLE_POLICIES,
+                     default=SweepSpec.unstable_policy)
+    sub.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,17 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"swept parameter; one of {', '.join(SWEEPABLE)}")
     s.add_argument("--axis2", metavar="NAME=START:STOP:COUNT",
                    help="optional second axis (inner loop)")
-    s.add_argument("--measures", default="EN_c2a,EN_ab,EN_c2b,DG_c2a,DG_ab,DG_c2b,Rtau_min",
+    s.add_argument("--measures", default=",".join(SweepSpec.measures),
                    help="comma-separated subset of " + ",".join(MEASURE_KEYS))
-    s.add_argument("--unstable", choices=("skip", "missing", "error"), default="missing")
-    s.add_argument("--workers", type=int, default=1)
+    _add_run_options(s)
 
     s = subs.add_parser("figure", help="run a published-scan preset")
     s.add_argument("preset", choices=PRESET_IDS)
     _add_common(s)
     s.add_argument("--grid", metavar="N[xM]", help="override grid resolution")
-    s.add_argument("--unstable", choices=("skip", "missing", "error"), default="missing")
-    s.add_argument("--workers", type=int, default=1)
+    _add_run_options(s)
 
     return parser
 

@@ -122,12 +122,12 @@ def _symplectic_pair(inv, transposed: bool):
     i1, i2, i3, i4 = inv
     sigma = i1 + i2 - 2.0 * i3 if transposed else i1 + i2 + 2.0 * i3
     disc = sigma * sigma - 4.0 * i4
-    if disc < -DISCRIMINANT_TOL:
+    if not disc >= -DISCRIMINANT_TOL:  # also rejects the NaN of a non-finite input
         kind = "PT discriminant" if transposed else "discriminant"
         raise NumericDomainError(f"negative {kind} {disc!r}: unphysical input")
     root = math.sqrt(max(disc, 0.0))
     inner = 0.5 * (sigma - root)
-    if inner < -DISCRIMINANT_TOL:
+    if not inner >= -DISCRIMINANT_TOL:
         raise NumericDomainError(f"negative squared symplectic eigenvalue {inner!r}")
     return math.sqrt(max(inner, 0.0)), math.sqrt(max(0.5 * (sigma + root), 0.0))
 
@@ -139,7 +139,7 @@ def pt_symplectic_min(v4: np.ndarray) -> float:
 
 def _en_from_nu(nu: float) -> float:
     """E_N = max[0, -ln(2 nu)] from a minimum PT symplectic eigenvalue."""
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise NumericDomainError("PT symplectic eigenvalue vanished; unphysical input")
     val = -math.log(2.0 * nu)
     return val if val > EN_ZERO_TOL else 0.0
@@ -170,10 +170,13 @@ def _pt_minima(v6: np.ndarray, p: np.ndarray):
     in +/- pairs and the symplectic spectrum is their modulus, so the
     minimum is over absolute values (a signed minimum would be negative).
     """
+    if not np.isfinite(v6).all():
+        raise NumericDomainError("non-finite covariance in tripartite PT spectrum")
     v_pt = p @ (0.5 * (v6 + v6.T)) @ p
-    eigs = np.linalg.eigvals(1j * OMEGA_3 @ v_pt)
-    if not np.all(np.isfinite(eigs)):
-        raise NumericDomainError("non-finite eigenvalues in tripartite PT spectrum")
+    try:
+        eigs = np.linalg.eigvals(1j * OMEGA_3 @ v_pt)
+    except np.linalg.LinAlgError as exc:
+        raise NumericDomainError(f"tripartite PT eigenvalue iteration failed: {exc}") from exc
     return np.min(np.abs(eigs), axis=-1)
 
 
@@ -213,7 +216,7 @@ def residual_contangle_min(v6: np.ndarray):
 
 def _g(x: float) -> float:
     """Entropic function of a symplectic eigenvalue; g(1/2) = 0 by continuity."""
-    if x < 0.5 - G_DOMAIN_TOL:
+    if not x >= 0.5 - G_DOMAIN_TOL:
         raise NumericDomainError(f"g argument {x!r} below 1/2: unphysical input")
     x = max(x, 0.5)
     hi = (x + 0.5) * math.log(x + 0.5)

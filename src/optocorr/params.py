@@ -33,11 +33,6 @@ def mhz_to_angular(nu_mhz: float) -> float:
     return TWO_PI * nu_mhz
 
 
-def angular_to_mhz(omega: float) -> float:
-    """rad/us -> MHz (omega/2pi)."""
-    return omega / TWO_PI
-
-
 def hz_to_angular(nu_hz: float) -> float:
     """Frequency nu (Hz) -> rad/us."""
     return TWO_PI * nu_hz * 1.0e-6
@@ -78,11 +73,6 @@ class SystemParams:
             v = getattr(self, fld.name)
             if not math.isfinite(v):
                 raise ParameterError(f"{fld.name} must be finite, got {v!r}")
-
-    @property
-    def phi_normalized(self) -> float:
-        """Coupling phase wrapped to [0, 2pi) for reporting."""
-        return self.phi % TWO_PI
 
     def with_values(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)

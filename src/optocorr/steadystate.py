@@ -96,23 +96,11 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams,
             residual=res, iterations=max_iter)
 
     alpha1, alpha2, xi, beta = state
-    d1, d2, g1, g2 = _effective(state, raw)
     return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta,
-                       delta1_eff=d1, delta2_eff=d2, g1_eff=g1, g2_eff=g2,
+                       delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
+                       delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,
+                       g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2),
                        residual_norm=res, iterations=iterations)
-
-
-def _effective(state, raw: RawDriveParams):
-    alpha1, alpha2, _, beta = state
-    return (raw.delta1_bare + 2.0 * raw.g1 * beta.real,
-            raw.delta2_bare + 2.0 * raw.g2 * beta.real,
-            raw.g1 * abs(alpha1),
-            raw.g2 * abs(alpha2))
-
-
-def effective_params(ss: SteadyState, raw: RawDriveParams):
-    """(delta1_eff, delta2_eff, g1_eff, g2_eff) from a converged solution."""
-    return _effective((ss.alpha1, ss.alpha2, ss.xi, ss.beta), raw)
 
 
 def apply_steady_state(base: SystemParams, ss: SteadyState) -> SystemParams:

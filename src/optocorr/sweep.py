@@ -27,19 +27,18 @@ MEASURE_KEYS = ("EN_c2a", "EN_ab", "EN_c2b", "DG_c2a", "DG_ab", "DG_c2b",
 
 UNSTABLE_POLICIES = ("missing", "skip", "error")
 
-# sweepable parameter -> (unit note, setter)
+# sweepable parameter -> setter of its value; README gives each one's unit
 _SETTERS = {
-    "phi": ("rad", lambda p, v: p.with_values(phi=v)),
-    "delta_at": ("units of omega_m", lambda p, v: p.with_values(delta_at=v * p.omega_m)),
-    "delta_eff_common": ("units of omega_m",
-                         lambda p, v: p.with_values(delta1_eff=v * p.omega_m,
-                                                    delta2_eff=v * p.omega_m)),
-    "G1": ("MHz", lambda p, v: p.with_values(g1_eff=mhz_to_angular(v))),
-    "G2": ("MHz", lambda p, v: p.with_values(g2_eff=mhz_to_angular(v))),
-    "Jac": ("MHz", lambda p, v: p.with_values(j_ac_mag=mhz_to_angular(v))),
-    "Jab": ("MHz", lambda p, v: p.with_values(j_ab=mhz_to_angular(v))),
-    "T": ("kelvin", lambda p, v: p.with_values(temperature=v)),
-    "f": ("MHz", lambda p, v: p.with_values(f=mhz_to_angular(v))),
+    "phi": lambda p, v: p.with_values(phi=v),
+    "delta_at": lambda p, v: p.with_values(delta_at=v * p.omega_m),
+    "delta_eff_common": lambda p, v: p.with_values(delta1_eff=v * p.omega_m,
+                                                   delta2_eff=v * p.omega_m),
+    "G1": lambda p, v: p.with_values(g1_eff=mhz_to_angular(v)),
+    "G2": lambda p, v: p.with_values(g2_eff=mhz_to_angular(v)),
+    "Jac": lambda p, v: p.with_values(j_ac_mag=mhz_to_angular(v)),
+    "Jab": lambda p, v: p.with_values(j_ab=mhz_to_angular(v)),
+    "T": lambda p, v: p.with_values(temperature=v),
+    "f": lambda p, v: p.with_values(f=mhz_to_angular(v)),
 }
 
 SWEEPABLE = tuple(_SETTERS)
@@ -108,9 +107,9 @@ class SweepResult:
 
 
 def _apply_axes(base: SystemParams, spec: SweepSpec, point):
-    p = _SETTERS[spec.axis1.name][1](base, point[0])
+    p = _SETTERS[spec.axis1.name](base, point[0])
     if spec.axis2 is not None:
-        p = _SETTERS[spec.axis2.name][1](p, point[1])
+        p = _SETTERS[spec.axis2.name](p, point[1])
     return p
 
 
@@ -148,7 +147,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers > 1:
         # one task per 64 points, so the spec is pickled once per chunk
         chunks = [points[i:i + 64] for i in range(0, len(points), 64)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at once, so start no more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             rows = list(chain.from_iterable(pool.map(_evaluate_rows, repeat(spec), chunks)))
     else:
         rows = _evaluate_rows(spec, points)
@@ -214,7 +214,32 @@ def to_json_lines(result: SweepResult) -> str:
 EN_MEASURES = ("EN_c2a", "EN_ab", "EN_c2b")
 DG_MEASURES = ("DG_c2a", "DG_ab", "DG_c2b")
 
-PRESET_IDS = tuple(f"fig{i}" for i in range(2, 11))
+
+def _resonant(p: SystemParams) -> SystemParams:
+    """Anti-Stokes cavities and Stokes atoms: delta1' = delta2' = -delta_at = omega_m."""
+    return p.with_values(delta1_eff=p.omega_m, delta2_eff=p.omega_m, delta_at=-p.omega_m)
+
+
+def _stokes_atoms(p: SystemParams) -> SystemParams:
+    return p.with_values(delta_at=-p.omega_m)
+
+
+# preset id -> (base shift or None, axes as (name, start, stop, default count), measures)
+_PRESETS = {
+    "fig2": (None, (("G1", 0.1, 5.0, 50), ("G2", 0.1, 5.0, 50)), ("stability",)),
+    "fig3": (None, (("delta_at", -2.0, 0.0, 100), ("delta_eff_common", 0.0, 2.0, 100)),
+             EN_MEASURES),
+    "fig4": (_resonant, (("Jac", 6.0, 18.0, 100), ("Jab", 0.0, 3.0, 100)), EN_MEASURES),
+    "fig5": (_resonant, (("phi", 0.0, 2.0 * math.pi, 201),), EN_MEASURES + ("Rtau_min",)),
+    "fig6": (None, (("delta_at", -2.0, 0.0, 100), ("T", 0.001, 0.4, 100)), EN_MEASURES),
+    "fig7": (_stokes_atoms, (("T", 0.001, 0.4, 100), ("Jab", 1.0, 3.0, 3)),
+             EN_MEASURES + ("Rtau_min",)),
+    "fig8": (None, (("delta_at", -2.0, 0.0, 100), ("T", 0.001, 0.4, 100)), DG_MEASURES),
+    "fig9": (None, (("delta_at", -2.0, 0.0, 100), ("f", 1.0, 3.0, 3)), DG_MEASURES),
+    "fig10": (_resonant, (("phi", 0.0, 2.0 * math.pi, 201),), DG_MEASURES),
+}
+
+PRESET_IDS = tuple(_PRESETS)
 
 
 def figure_preset(preset_id: str, base: SystemParams,
@@ -222,69 +247,19 @@ def figure_preset(preset_id: str, base: SystemParams,
     """Sweep specification behind each published parameter scan.
 
     `base` supplies the fixed operating point (normally the package
-    defaults); the preset overrides whatever the scan caption fixes.
-    `counts` optionally overrides the grid resolution (n1,) or (n1, n2);
-    more counts than the preset has axes is a ConfigError.
+    defaults); the preset's shift overrides whatever the scan caption
+    fixes.  `counts` optionally overrides the grid resolution, the k-th
+    count going to the k-th axis; more counts than the preset has axes
+    is a ConfigError.
     """
-    two_pi = 2.0 * math.pi
-
-    def ax(name, start, stop, count, which=0):
-        if counts is not None and len(counts) > which:
-            count = counts[which]
-        return Axis(name, start, stop, count)
-
-    if preset_id == "fig2":
-        spec = SweepSpec(base=base,
-                         axis1=ax("G1", 0.1, 5.0, 50),
-                         axis2=ax("G2", 0.1, 5.0, 50, which=1),
-                         measures=("stability",))
-    elif preset_id == "fig3":
-        spec = SweepSpec(base=base,
-                         axis1=ax("delta_at", -2.0, 0.0, 100),
-                         axis2=ax("delta_eff_common", 0.0, 2.0, 100, which=1),
-                         measures=EN_MEASURES)
-    elif preset_id == "fig4":
-        p = base.with_values(delta1_eff=base.omega_m, delta2_eff=base.omega_m,
-                             delta_at=-base.omega_m)
-        spec = SweepSpec(base=p,
-                         axis1=ax("Jac", 6.0, 18.0, 100),
-                         axis2=ax("Jab", 0.0, 3.0, 100, which=1),
-                         measures=EN_MEASURES)
-    elif preset_id == "fig5":
-        p = base.with_values(delta1_eff=base.omega_m, delta2_eff=base.omega_m,
-                             delta_at=-base.omega_m)
-        spec = SweepSpec(base=p, axis1=ax("phi", 0.0, two_pi, 201),
-                         measures=EN_MEASURES + ("Rtau_min",))
-    elif preset_id == "fig6":
-        spec = SweepSpec(base=base,
-                         axis1=ax("delta_at", -2.0, 0.0, 100),
-                         axis2=ax("T", 0.001, 0.4, 100, which=1),
-                         measures=EN_MEASURES)
-    elif preset_id == "fig7":
-        p = base.with_values(delta_at=-base.omega_m)
-        spec = SweepSpec(base=p,
-                         axis1=ax("T", 0.001, 0.4, 100),
-                         axis2=ax("Jab", 1.0, 3.0, 3, which=1),
-                         measures=EN_MEASURES + ("Rtau_min",))
-    elif preset_id == "fig8":
-        spec = SweepSpec(base=base,
-                         axis1=ax("delta_at", -2.0, 0.0, 100),
-                         axis2=ax("T", 0.001, 0.4, 100, which=1),
-                         measures=DG_MEASURES)
-    elif preset_id == "fig9":
-        spec = SweepSpec(base=base,
-                         axis1=ax("delta_at", -2.0, 0.0, 100),
-                         axis2=ax("f", 1.0, 3.0, 3, which=1),
-                         measures=DG_MEASURES)
-    elif preset_id == "fig10":
-        p = base.with_values(delta1_eff=base.omega_m, delta2_eff=base.omega_m,
-                             delta_at=-base.omega_m)
-        spec = SweepSpec(base=p, axis1=ax("phi", 0.0, two_pi, 201),
-                         measures=DG_MEASURES)
-    else:
+    if preset_id not in _PRESETS:
         raise ConfigError(f"unknown figure preset {preset_id!r}; "
                           f"choose from {', '.join(PRESET_IDS)}")
-    n_axes = 1 if spec.axis2 is None else 2
-    if counts is not None and len(counts) > n_axes:
-        raise ConfigError(f"{preset_id} has {n_axes} axis(es), got {len(counts)} grid counts")
-    return spec
+    shift, axes, measures = _PRESETS[preset_id]
+    counts = counts or ()
+    built = [Axis(name, start, stop, counts[k] if k < len(counts) else count)
+             for k, (name, start, stop, count) in enumerate(axes)]
+    if len(counts) > len(axes):
+        raise ConfigError(f"{preset_id} has {len(axes)} axis(es), got {len(counts)} grid counts")
+    return SweepSpec(base=base if shift is None else shift(base), axis1=built[0],
+                     axis2=built[1] if len(built) > 1 else None, measures=measures)

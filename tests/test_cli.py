@@ -5,8 +5,8 @@ import math
 import pytest
 
 from optocorr import figure_preset, params_from_config
-from optocorr.cli import main
-from optocorr.sweep import config_hash
+from optocorr.cli import build_parser, main
+from optocorr.sweep import UNSTABLE_POLICIES, SweepSpec, config_hash
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +131,15 @@ class TestSweepAndFigure:
         code, out, _ = run_cli(capsys, "figure", "fig7", "--grid", "4x5")
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 20
+
+    def test_run_options_follow_the_sweep_module(self, capsys):
+        for command in (["sweep", "--axis", "phi=0:1:2"], ["figure", "fig5"]):
+            assert build_parser().parse_args(command).unstable == SweepSpec.unstable_policy
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*command, "--help"])
+            assert "{" + ",".join(UNSTABLE_POLICIES) + "}" in capsys.readouterr().out
+        args = build_parser().parse_args(["sweep", "--axis", "phi=0:1:2"])
+        assert args.measures == ",".join(SweepSpec.measures)
 
     def test_unstable_override_keeps_the_rest_of_the_spec(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "fig2", "--grid", "3x3", "--unstable", "skip")

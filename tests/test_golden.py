@@ -5,6 +5,9 @@ one small figure run; every line after the provenance comment must match
 byte for byte.  The matrix and measure files are whole outputs at the
 package defaults, and the sweep file is a whole JSON-lines sweep over phi
 (its header carries the spec's hash); each must match byte for byte.
+golden_presets.txt pins every figure preset's spec: one line per (preset,
+base, grid counts) case with the spec's repr and provenance hash, or the
+error the case raises.
 """
 
 import re
@@ -12,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from optocorr import params_from_config
 from optocorr.cli import main
+from optocorr.sweep import config_hash, figure_preset
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,3 +50,32 @@ def test_point_output_matches_golden_file(args, name, tmp_path):
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+PRESET_BASES = {
+    "defaults": {},
+    "shifted": {"omega_m_mhz": 20.0, "phi_rad": 0.7, "T_kelvin": 0.05, "Jab_mhz": 1.5,
+                "delta1_over_omegam": 0.8, "delta2_over_omegam": 1.3,
+                "delta_at_over_omegam": -0.5},
+}
+PRESET_COUNTS = (None, (), (5,), (5, 7), (1,), (6, 1), (1, 5, 5), (3, 4, 5), (2, 2))
+
+
+def preset_lines():
+    """One line per case: the spec's repr and hash, or the raised error."""
+    lines = []
+    for pid in (f"fig{i}" for i in range(1, 12)):
+        for tag, cfg in PRESET_BASES.items():
+            base = params_from_config(cfg)
+            for counts in PRESET_COUNTS:
+                try:
+                    spec = figure_preset(pid, base, counts=counts)
+                    out = f"{spec!r} {config_hash(spec)}"
+                except Exception as exc:
+                    out = f"{type(exc).__name__}: {exc}"
+                lines.append(f"{pid} {tag} {counts!r}: {out}\n")
+    return "".join(lines)
+
+
+def test_preset_specs_match_golden_file():
+    assert preset_lines() == (DATA / "golden_presets.txt").read_text()

@@ -9,6 +9,8 @@ from optocorr import (extract_submatrix, gaussian_discord, log_negativity,
                       assess_stability, evaluate_point)
 from optocorr.errors import NumericDomainError
 import optocorr.measures as measures
+import optocorr.pipeline as pipeline
+from optocorr.lyapunov import CovarianceMatrix
 from optocorr.dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
 from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, PT_MATRICES, TRIPLE_MODES,
                                det2, det4, pt_symplectic_min, unPT_symplectic_pair)
@@ -254,6 +256,49 @@ class TestInvariances:
         v_sym = 0.5 * (v_asym + v_asym.T)
         assert log_negativity(v_asym) == log_negativity(v_sym)
         assert gaussian_discord(v_asym) == gaussian_discord(v_sym)
+
+
+class TestNonFiniteInput:
+    """A NaN or inf covariance is a NumericDomainError, never a value or a bare crash."""
+
+    MEASURES_4 = (log_negativity, gaussian_discord)
+    MEASURES_6 = (lambda v: residual_contangle_min(v)[0],
+                  lambda v: pt_min_symplectic(v, "a|c2b"),
+                  lambda v: one_vs_rest_contangle(v, "b|c2a"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_entry_of_a_pair(self, bad):
+        for measure in self.MEASURES_4:
+            for i in range(4):
+                for j in range(4):
+                    v = tmsv_cm(0.5)
+                    v[i, j] = bad
+                    with pytest.raises(NumericDomainError):
+                        measure(v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_entry_of_the_triple(self, bad):
+        v6 = random_physical_cm(3, np.random.default_rng(5))
+        for measure in self.MEASURES_6:
+            for i in range(6):
+                for j in range(6):
+                    v = v6.copy()
+                    v[i, j] = bad
+                    with pytest.raises(NumericDomainError):
+                        measure(v)
+
+    def test_sweep_point_records_the_error(self, base_params, monkeypatch):
+        good = evaluate_point(base_params).covariance
+
+        def inf_solve(a, d, check_stability=True):
+            v = good.copy()
+            v[4, 6] = v[6, 4] = math.inf   # q_at-q: inside the (c2, a, b) block
+            return CovarianceMatrix(matrix=v, residual_norm=0.0)
+
+        monkeypatch.setattr(pipeline, "solve_lyapunov", inf_solve)
+        result = evaluate_point(base_params)
+        assert result.report is None
+        assert result.error.startswith("NumericDomainError")
 
 
 class TestCorrelationReport:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from optocorr import RawDriveParams, solve_steady_state, effective_params
+from optocorr import RawDriveParams, solve_steady_state
 from optocorr.errors import NonConvergenceError
 from optocorr.params import TWO_PI
 import optocorr.steadystate as steadystate
@@ -113,11 +113,10 @@ class TestEffectiveParams:
         p = base_params.with_values(j_ac_mag=0.0, j_ab=0.0)
         raw = make_raw(g1=TWO_PI * 1e-3, base=p)   # undriven: beta = 0
         ss = solve_steady_state(raw, p)
-        d1, d2, g1_eff, g2_eff = effective_params(ss, raw)
-        assert d1 == pytest.approx(raw.delta1_bare)
-        assert d2 == pytest.approx(raw.delta2_bare)
-        assert g1_eff == pytest.approx(0.0, abs=1e-12)
-        assert g2_eff == pytest.approx(0.0, abs=1e-12)
+        assert ss.delta1_eff == pytest.approx(raw.delta1_bare)
+        assert ss.delta2_eff == pytest.approx(raw.delta2_bare)
+        assert ss.g1_eff == pytest.approx(0.0, abs=1e-12)
+        assert ss.g2_eff == pytest.approx(0.0, abs=1e-12)
 
     def test_decoupled_effective_coupling_closed_form(self, base_params):
         p = base_params.with_values(j_ac_mag=0.0, j_ab=0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from optocorr import Axis, SweepSpec, figure_preset, run_sweep, to_csv, to_json_lines
 from optocorr.errors import ConfigError, UnstableDriftError
+import optocorr.sweep as sweep
 from optocorr.sweep import PRESET_IDS, config_hash
 
 TWO_PI = 2.0 * math.pi
@@ -50,6 +51,28 @@ class TestRunSweep:
         serial = run_sweep(spec, workers=1)
         assert sum(r[2] is False for r in serial.rows) > 0
         assert to_csv(run_sweep(spec, workers=2)) == to_csv(serial)
+
+    def test_pool_is_no_larger_than_the_chunk_count(self, base_params, monkeypatch):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        spec = figure_preset("fig2", base_params, counts=(3, 3))
+        rows = run_sweep(spec, workers=64).rows
+        assert started == [1]
+        assert rows == run_sweep(spec, workers=1).rows
 
     def test_axis_columns_monotone(self, base_params):
         spec = SweepSpec(base=base_params, axis1=Axis("delta_at", -2.0, 0.0, 5),
