@@ -11,7 +11,8 @@ Every two-mode measure is a function of the four Seralian invariants of
 its pair (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
 `correlation_report` computes them once per canonical pair and derives
 E_N, D_G (Adesso & Datta, PRL 105, 030501 (2010)) and the pair
-contangles of the residual from that one pass.
+contangles of the residual from that one pass, computing only the
+measure families it is asked for.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .errors import NumericDomainError
 
 CANONICAL_PAIRS = (("c2", "a"), ("a", "b"), ("c2", "b"))
 TRIPLE_MODES = ("c2", "a", "b")
+
+# measure families, the prefixes of the flat report keys ("EN_c2a" -> "EN")
+MEASURE_FAMILIES = ("EN", "DG", "Rtau")
 
 # tolerances pinned by the verification contract
 DISCRIMINANT_TOL = 1.0e-12
@@ -60,10 +64,6 @@ PARTITIONS = {
     "b|c2a": ("b", ("c2b", "ab")),
 }
 _PARTITION_PT = np.stack([PT_MATRICES[mode] for mode, _ in PARTITIONS.values()])
-
-
-def _pair_key(pair) -> str:
-    return f"{pair[0]}{pair[1]}"
 
 
 def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:
@@ -119,10 +119,12 @@ def _symplectic_pair(inv, transposed: bool):
     Partial transposition flips the sign of the inter-mode block
     determinant, so the transposed Seralian enters with -2 det(psi3).
     """
+    if not all(map(math.isfinite, inv)):
+        raise NumericDomainError(f"non-finite covariance (or overflow): invariants {inv!r}")
     i1, i2, i3, i4 = inv
     sigma = i1 + i2 - 2.0 * i3 if transposed else i1 + i2 + 2.0 * i3
     disc = sigma * sigma - 4.0 * i4
-    if not disc >= -DISCRIMINANT_TOL:  # also rejects the NaN of a non-finite input
+    if not disc >= -DISCRIMINANT_TOL:
         kind = "PT discriminant" if transposed else "discriminant"
         raise NumericDomainError(f"negative {kind} {disc!r}: unphysical input")
     root = math.sqrt(max(disc, 0.0))
@@ -271,27 +273,27 @@ def gaussian_discord(v4: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All correlation measures for one parameter point.
+    """The correlation measures of one parameter point.
 
     r_tau residuals are clamped to zero when within round-off of the
-    monogamy bound; the raw values stay available in r_tau_raw.
+    monogamy bound; the raw values stay available in r_tau_raw.  A report
+    built for some measure families leaves the others' dicts empty, and
+    r_tau_min is None unless the residual was asked for.
     """
 
     e_n: dict
     d_g: dict
     r_tau: dict
     r_tau_raw: dict
-    r_tau_min: float
+    r_tau_min: float | None
     stability: StabilityVerdict
     n_th: float
 
     def as_flat_dict(self) -> dict:
-        out = {}
-        for pair in CANONICAL_PAIRS:
-            out[f"EN_{_pair_key(pair)}"] = self.e_n[_pair_key(pair)]
-        for pair in CANONICAL_PAIRS:
-            out[f"DG_{_pair_key(pair)}"] = self.d_g[_pair_key(pair)]
-        out["Rtau_min"] = self.r_tau_min
+        out = {f"EN_{key}": val for key, val in self.e_n.items()}
+        out.update((f"DG_{key}", val) for key, val in self.d_g.items())
+        if self.r_tau_min is not None:
+            out["Rtau_min"] = self.r_tau_min
         for tag, val in self.r_tau.items():
             out[f"Rtau_{tag.replace('|', '_')}"] = val
         out["stable"] = self.stability.stable
@@ -300,18 +302,40 @@ class CorrelationReport:
         return out
 
 
-def correlation_report(v: np.ndarray, verdict: StabilityVerdict,
-                       n_th: float) -> CorrelationReport:
-    """Compute every canonical measure from the steady-state CM.
+def measure_families(measures=None) -> set:
+    """The measure families that flat report keys belong to; None names all.
 
-    One Seralian pass per canonical pair of the (c2, a, b) block feeds
-    E_N, D_G and, as E_N^2, the pair contangles of the residual.
+    "stability" and the other verdict keys belong to none: they need no
+    covariance.
     """
+    if measures is None:
+        return set(MEASURE_FAMILIES)
+    return {key.split("_")[0] for key in measures}.intersection(MEASURE_FAMILIES)
+
+
+def correlation_report(v: np.ndarray, verdict: StabilityVerdict, n_th: float,
+                       measures=None) -> CorrelationReport:
+    """Compute the requested canonical measures from the steady-state CM.
+
+    `measures` names flat report keys ("EN_c2a", "DG_ab", "Rtau_min", ...);
+    each family it touches is computed for all three pairs, and None asks
+    for every family.  One Seralian pass per canonical pair of the
+    (c2, a, b) block feeds E_N, D_G and, as E_N^2, the pair contangles of
+    the residual; only the residual needs the tripartite PT spectra.
+    """
+    families = measure_families(measures)
+    want_rtau, want_dg = "Rtau" in families, "DG" in families
+    want_en = want_rtau or "EN" in families     # the residual subtracts pair E_N^2
     v6 = extract_submatrix(v, TRIPLE_MODES)
-    e_n, d_g = {}, {}
+    e_n, d_g, raw = {}, {}, {}
     for key, inv in _triple_invariants(v6).items():
-        e_n[key], d_g[key] = _pair_en(inv), _discord(inv)
-    raw = _residuals(v6, e_n)
+        if want_en:
+            e_n[key] = _pair_en(inv)
+        if want_dg:
+            d_g[key] = _discord(inv)
+    if want_rtau:
+        raw = _residuals(v6, e_n)
     clamped = {tag: 0.0 if -MONOGAMY_CLAMP <= val < 0.0 else val for tag, val in raw.items()}
     return CorrelationReport(e_n=e_n, d_g=d_g, r_tau=clamped, r_tau_raw=raw,
-                             r_tau_min=min(clamped.values()), stability=verdict, n_th=n_th)
+                             r_tau_min=min(clamped.values()) if want_rtau else None,
+                             stability=verdict, n_th=n_th)

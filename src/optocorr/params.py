@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace, fields
 
-import yaml
-
 from .errors import ConfigError, ParameterError
 
 TWO_PI = 2.0 * math.pi
@@ -201,6 +199,8 @@ def validate_config(raw: dict) -> dict:
 
 def load_config(path: str) -> dict:
     """Load a YAML/JSON config file and validate its keys."""
+    import yaml     # only a config file needs the parser
+
     with open(path, "r") as fh:
         try:
             raw = yaml.safe_load(fh)

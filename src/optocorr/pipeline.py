@@ -10,7 +10,7 @@ from .dynamics import (StabilityVerdict, assess_stability, build_diffusion,
                        build_drift, default_margin_tol)
 from .errors import OptocorrError
 from .lyapunov import solve_lyapunov
-from .measures import CorrelationReport, correlation_report
+from .measures import CorrelationReport, correlation_report, measure_families
 from .params import SystemParams, thermal_occupation
 
 
@@ -18,7 +18,7 @@ from .params import SystemParams, thermal_occupation
 class PointResult:
     verdict: StabilityVerdict
     n_th: float
-    report: CorrelationReport | None   # None when the point is unstable or errored
+    report: CorrelationReport | None   # None when unstable, errored or stability only
     covariance: np.ndarray | None
     error: str | None = None
 
@@ -32,15 +32,21 @@ def evaluate_matrices(params: SystemParams):
     return a, d, verdict, n_th
 
 
-def evaluate_point(params: SystemParams) -> PointResult:
-    """Full pipeline for one point; numeric errors are captured, not raised."""
+def evaluate_point(params: SystemParams, measures=None) -> PointResult:
+    """Pipeline for one point; numeric errors are captured, not raised.
+
+    `measures` names the report keys wanted, as a sweep spec does; None
+    asks for the full report.  A request for no measure family (only
+    "stability", say) stops at the verdict, with no covariance and no
+    report.
+    """
     a, d, verdict, n_th = evaluate_matrices(params)
-    if not verdict.stable:
+    if not verdict.stable or not measure_families(measures):
         return PointResult(verdict=verdict, n_th=n_th, report=None,
                            covariance=None, error=None)
     try:
         cm = solve_lyapunov(a, d, check_stability=False)
-        report = correlation_report(cm.matrix, verdict, n_th)
+        report = correlation_report(cm.matrix, verdict, n_th, measures)
     except OptocorrError as exc:
         return PointResult(verdict=verdict, n_th=n_th, report=None,
                            covariance=None, error=f"{type(exc).__name__}: {exc}")

@@ -1,9 +1,14 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import optocorr
 from optocorr import figure_preset, params_from_config
 from optocorr.cli import build_parser, main
 from optocorr.sweep import UNSTABLE_POLICIES, SweepSpec, config_hash
@@ -163,6 +168,12 @@ class TestSweepAndFigure:
         assert lines[1] == "phi,stable,EN_c2a,DG_c2a,error"
         assert len(lines) == 7
 
+    def test_duplicate_measure_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "phi=0:3.14:5",
+                                 "--measures", "EN_c2a,EN_c2a", "--format", "json")
+        assert code == 2
+        assert "duplicate measure(s): EN_c2a" in err and out == ""
+
     def test_bad_axis_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis", "phi=0:3.14")
         assert code == 2
@@ -196,3 +207,26 @@ class TestSweepAndFigure:
         assert json.loads(out_set)["param_Jab_mhz"] == 1
         assert json.loads(out_set)["EN_c2a"] == pytest.approx(
             json.loads(out_default)["EN_c2a"], rel=1e-12)
+
+
+class TestModuleEntry:
+    """`python -m optocorr` runs the same front door as the console script."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(optocorr.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        return subprocess.run([sys.executable, "-m", "optocorr", *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    def test_measure_matches_golden_file(self):
+        proc = self.run_module("measure", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).parent / "data" / "golden_measure.json"
+        assert proc.stdout == golden.read_bytes()
+
+    def test_exit_code_reaches_the_shell(self):
+        proc = self.run_module("sweep", "--axis", "phi=0:1:2", "--measures", "EN_c2a,EN_c2a")
+        assert proc.returncode == 2
+        assert b"duplicate measure" in proc.stderr and proc.stdout == b""

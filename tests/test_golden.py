@@ -25,6 +25,7 @@ GOLDEN = [
     (("fig5", "--grid", "21"), "golden_fig5_21.csv"),
     (("fig9", "--grid", "10x3"), "golden_fig9_10x3.csv"),
     (("fig3", "--grid", "12x12"), "golden_fig3_12x12.csv"),
+    (("fig2", "--grid", "13x11"), "golden_fig2_13x11.csv"),
 ]
 
 

@@ -259,7 +259,8 @@ class TestInvariances:
 
 
 class TestNonFiniteInput:
-    """A NaN or inf covariance is a NumericDomainError, never a value or a bare crash."""
+    """A NaN or inf covariance is a NumericDomainError that says so, never a
+    value, a bare crash or a message about a negative quantity."""
 
     MEASURES_4 = (log_negativity, gaussian_discord)
     MEASURES_6 = (lambda v: residual_contangle_min(v)[0],
@@ -273,8 +274,9 @@ class TestNonFiniteInput:
                 for j in range(4):
                     v = tmsv_cm(0.5)
                     v[i, j] = bad
-                    with pytest.raises(NumericDomainError):
+                    with pytest.raises(NumericDomainError, match="non-finite") as exc:
                         measure(v)
+                    assert "negative" not in str(exc.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_every_entry_of_the_triple(self, bad):
@@ -284,8 +286,9 @@ class TestNonFiniteInput:
                 for j in range(6):
                     v = v6.copy()
                     v[i, j] = bad
-                    with pytest.raises(NumericDomainError):
+                    with pytest.raises(NumericDomainError, match="non-finite") as exc:
                         measure(v)
+                    assert "negative" not in str(exc.value)
 
     def test_sweep_point_records_the_error(self, base_params, monkeypatch):
         good = evaluate_point(base_params).covariance

@@ -1,0 +1,141 @@
+"""A point computes only the measures it is asked for.
+
+`evaluate_point(params)` is the full report; `evaluate_point(params,
+measures)` runs only the stages those report keys need.  The spies below
+show which stages a sweep skips, and the pins show that what it does
+compute is exactly the full report's numbers (tests/test_golden.py pins
+the bytes of a stability-only preset).
+"""
+
+import numpy as np
+import pytest
+
+import optocorr.measures as measures
+import optocorr.pipeline as pipeline
+from optocorr import (evaluate_point, extract_submatrix, gaussian_discord,
+                      log_negativity, residual_contangle_min, solve_lyapunov)
+from optocorr.cli import main
+from optocorr.errors import NumericDomainError
+from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES,
+                               CorrelationReport)
+from optocorr.pipeline import evaluate_matrices
+from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, _apply_axes, figure_preset, run_sweep
+
+
+def grid_params(base_params, preset, counts):
+    spec = figure_preset(preset, base_params, counts=counts)
+    return [_apply_axes(spec.base, spec, point) for point in spec.grid()]
+
+
+def spy(monkeypatch, module, name):
+    """Record every call of module.name, still calling through."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def standalone_report(params):
+    """The full report rebuilt from the public single-measure functions."""
+    a, d, verdict, n_th = evaluate_matrices(params)
+    v = solve_lyapunov(a, d, check_stability=False).matrix
+    pairs = {f"{p}{q}": extract_submatrix(v, (p, q)) for p, q in CANONICAL_PAIRS}
+    _, raw = residual_contangle_min(extract_submatrix(v, TRIPLE_MODES))
+    clamped = {tag: 0.0 if -MONOGAMY_CLAMP <= val < 0.0 else val for tag, val in raw.items()}
+    return v, CorrelationReport(
+        e_n={key: log_negativity(v4) for key, v4 in pairs.items()},
+        d_g={key: gaussian_discord(v4) for key, v4 in pairs.items()},
+        r_tau=clamped, r_tau_raw=raw, r_tau_min=min(clamped.values()),
+        stability=verdict, n_th=n_th)
+
+
+class TestFullReport:
+    def test_default_is_the_full_report(self, base_params):
+        checked = 0
+        for params in grid_params(base_params, "fig3", (4, 4)):
+            result = evaluate_point(params)
+            if not result.verdict.stable:
+                continue
+            v, expected = standalone_report(params)
+            assert result.report == expected
+            assert np.array_equal(result.covariance, v)
+            named = evaluate_point(params, MEASURE_KEYS)
+            assert named.report == expected
+            assert np.array_equal(named.covariance, v)
+            checked += 1
+        assert checked >= 4
+
+    # requested keys -> families in the report; the residual needs the pair E_N
+    @pytest.mark.parametrize("wanted,families", [
+        (("EN_ab",), {"EN"}), (DG_MEASURES, {"DG"}), (("Rtau_min",), {"EN", "Rtau"}),
+        (("DG_c2b", "EN_c2a"), {"DG", "EN"}), (("stability", "DG_ab"), {"DG"})])
+    def test_requested_keys_equal_the_full_report(self, base_params, wanted, families):
+        for params in grid_params(base_params, "fig5", (7,)):
+            full = evaluate_point(params).report.as_flat_dict()
+            part = evaluate_point(params, wanted).report.as_flat_dict()
+            computed = set(part) - {"stable", "max_real_part", "n_th"}
+            assert {key.split("_")[0] for key in computed} == families
+            assert part == {key: full[key] for key in part}
+
+    def test_stability_only_point_stops_at_the_verdict(self, base_params):
+        full = evaluate_point(base_params)
+        for wanted in (("stability",), ()):
+            result = evaluate_point(base_params, wanted)
+            assert result.verdict == full.verdict and result.verdict.stable
+            assert result.n_th == full.n_th
+            assert result.report is None and result.covariance is None
+            assert result.error is None
+
+
+class TestSkippedStages:
+    def test_stability_sweep_never_solves(self, base_params, monkeypatch, tmp_path):
+        solves = spy(monkeypatch, pipeline, "solve_lyapunov")
+        reports = spy(monkeypatch, pipeline, "correlation_report")
+        out = tmp_path / "fig2.csv"
+        assert main(["figure", "fig2", "--grid", "13x11", "--out", str(out)]) == 0
+        stable = [row.split(",")[2] for row in out.read_text().splitlines()[2:]]
+        assert len(stable) == 143 and "0" in stable and "1" in stable
+        assert solves == [] and reports == []
+
+    def test_en_sweep_skips_spectra_and_discord(self, base_params, monkeypatch):
+        minima = spy(monkeypatch, measures, "_pt_minima")
+        discords = spy(monkeypatch, measures, "_discord")
+        invariants = spy(monkeypatch, measures, "_seralian_invariants")
+        result = run_sweep(figure_preset("fig3", base_params, counts=(4, 4)))
+        assert minima == [] and discords == []
+        stable = sum(row[2] for row in result.rows)
+        assert stable >= 4 and len(invariants) == len(CANONICAL_PAIRS) * stable
+
+    def test_dg_sweep_skips_spectra(self, base_params, monkeypatch):
+        minima = spy(monkeypatch, measures, "_pt_minima")
+        discords = spy(monkeypatch, measures, "_discord")
+        result = run_sweep(figure_preset("fig9", base_params, counts=(5, 2)))
+        assert minima == []
+        assert len(discords) == len(CANONICAL_PAIRS) * sum(row[2] for row in result.rows) > 0
+
+    def test_rtau_needs_spectra_and_pair_en_only(self, base_params, monkeypatch):
+        minima = spy(monkeypatch, measures, "_pt_minima")
+        discords = spy(monkeypatch, measures, "_discord")
+        report = evaluate_point(base_params, ("Rtau_min",)).report
+        assert len(minima) == 1 and discords == []
+        assert set(report.e_n) == {f"{p}{q}" for p, q in CANONICAL_PAIRS}
+        assert report.d_g == {}
+
+    def test_error_column_reports_only_stages_that_ran(self, base_params, monkeypatch):
+        def failing(inv):
+            raise NumericDomainError("discord stage failed")
+
+        monkeypatch.setattr(measures, "_discord", failing)
+        spec = figure_preset("fig5", base_params, counts=(3,))
+        en_rows = run_sweep(spec).rows
+        assert [row[-1] for row in en_rows] == [None] * 3
+        assert all(cell is not None for row in en_rows for cell in row[2:-1])
+        dg_rows = run_sweep(figure_preset("fig10", base_params, counts=(3,))).rows
+        assert [row[-1] for row in dg_rows] == ["NumericDomainError: discord stage failed"] * 3
+        assert all(cell is None for row in dg_rows for cell in row[2:-1])
+

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -6,7 +7,6 @@ import pytest
 
 from optocorr import Axis, SweepSpec, figure_preset, run_sweep, to_csv, to_json_lines
 from optocorr.errors import ConfigError, UnstableDriftError
-import optocorr.sweep as sweep
 from optocorr.sweep import PRESET_IDS, config_hash
 
 TWO_PI = 2.0 * math.pi
@@ -68,7 +68,7 @@ class TestRunSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         spec = figure_preset("fig2", base_params, counts=(3, 3))
         rows = run_sweep(spec, workers=64).rows
         assert started == [1]
@@ -113,6 +113,11 @@ class TestRunSweep:
         with pytest.raises(ConfigError):
             SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 2),
                       measures=("EN_bogus",))
+
+    def test_duplicate_measure_rejected(self, base_params):
+        with pytest.raises(ConfigError, match="duplicate measure.*: DG_ab, EN_c2a"):
+            SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 2),
+                      measures=("EN_c2a", "DG_ab", "EN_c2a", "DG_ab", "EN_ab"))
 
 
 class TestProvenance:
