@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import __version__
-from .errors import (ConfigError, NonConvergenceError, NumericDomainError,
-                     ParameterError, SingularSystemError, UnstableDriftError)
+from .errors import (ConfigError, NumericDomainError, OptocorrError, ParameterError,
+                     UnstableDriftError)
 from .params import (SYSTEM_KEY_DEFAULTS, apply_overrides, drive_from_config,
                      load_config, params_from_config)
 from .pipeline import evaluate_matrices, evaluate_point
@@ -26,9 +26,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-NUMERIC_ERRORS = (NonConvergenceError, UnstableDriftError, SingularSystemError,
-                  NumericDomainError)
 
 
 def _add_common(sub):
@@ -104,13 +101,6 @@ def _emit_record(args, record: dict):
         _write(args, "\n".join(lines) + "\n")
 
 
-def _matrix_lines(tag, m):
-    lines = [f"# {tag}"]
-    for row in m:
-        lines.append(",".join("%.17g" % x for x in row))
-    return lines
-
-
 def _parse_axis(text: str) -> Axis:
     try:
         name, _, rng = text.partition("=")
@@ -167,7 +157,8 @@ def cmd_matrix(args) -> int:
     else:
         lines = []
         for tag, m in blocks.items():
-            lines.extend(_matrix_lines(tag, m))
+            lines.append(f"# {tag}")
+            lines.extend(",".join("%.17g" % x for x in row) for row in m)
         _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -230,7 +221,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         print(f"optocorr: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
+    except OptocorrError as exc:    # every other package error is numeric
         print(f"optocorr: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -42,10 +42,6 @@ class StabilityVerdict:
     stable: bool
     max_real_part: float
 
-    @property
-    def spectral_margin(self) -> float:
-        return -self.max_real_part
-
 
 def _hamiltonian(p: SystemParams) -> np.ndarray:
     """Symmetric matrix H of the quadratic Hamiltonian (1/2) r^T H r.

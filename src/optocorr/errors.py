@@ -2,8 +2,7 @@
 
 Exit-code mapping used by the CLI:
   ConfigError / ParameterError        -> 2
-  NonConvergenceError / UnstableDriftError /
-  SingularSystemError / NumericDomainError -> 3
+  any other OptocorrError             -> 3
   OSError                             -> 4
 """
 

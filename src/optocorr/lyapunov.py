@@ -56,8 +56,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
     return CovarianceMatrix(matrix=v, residual_norm=lyapunov_residual(a, v, d))
 
 
-def residual_bound(a: np.ndarray, v: np.ndarray, d: np.ndarray,
-                   rtol: float = RESIDUAL_RTOL) -> float:
-    """Acceptance bound rtol*(||A||_F ||V||_F + ||D||_F) for the residual."""
-    return rtol * (np.linalg.norm(a, "fro") * np.linalg.norm(v, "fro")
-                   + np.linalg.norm(d, "fro"))
+def residual_bound(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
+    """Acceptance bound RESIDUAL_RTOL*(||A||_F ||V||_F + ||D||_F) for the residual."""
+    return RESIDUAL_RTOL * (np.linalg.norm(a, "fro") * np.linalg.norm(v, "fro")
+                            + np.linalg.norm(d, "fro"))

@@ -51,11 +51,6 @@ _PAIR_INDEX = {p + q: np.ix_(_TRIPLE_BLOCKS[p] + _TRIPLE_BLOCKS[q], _TRIPLE_BLOC
 # symplectic form of the triple: the leading blocks of the four-mode form
 OMEGA_3 = OMEGA_4[:_TRIPLE_DIM, :_TRIPLE_DIM].copy()
 
-# one-vs-two partial transposition matrices of the triple:
-# flip the momentum quadrature of the singled-out mode
-PT_MATRICES = {m: np.diag([-1.0 if i == _TRIPLE_BLOCKS[m][1] else 1.0 for i in range(_TRIPLE_DIM)])
-               for m in TRIPLE_MODES}
-
 # one-vs-two partitions: the singled-out mode, then the pair contangles
 # subtracted from the partition's contangle, in this order
 PARTITIONS = {
@@ -63,7 +58,12 @@ PARTITIONS = {
     "a|c2b": ("a", ("c2a", "ab")),
     "b|c2a": ("b", ("c2b", "ab")),
 }
-_PARTITION_PT = np.stack([PT_MATRICES[mode] for mode, _ in PARTITIONS.values()])
+
+# partial transposition of each partition, in PARTITIONS order: a diagonal
+# matrix that flips the momentum quadrature of the singled-out mode
+_PARTITION_PT = np.stack([
+    np.diag([-1.0 if i == _TRIPLE_BLOCKS[mode][1] else 1.0 for i in range(_TRIPLE_DIM)])
+    for mode, _ in PARTITIONS.values()])
 
 
 def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:
@@ -167,10 +167,10 @@ def _triple_invariants(v6: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 def _pt_minima(v6: np.ndarray, p: np.ndarray):
-    """Minimum |eigenvalue| of i Omega_3 (P V6 P) for a PT flip P, or for each
-    P of a stack in one eigenvalue call.  The eigenvalues of i Omega V come
-    in +/- pairs and the symplectic spectrum is their modulus, so the
-    minimum is over absolute values (a signed minimum would be negative).
+    """Minimum |eigenvalue| of i Omega_3 (P V6 P) for each PT flip P of the
+    stack p, in one eigenvalue call.  The eigenvalues of i Omega V come in
+    +/- pairs and the symplectic spectrum is their modulus, so the minimum
+    is over absolute values (a signed minimum would be negative).
     """
     if not np.isfinite(v6).all():
         raise NumericDomainError("non-finite covariance in tripartite PT spectrum")
@@ -180,18 +180,6 @@ def _pt_minima(v6: np.ndarray, p: np.ndarray):
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError(f"tripartite PT eigenvalue iteration failed: {exc}") from exc
     return np.min(np.abs(eigs), axis=-1)
-
-
-def pt_min_symplectic(v6: np.ndarray, partition: str) -> float:
-    """Minimum symplectic eigenvalue of P V6 P for a one-vs-two partition."""
-    if partition not in PARTITIONS:
-        raise ValueError(f"unknown partition {partition!r}; expected one of {sorted(PARTITIONS)}")
-    return float(_pt_minima(v6, PT_MATRICES[PARTITIONS[partition][0]]))
-
-
-def one_vs_rest_contangle(v6: np.ndarray, partition: str) -> float:
-    """Contangle (squared log-negativity) of a one-vs-two bipartition."""
-    return _en_from_nu(pt_min_symplectic(v6, partition)) ** 2
 
 
 def _residuals(v6: np.ndarray, e_n: dict) -> dict:
@@ -224,11 +212,6 @@ def _g(x: float) -> float:
     hi = (x + 0.5) * math.log(x + 0.5)
     lo = 0.0 if x - 0.5 <= 0.0 else (x - 0.5) * math.log(x - 0.5)
     return hi - lo
-
-
-def unPT_symplectic_pair(v4: np.ndarray):
-    """Symplectic eigenvalues (nu_-, nu_+) of the untransposed 4x4 CM."""
-    return _symplectic_pair(_seralian_invariants(v4), transposed=False)
 
 
 def _measurement_witness(i1, i2, i3, i4) -> float:

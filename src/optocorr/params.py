@@ -11,6 +11,7 @@ kelvin and the thermal occupation uses SI constants.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace, fields
 
@@ -95,17 +96,10 @@ class RawDriveParams:
     def __post_init__(self):
         if self.g1 < 0.0 or self.g2 < 0.0:
             raise ParameterError("single-photon couplings g1, g2 must be non-negative")
-
-    @classmethod
-    def from_powers(cls, g1, g2, power1, power2, kappa1, kappa2, omega_l,
-                    delta1_bare, delta2_bare) -> "RawDriveParams":
-        """Build drives from laser powers (watt) and laser frequency (rad/us)."""
-        return cls(
-            g1=g1, g2=g2,
-            drive_e1=drive_amplitude(power1, kappa1, omega_l),
-            drive_e2=drive_amplitude(power2, kappa2, omega_l),
-            delta1_bare=delta1_bare, delta2_bare=delta2_bare,
-        )
+        for fld in fields(self):
+            v = getattr(self, fld.name)
+            if not cmath.isfinite(v):
+                raise ParameterError(f"{fld.name} must be finite, got {v!r}")
 
 
 def thermal_occupation(omega_m: float, temperature: float) -> float:
@@ -201,10 +195,10 @@ def load_config(path: str) -> dict:
     """Load a YAML/JSON config file and validate its keys."""
     import yaml     # only a config file needs the parser
 
-    with open(path, "r") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:
         raw = {}
@@ -261,14 +255,14 @@ def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:
     d1 = cfg["delta1_bare_over_omegam"] * params.omega_m
     d2 = cfg["delta2_bare_over_omegam"] * params.omega_m
     if "E1_mhz" in cfg and "E2_mhz" in cfg:
-        return RawDriveParams(g1=g1, g2=g2,
-                              drive_e1=mhz_to_angular(cfg["E1_mhz"]),
-                              drive_e2=mhz_to_angular(cfg["E2_mhz"]),
-                              delta1_bare=d1, delta2_bare=d2)
-    if "power1_w" in cfg and "power2_w" in cfg and "omega_l_thz" in cfg:
+        e1, e2 = mhz_to_angular(cfg["E1_mhz"]), mhz_to_angular(cfg["E2_mhz"])
+    elif "power1_w" in cfg and "power2_w" in cfg and "omega_l_thz" in cfg:
+        # drives from laser powers (watt) at the laser frequency (rad/us)
         omega_l = mhz_to_angular(cfg["omega_l_thz"] * 1.0e6)
-        return RawDriveParams.from_powers(
-            g1, g2, cfg["power1_w"], cfg["power2_w"],
-            params.kappa1, params.kappa2, omega_l, d1, d2)
-    raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
-                      "power1_w/power2_w/omega_l_thz")
+        e1 = drive_amplitude(cfg["power1_w"], params.kappa1, omega_l)
+        e2 = drive_amplitude(cfg["power2_w"], params.kappa2, omega_l)
+    else:
+        raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
+                          "power1_w/power2_w/omega_l_thz")
+    return RawDriveParams(g1=g1, g2=g2, drive_e1=e1, drive_e2=e2,
+                          delta1_bare=d1, delta2_bare=d2)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import NonConvergenceError
 from .params import RawDriveParams, SystemParams
 
 MAX_ITER = 10_000
@@ -50,21 +50,13 @@ def _rhs(state, raw: RawDriveParams, base: SystemParams, j_ac: complex):
     return (new_a1, new_a2, new_xi, new_b)
 
 
-def solve_steady_state(raw: RawDriveParams, base: SystemParams,
-                       max_iter: int = MAX_ITER) -> SteadyState:
+def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
     """Damped fixed-point iteration from the decoupled closed form.
 
     Damping starts at 0.5 and drops to 0.1 the first time the residual
     increases.  Returns the branch reached from the decoupled initial
-    point; no branch enumeration.
+    point; no branch enumeration.  Both records check their own fields.
     """
-    for name in ("kappa1", "kappa2", "f", "gamma_m"):
-        if not getattr(base, name) > 0.0:
-            raise ParameterError(f"{name} must be positive")
-    for e in (raw.drive_e1, raw.drive_e2):
-        if not (cmath.isfinite(e)):
-            raise ParameterError("drive amplitudes must be finite")
-
     j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
     tol = RESIDUAL_RTOL * max(1.0, abs(raw.drive_e1), abs(raw.drive_e2))
 
@@ -76,24 +68,29 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams,
         0.0 + 0.0j,
     )
     lam = DAMPING_DEFAULT
-    # the map at the current state gives both its residual and the next update
-    rhs = _rhs(state, raw, base, j_ac)
-    res = max(abs(x - y) for x, y in zip(state, rhs))
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if res <= tol:
-            break
-        state = tuple((1.0 - lam) * x + lam * y for x, y in zip(state, rhs))
+    try:
+        # the map at the current state gives both its residual and the next update
         rhs = _rhs(state, raw, base, j_ac)
-        new_res = max(abs(x - y) for x, y in zip(state, rhs))
-        if new_res > res:
-            lam = DAMPING_FALLBACK
-        res = new_res
-    if res > tol:
+        res = max(abs(x - y) for x, y in zip(state, rhs))
+        for iterations in range(1, MAX_ITER + 1):
+            if res <= tol:
+                break
+            state = tuple((1.0 - lam) * x + lam * y for x, y in zip(state, rhs))
+            rhs = _rhs(state, raw, base, j_ac)
+            new_res = max(abs(x - y) for x, y in zip(state, rhs))
+            if new_res > res:
+                lam = DAMPING_FALLBACK
+            res = new_res
+    except OverflowError as exc:
         raise NonConvergenceError(
-            f"mean-field iteration did not converge after {max_iter} steps "
+            f"mean-field iteration overflowed at step {iterations}; "
+            f"drives too strong for a finite steady state", iterations=iterations) from exc
+    if not res <= tol:      # a NaN residual fails too
+        raise NonConvergenceError(
+            f"mean-field iteration did not converge after {MAX_ITER} steps "
             f"(residual {res:.3e}); possible multistable or ill-posed regime",
-            residual=res, iterations=max_iter)
+            residual=res, iterations=MAX_ITER)
 
     alpha1, alpha2, xi, beta = state
     return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta,

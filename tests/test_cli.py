@@ -42,6 +42,13 @@ class TestMeasure:
         assert code == 2
         assert "not_a_key" in err
 
+    def test_non_utf8_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_bytes(b"\xc0\x80")
+        code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "cannot parse config" in err
+
     def test_unstable_point_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--set", "G1_mhz=0.1",
                                "--set", "G2_mhz=0.1")
@@ -111,6 +118,25 @@ class TestSteady:
         code, _, err = run_cli(capsys, "steady")
         assert code == 2
         assert "g1_khz" in err
+
+    DRIVE = ("--set", "g1_khz=1", "--set", "g2_khz=1", "--set", "E1_mhz=1e4",
+             "--set", "E2_mhz=1e4", "--set", "delta1_bare_over_omegam=1",
+             "--set", "delta2_bare_over_omegam=1")
+
+    @pytest.mark.parametrize("bad", ["g1_khz=nan", "g2_khz=inf", "E1_mhz=nan", "E2_mhz=-inf",
+                                     "delta1_bare_over_omegam=inf",
+                                     "delta2_bare_over_omegam=nan"])
+    def test_non_finite_drive_exit_2(self, capsys, bad):
+        # a later --set wins, so `bad` replaces one finite drive key
+        code, out, err = run_cli(capsys, "steady", *self.DRIVE, "--set", bad)
+        assert (code, out) == (2, "")
+        assert "must be finite" in err
+
+    def test_overflowing_mean_field_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "steady", *self.DRIVE,
+                                 "--set", "E1_mhz=1e160", "--set", "E2_mhz=1e160")
+        assert (code, out) == (3, "")
+        assert "overflowed" in err
 
 
 class TestSweepAndFigure:

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optocorr import (OMEGA_4, assess_stability, build_diffusion, build_drift,
-                      params_from_config, thermal_occupation)
-from optocorr.dynamics import MODE_BLOCKS, default_margin_tol
+from optocorr import OMEGA_4, build_diffusion, build_drift, params_from_config
+from optocorr.dynamics import MODE_BLOCKS, assess_stability, default_margin_tol
 from optocorr.errors import NumericDomainError
-from optocorr.params import TWO_PI
+from optocorr.params import TWO_PI, thermal_occupation
 
 
 def hand_drift_matrix(phi=math.pi / 2, g1=2.0, g2=4.0, jac=12.0, jab=1.0):
@@ -210,7 +209,6 @@ class TestAssessStability:
         v = assess_stability(-np.eye(8))
         assert v.stable
         assert v.max_real_part == pytest.approx(-1.0)
-        assert v.spectral_margin == pytest.approx(1.0)
 
     def test_decoupled_is_stable(self, base_params):
         p = base_params.with_values(g1_eff=0.0, g2_eff=0.0, j_ac_mag=0.0, j_ab=0.0)

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from optocorr import (extract_submatrix, gaussian_discord, log_negativity,
-                      one_vs_rest_contangle, pt_min_symplectic,
-                      residual_contangle_min, correlation_report,
-                      assess_stability, evaluate_point)
+from optocorr import (evaluate_point, gaussian_discord, log_negativity,
+                      residual_contangle_min)
 from optocorr.errors import NumericDomainError
 import optocorr.measures as measures
 import optocorr.pipeline as pipeline
 from optocorr.lyapunov import CovarianceMatrix
 from optocorr.dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
-from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, PT_MATRICES, TRIPLE_MODES,
-                               det2, det4, pt_symplectic_min, unPT_symplectic_pair)
+from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, TRIPLE_MODES,
+                               correlation_report, det2, det4, extract_submatrix,
+                               pt_symplectic_min)
 from optocorr.params import TWO_PI
 from optocorr.sweep import _apply_axes, figure_preset
 
@@ -97,18 +96,18 @@ class TestLogNegativity:
 
 class TestTripartiteSpectrum:
     def test_vacuum_eta_is_half(self):
-        for part in ("c2|ab", "a|c2b", "b|c2a"):
-            assert pt_min_symplectic(0.5 * np.eye(6), part) == pytest.approx(0.5, rel=1e-12)
+        nus = measures._pt_minima(0.5 * np.eye(6), measures._PARTITION_PT)
+        assert nus.tolist() == pytest.approx([0.5] * 3, rel=1e-12)
 
     def test_pt_matrices_are_involutions(self):
-        for p in PT_MATRICES.values():
+        for p in measures._PARTITION_PT:
             assert np.array_equal(p @ p, np.eye(6))
 
     def test_triple_layout_matches_the_eight_mode_layout(self):
         # Omega_3 and each PT flip are the four-mode ones restricted to (c2, a, b)
         assert np.array_equal(OMEGA_3, extract_submatrix(OMEGA_4, TRIPLE_MODES))
         v = random_physical_cm(4, np.random.default_rng(31))
-        for mode, p6 in PT_MATRICES.items():
+        for (mode, _), p6 in zip(PARTITIONS.values(), measures._PARTITION_PT):
             p8 = np.eye(8)
             p8[MODE_BLOCKS[mode][1], MODE_BLOCKS[mode][1]] = -1.0
             assert np.array_equal(extract_submatrix(p8 @ v @ p8, TRIPLE_MODES),
@@ -118,38 +117,39 @@ class TestTripartiteSpectrum:
         rng = np.random.default_rng(29)
         for _ in range(20):
             v6 = random_physical_cm(3, rng)
-            for tag, mode in (("c2|ab", "c2"), ("a|c2b", "a"), ("b|c2a", "b")):
-                p = PT_MATRICES[mode]
+            nus = measures._pt_minima(v6, measures._PARTITION_PT)
+            for p, nu in zip(measures._PARTITION_PT, nus.tolist()):
                 oracle = symplectic_spectrum_oracle(p @ v6 @ p)[0]
-                assert pt_min_symplectic(v6, tag) == pytest.approx(oracle, rel=1e-10)
-
-    def test_unknown_partition(self):
-        with pytest.raises(ValueError):
-            pt_min_symplectic(0.5 * np.eye(6), "c1|ab")
+                assert nu == pytest.approx(oracle, rel=1e-10)
 
 
 class TestContangle:
+    """The contangle of a one-vs-two partition is E_N(nu)^2, nu its
+    minimum PT symplectic eigenvalue."""
+
     def test_vacuum_contangle_zero(self):
-        for part in ("c2|ab", "a|c2b", "b|c2a"):
-            assert one_vs_rest_contangle(0.5 * np.eye(6), part) == 0.0
+        nus = measures._pt_minima(0.5 * np.eye(6), measures._PARTITION_PT)
+        assert [measures._en_from_nu(nu) ** 2 for nu in nus.tolist()] == [0.0] * 3
 
     def test_eta_one_over_2e_gives_unity(self):
         # scaled "CM" with every symplectic eigenvalue 1/(2e)
         v6 = (0.5 / math.e) * np.eye(6)
-        for part in ("c2|ab", "a|c2b", "b|c2a"):
-            assert one_vs_rest_contangle(v6, part) == pytest.approx(1.0, rel=1e-12)
+        nus = measures._pt_minima(v6, measures._PARTITION_PT)
+        assert ([measures._en_from_nu(nu) ** 2 for nu in nus.tolist()]
+                == pytest.approx([1.0] * 3, rel=1e-12))
 
     def test_product_with_vacuum_reduces_to_pair(self):
         r = 0.5
         v6 = 0.5 * np.eye(6)
         v6[:4, :4] = tmsv_cm(r)  # (c2, a) entangled, b in vacuum
         pair = log_negativity(tmsv_cm(r)) ** 2
-        assert one_vs_rest_contangle(v6, "c2|ab") == pytest.approx(pair, rel=1e-9)
-        assert one_vs_rest_contangle(v6, "a|c2b") == pytest.approx(pair, rel=1e-9)
+        c2_ab, a_c2b, _ = measures._pt_minima(v6, measures._PARTITION_PT).tolist()
+        assert measures._en_from_nu(c2_ab) ** 2 == pytest.approx(pair, rel=1e-9)
+        assert measures._en_from_nu(a_c2b) ** 2 == pytest.approx(pair, rel=1e-9)
 
     def test_zero_matrix_raises_domain_error(self):
         with pytest.raises(NumericDomainError):
-            one_vs_rest_contangle(np.zeros((6, 6)), "c2|ab")
+            residual_contangle_min(np.zeros((6, 6)))
 
     def test_vacuum_residuals_zero(self):
         r_min, residuals = residual_contangle_min(0.5 * np.eye(6))
@@ -224,7 +224,7 @@ class TestGaussianDiscord:
         rng = np.random.default_rng(43)
         for _ in range(20):
             v = random_physical_cm(2, rng)
-            lo, hi = unPT_symplectic_pair(v)
+            lo, hi = measures._symplectic_pair(measures._seralian_invariants(v), transposed=False)
             oracle = symplectic_spectrum_oracle(v)
             assert lo == pytest.approx(oracle[0], rel=1e-9)
             assert hi == pytest.approx(oracle[-1], rel=1e-9)
@@ -264,8 +264,7 @@ class TestNonFiniteInput:
 
     MEASURES_4 = (log_negativity, gaussian_discord)
     MEASURES_6 = (lambda v: residual_contangle_min(v)[0],
-                  lambda v: pt_min_symplectic(v, "a|c2b"),
-                  lambda v: one_vs_rest_contangle(v, "b|c2a"))
+                  lambda v: measures._pt_minima(v, measures._PARTITION_PT))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_every_entry_of_a_pair(self, bad):
@@ -397,14 +396,13 @@ class TestExactFastPaths:
         for v6 in states:
             v6s = 0.5 * (v6 + v6.T)
             loop = [float(np.min(np.abs(np.linalg.eigvals(1j * OMEGA_3 @ (p @ v6s @ p)))))
-                    for p in (PT_MATRICES[mode] for mode, _ in PARTITIONS.values())]
+                    for p in measures._PARTITION_PT]
             assert measures._pt_minima(v6, measures._PARTITION_PT).tolist() == loop
-            assert [pt_min_symplectic(v6, tag) for tag in PARTITIONS] == loop
             _, raw = residual_contangle_min(v6)
             assert list(raw.values()) == [
-                one_vs_rest_contangle(v6, tag) - log_negativity(extract_pair(v6, first)) ** 2
+                measures._en_from_nu(nu) ** 2 - log_negativity(extract_pair(v6, first)) ** 2
                 - log_negativity(extract_pair(v6, second)) ** 2
-                for tag, (_, (first, second)) in PARTITIONS.items()]
+                for (_, (first, second)), nu in zip(PARTITIONS.values(), loop)]
 
     def test_list_invariants_equal_numpy_slices(self, base_params):
         rng = np.random.default_rng(73)

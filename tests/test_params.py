@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from optocorr import (SystemParams, drive_amplitude, load_config,
-                      params_from_config, apply_overrides, thermal_occupation)
+from optocorr import SystemParams, params_from_config
 from optocorr.errors import ConfigError, ParameterError
-from optocorr.params import HBAR, K_B, TWO_PI, hz_to_angular
+from optocorr.params import (HBAR, K_B, TWO_PI, apply_overrides, drive_amplitude,
+                             drive_from_config, hz_to_angular, load_config,
+                             thermal_occupation)
 
 OMEGA_M = TWO_PI * 24.0  # rad/us
 
@@ -133,6 +134,26 @@ class TestConfig:
     def test_override_unknown_key(self):
         with pytest.raises(ConfigError, match="nope"):
             apply_overrides({}, ["nope=1"])
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "bin.yaml"
+        path.write_bytes(b"\xc0\x80")
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(str(path))
+
+    def test_power_drives(self, base_params):
+        # each cavity's drive takes its own kappa; omega_l_thz is in THz
+        p = base_params.with_values(kappa2=2.0 * base_params.kappa1)
+        keys = {"g1_khz": 1.0, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,
+                "delta2_bare_over_omegam": 0.5, "power1_w": 1e-3, "power2_w": 4e-3}
+        raw = drive_from_config({**keys, "omega_l_thz": 300.0}, p)
+        omega_l = TWO_PI * 3.0e8
+        assert raw.drive_e1 == drive_amplitude(1e-3, p.kappa1, omega_l)
+        assert raw.drive_e2 == drive_amplitude(4e-3, p.kappa2, omega_l)
+        assert raw.drive_e2 == pytest.approx(2.0 * math.sqrt(2.0) * raw.drive_e1, rel=1e-12)
+        assert (raw.delta1_bare, raw.delta2_bare) == (p.omega_m, 0.5 * p.omega_m)
+        with pytest.raises(ConfigError, match="power1_w/power2_w/omega_l_thz"):
+            drive_from_config(keys, p)
 
     def test_override_bad_value(self):
         with pytest.raises(ConfigError):

@@ -12,12 +12,12 @@ import pytest
 
 import optocorr.measures as measures
 import optocorr.pipeline as pipeline
-from optocorr import (evaluate_point, extract_submatrix, gaussian_discord,
-                      log_negativity, residual_contangle_min, solve_lyapunov)
+from optocorr import (evaluate_point, gaussian_discord, log_negativity,
+                      residual_contangle_min, solve_lyapunov)
 from optocorr.cli import main
 from optocorr.errors import NumericDomainError
 from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES,
-                               CorrelationReport)
+                               CorrelationReport, extract_submatrix)
 from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, _apply_axes, figure_preset, run_sweep
 

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from optocorr import RawDriveParams, solve_steady_state
-from optocorr.errors import NonConvergenceError
-from optocorr.params import TWO_PI
+from optocorr.errors import NonConvergenceError, ParameterError
+from optocorr.params import TWO_PI, RawDriveParams
 import optocorr.steadystate as steadystate
-from optocorr.steadystate import apply_steady_state
+from optocorr.steadystate import apply_steady_state, solve_steady_state
 
 
 def make_raw(g1=0.0, g2=0.0, e1=0.0, e2=0.0, d1=None, d2=None, base=None):
@@ -100,12 +99,44 @@ class TestCoupledSolve:
         assert ss.iterations > 1
         assert len(calls) == ss.iterations
 
-    def test_nonconvergence_reports_residual(self, base_params):
+    def test_nonconvergence_reports_residual(self, base_params, monkeypatch):
         raw = make_raw(g1=TWO_PI * 2e-3, e1=2000.0, base=base_params)
+        monkeypatch.setattr(steadystate, "MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as exc:
-            solve_steady_state(raw, base_params, max_iter=2)
+            solve_steady_state(raw, base_params)
         assert exc.value.residual is not None
         assert exc.value.iterations == 2
+
+    def test_nan_residual_never_converges(self, base_params, monkeypatch):
+        nan = complex(math.nan, math.nan)
+        monkeypatch.setattr(steadystate, "_rhs", lambda *args: (nan,) * 4)
+        monkeypatch.setattr(steadystate, "MAX_ITER", 3)
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            solve_steady_state(make_raw(e1=100.0, base=base_params), base_params)
+
+    def test_overflow_is_nonconvergence(self, base_params):
+        # |alpha1|^2 overflows a float on the first map evaluation
+        raw = make_raw(g1=TWO_PI * 1e-3, g2=TWO_PI * 1e-3, e1=TWO_PI * 1e160,
+                       e2=TWO_PI * 1e160, base=base_params)
+        with pytest.raises(NonConvergenceError, match="overflowed") as exc:
+            solve_steady_state(raw, base_params)
+        assert exc.value.iterations == 0
+
+
+class TestDriveRecord:
+    FINITE = dict(g1=1.0, g2=1.0, drive_e1=100.0, drive_e2=100.0,
+                  delta1_bare=150.0, delta2_bare=150.0)
+
+    @pytest.mark.parametrize("field", sorted(FINITE))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, bad):
+        with pytest.raises(ParameterError):
+            RawDriveParams(**{**self.FINITE, field: bad})
+
+    @pytest.mark.parametrize("field", ["drive_e1", "drive_e2"])
+    def test_non_finite_complex_drive_rejected(self, field):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            RawDriveParams(**{**self.FINITE, field: complex(1.0, math.inf)})
 
 
 class TestEffectiveParams:
