@@ -1,8 +1,8 @@
 """Golden-file pins of the default CLI output.
 
 Each figure file under tests/data holds the column line and data rows of
-one small figure run; every line after the provenance comment must match
-byte for byte.  The matrix and measure files are whole outputs at the
+one small run of a figure preset, one file per preset; every line after
+the provenance comment must match byte for byte.  The matrix and measure files are whole outputs at the
 package defaults, and the sweep file is a whole JSON-lines sweep over phi
 (its header carries the spec's hash); each must match byte for byte.
 golden_presets.txt pins every figure preset's spec: one line per (preset,
@@ -26,6 +26,11 @@ GOLDEN = [
     (("fig9", "--grid", "10x3"), "golden_fig9_10x3.csv"),
     (("fig3", "--grid", "12x12"), "golden_fig3_12x12.csv"),
     (("fig2", "--grid", "13x11"), "golden_fig2_13x11.csv"),
+    (("fig4", "--grid", "8x6"), "golden_fig4_8x6.csv"),
+    (("fig6", "--grid", "8x6"), "golden_fig6_8x6.csv"),
+    (("fig7", "--grid", "12x3"), "golden_fig7_12x3.csv"),
+    (("fig8", "--grid", "8x6"), "golden_fig8_8x6.csv"),
+    (("fig10", "--grid", "21"), "golden_fig10_21.csv"),
 ]
 
 
