@@ -1,13 +1,15 @@
 """Steady-state covariance matrix from the Lyapunov equation A V + V A^T = -D.
 
 The 8x8 problem is solved by vectorization: (I (x) A + A (x) I) vec(V) =
--vec(D), a dense 64x64 linear system whose operator is written by index
-instead of as two mostly-zero Kronecker products; no Bartels-Stewart.
+-vec(D), a dense 64x64 linear system whose operator is scattered into a
+zeroed array at cached index positions instead of being built as two
+mostly-zero Kronecker products; no Bartels-Stewart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,13 +29,20 @@ def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
     return float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
 
 
+@lru_cache(maxsize=None)
+def _kron_index(n: int):
+    """Flat positions of A[j, l] in I (x) A, entry (i, j, i, l), and in A (x) I, entry (j, i, l, i)."""
+    i, j, l = np.ogrid[:n, :n, :n]
+    return ((i * n + j) * n + i) * n + l, ((j * n + i) * n + l) * n + i
+
+
 def _kron_sum(a: np.ndarray) -> np.ndarray:
     """I (x) A + A (x) I: A in each diagonal block, A[i, j] on block (i, j)'s diagonal."""
-    n, r = a.shape[0], np.arange(a.shape[0])
-    k = np.zeros((n, n, n, n))
-    k[r, :, r, :] = a
-    k[:, r, :, r] += a
-    return k.reshape(n * n, n * n)
+    left, right = _kron_index(a.shape[0])
+    k = np.zeros(a.size ** 2)
+    k[left] = a
+    k[right] += a
+    return k.reshape(a.size, a.size)
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -> CovarianceMatrix:

@@ -106,15 +106,17 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     """Bose-Einstein phonon number of the mechanical bath.
 
     omega_m in rad/us, temperature in kelvin.  The zero-temperature
-    limit returns exactly 0 (no division by zero).
+    limit returns exactly 0 (no division by zero), also for a subnormal
+    temperature whose k_B T underflows to 0.
     """
     if not omega_m > 0.0:
         raise ParameterError("omega_m must be positive")
     if temperature < 0.0:
         raise ParameterError("temperature must be non-negative")
-    if temperature == 0.0:
+    k_t = K_B * temperature
+    if k_t == 0.0:
         return 0.0
-    x = HBAR * omega_m * RAD_PER_US_TO_RAD_PER_S / (K_B * temperature)
+    x = HBAR * omega_m * RAD_PER_US_TO_RAD_PER_S / k_t
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:  # x > ~709.8: n_th < 1e-308, so 2 n_th + 1 == 1

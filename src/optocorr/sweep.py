@@ -2,11 +2,12 @@
 
 Grids are linear and inclusive of both endpoints.  Every grid point is
 evaluated on its own, and only as far as the spec's measures need: a
-stability-only point stops at the drift spectrum (about 25 us on a 2-core
+stability-only point stops at the drift spectrum (about 22 us on a 2-core
 AMD EPYC with numpy 2.4), and an `EN_*` fig3 point skips the discord and
-the tripartite spectra (about 95 us against about 140 us for the full
-report).  Output ordering is deterministic (axis1 outer, axis2 inner)
-regardless of worker count.
+the tripartite spectra (about 60 us against about 105 us for the full
+report).  Each point's parameter record is built and validated once.
+Output ordering is deterministic (axis1 outer, axis2 inner) regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from itertools import chain, repeat
 
@@ -28,18 +30,18 @@ MEASURE_KEYS = ("EN_c2a", "EN_ab", "EN_c2b", "DG_c2a", "DG_ab", "DG_c2b",
 
 UNSTABLE_POLICIES = ("missing", "skip", "error")
 
-# sweepable parameter -> setter of its value; README gives each one's unit
+# sweepable parameter -> the field updates its value makes to a base point;
+# README gives each one's unit
 _SETTERS = {
-    "phi": lambda p, v: p.with_values(phi=v),
-    "delta_at": lambda p, v: p.with_values(delta_at=v * p.omega_m),
-    "delta_eff_common": lambda p, v: p.with_values(delta1_eff=v * p.omega_m,
-                                                   delta2_eff=v * p.omega_m),
-    "G1": lambda p, v: p.with_values(g1_eff=mhz_to_angular(v)),
-    "G2": lambda p, v: p.with_values(g2_eff=mhz_to_angular(v)),
-    "Jac": lambda p, v: p.with_values(j_ac_mag=mhz_to_angular(v)),
-    "Jab": lambda p, v: p.with_values(j_ab=mhz_to_angular(v)),
-    "T": lambda p, v: p.with_values(temperature=v),
-    "f": lambda p, v: p.with_values(f=mhz_to_angular(v)),
+    "phi": lambda p, v: {"phi": v},
+    "delta_at": lambda p, v: {"delta_at": v * p.omega_m},
+    "delta_eff_common": lambda p, v: {"delta1_eff": v * p.omega_m, "delta2_eff": v * p.omega_m},
+    "G1": lambda p, v: {"g1_eff": mhz_to_angular(v)},
+    "G2": lambda p, v: {"g2_eff": mhz_to_angular(v)},
+    "Jac": lambda p, v: {"j_ac_mag": mhz_to_angular(v)},
+    "Jab": lambda p, v: {"j_ab": mhz_to_angular(v)},
+    "T": lambda p, v: {"temperature": v},
+    "f": lambda p, v: {"f": mhz_to_angular(v)},
 }
 
 SWEEPABLE = tuple(_SETTERS)
@@ -56,10 +58,15 @@ class Axis:
         if self.name not in _SETTERS:
             raise ConfigError(f"unknown sweep parameter {self.name!r}; "
                               f"choose from {', '.join(SWEEPABLE)}")
+        if not isinstance(self.count, numbers.Integral):
+            raise ConfigError(f"axis {self.name} count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ConfigError("axis count must be at least 2")
         if self.start == self.stop:
             raise ConfigError("axis start and stop must differ")
+        if not all(map(math.isfinite, self.values())):
+            raise ConfigError(f"axis {self.name} from {self.start!r} to {self.stop!r} "
+                              "leaves the finite floats")
 
     def values(self):
         step = (self.stop - self.start) / (self.count - 1)
@@ -111,10 +118,11 @@ class SweepResult:
 
 
 def _apply_axes(base: SystemParams, spec: SweepSpec, point):
-    p = _SETTERS[spec.axis1.name](base, point[0])
+    """The grid point's record, built and validated once."""
+    updates = _SETTERS[spec.axis1.name](base, point[0])
     if spec.axis2 is not None:
-        p = _SETTERS[spec.axis2.name](p, point[1])
-    return p
+        updates.update(_SETTERS[spec.axis2.name](base, point[1]))
+    return base.with_values(**updates)
 
 
 def _evaluate_rows(spec: SweepSpec, points) -> list:

@@ -3,12 +3,26 @@ import pytest
 from scipy.linalg import expm
 
 from optocorr import SystemParams, params_from_config
+from optocorr.dynamics import MODE_BLOCKS
 
 
 @pytest.fixture
 def base_params() -> SystemParams:
     """Baseline operating point (package defaults)."""
     return params_from_config({})
+
+
+def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:
+    """Rows/columns of the given modes of an 8x8 CM, order preserved; an
+    index-array copy, independent of the slices the package reads."""
+    idx = []
+    for m in modes:
+        if m not in MODE_BLOCKS:
+            raise ValueError(f"unknown mode tag {m!r}")
+        idx.extend(MODE_BLOCKS[m])
+    if len(set(modes)) != len(modes):
+        raise ValueError("mode tags must be distinct")
+    return v[np.ix_(idx, idx)]
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator) -> np.ndarray:

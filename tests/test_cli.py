@@ -61,6 +61,12 @@ class TestMeasure:
         assert code == 0, err
         assert json.loads(out)["n_th"] == 0.0
 
+    def test_subnormal_temperature_has_zero_occupation(self, capsys):
+        # k_B T underflows to 0 at T = 1e-320 K; that is the zero-temperature limit
+        code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e-320", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["n_th"] == 0.0
+
     def test_json_and_kv_encode_same_values(self, capsys):
         _, kv_out, _ = run_cli(capsys, "measure")
         _, json_out, _ = run_cli(capsys, "measure", "--format", "json")
@@ -185,6 +191,21 @@ class TestSweepAndFigure:
         assert code == 0, err
         rows = [line.split(",") for line in out.strip().split("\n")[2:]]
         assert len(rows) == 3 and all(r[-1] == "" for r in rows)
+
+    def test_temperature_axis_through_subnormal_kelvin(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "T=0:1e-320:3",
+                                 "--measures", "EN_c2a")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().split("\n")[2:]]
+        assert len(rows) == 3 and len({r[2] for r in rows}) == 1 and all(r[-1] == "" for r in rows)
+
+    @pytest.mark.parametrize("axis", ["phi=0:inf:3", "phi=-inf:0:3", "phi=nan:1:3",
+                                      "phi=1e308:-1e308:3"])
+    def test_axis_beyond_floats_exit_2(self, capsys, axis):
+        code, out, err = run_cli(capsys, "sweep", "--axis", axis)
+        assert code == 2 and out == ""
+        # the axis is named; before, the point record read "phi must be finite, got nan"
+        assert "axis phi " in err and "phi must be finite" not in err
 
     def test_sweep_axis_flags(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--axis", "phi=0:3.14:5",

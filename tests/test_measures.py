@@ -11,12 +11,11 @@ import optocorr.pipeline as pipeline
 from optocorr.lyapunov import CovarianceMatrix
 from optocorr.dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
 from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, TRIPLE_MODES,
-                               correlation_report, det2, det4, extract_submatrix,
-                               pt_symplectic_min)
+                               correlation_report, pt_symplectic_min)
 from optocorr.params import TWO_PI
 from optocorr.sweep import _apply_axes, figure_preset
 
-from conftest import random_physical_cm, tmsv_cm
+from conftest import extract_submatrix, random_physical_cm, tmsv_cm
 
 
 def symplectic_spectrum_oracle(v):
@@ -27,6 +26,38 @@ def symplectic_spectrum_oracle(v):
     eigs = np.linalg.eigvals(-m @ m)
     nus = np.sqrt(np.abs(eigs.real))
     return np.sort(nus)
+
+
+# Frozen reference for measures._pair_invariants: the list-based closed-form
+# determinants the package used before its straight-line kernel.  The kernel
+# must equal them bit for bit, so these stay exactly as they were.
+
+def det2(m) -> float:
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def _det3(m) -> float:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def det4(m) -> float:
+    """Cofactor expansion along the first row with closed-form 3x3 minors."""
+    total = 0.0
+    rows = [1, 2, 3]
+    for j in range(4):
+        cols = [k for k in range(4) if k != j]
+        minor = [[m[r][c] for c in cols] for r in rows]
+        total += ((-1.0) ** j) * m[0][j] * _det3(minor)
+    return total
+
+
+def reference_invariants(v4):
+    """I1..I4 of a 4x4 CM's symmetric part through the frozen determinants."""
+    m = (0.5 * (v4 + v4.T)).tolist()
+    return (det2([row[:2] for row in m[:2]]), det2([row[2:] for row in m[2:]]),
+            det2([row[2:] for row in m[:2]]), det4(m))
 
 
 class TestDeterminants:
@@ -357,13 +388,13 @@ class TestSharedInvariants:
     def test_one_invariant_pass_per_pair(self, base_params, monkeypatch):
         v = evaluate_point(base_params).covariance
         calls = []
-        original = measures._seralian_invariants
+        original = measures._pair_invariants
 
-        def counting(v4):
+        def counting(m, rows):
             calls.append(1)
-            return original(v4)
+            return original(m, rows)
 
-        monkeypatch.setattr(measures, "_seralian_invariants", counting)
+        monkeypatch.setattr(measures, "_pair_invariants", counting)
         correlation_report(v, StabilityVerdict(stable=True, max_real_part=-1.0), 0.0)
         assert len(calls) == len(CANONICAL_PAIRS)
 
@@ -397,7 +428,7 @@ class TestExactFastPaths:
             v6s = 0.5 * (v6 + v6.T)
             loop = [float(np.min(np.abs(np.linalg.eigvals(1j * OMEGA_3 @ (p @ v6s @ p)))))
                     for p in measures._PARTITION_PT]
-            assert measures._pt_minima(v6, measures._PARTITION_PT).tolist() == loop
+            assert measures._pt_minima(v6s, measures._PARTITION_PT).tolist() == loop
             _, raw = residual_contangle_min(v6)
             assert list(raw.values()) == [
                 measures._en_from_nu(nu) ** 2 - log_negativity(extract_pair(v6, first)) ** 2
@@ -415,3 +446,83 @@ class TestExactFastPaths:
             assert measures._seralian_invariants(v4) == (
                 det2(s[:2, :2]), det2(s[2:, 2:]), det2(s[:2, 2:]), det4(s))
 
+
+
+class TestPairKernel:
+    """The straight-line kernel equals the frozen list-based determinants
+    bit for bit (float.hex), signed zeros and non-finite values included."""
+
+    @staticmethod
+    def assert_triple_matches_reference(v6):
+        m = (0.5 * (v6 + v6.T)).tolist()
+        for key, rows in measures._PAIR_ROWS.items():
+            got = measures._pair_invariants(m, rows)
+            assert [x.hex() for x in got] == [
+                x.hex() for x in reference_invariants(extract_pair(v6, key))]
+
+    @staticmethod
+    def assert_pair_matches_reference(v4):
+        got = measures._seralian_invariants(v4)
+        assert [x.hex() for x in got] == [x.hex() for x in reference_invariants(v4)]
+
+    def test_random_cms(self):
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            self.assert_pair_matches_reference(
+                random_physical_cm(2, rng) + rng.normal(scale=1e-3, size=(4, 4)))
+            self.assert_triple_matches_reference(random_physical_cm(3, rng))
+
+    @pytest.mark.parametrize("preset,counts", [("fig3", (4, 4)), ("fig4", (4, 3)),
+                                               ("fig6", (3, 3)), ("fig7", (4, 3)),
+                                               ("fig10", (5,))])
+    def test_preset_triples(self, base_params, preset, counts):
+        spec = figure_preset(preset, base_params, counts=counts)
+        checked = 0
+        for point in spec.grid():
+            v = evaluate_point(_apply_axes(spec.base, spec, point)).covariance
+            if v is not None:
+                self.assert_triple_matches_reference(extract_submatrix(v, TRIPLE_MODES))
+                checked += 1
+        assert checked >= 3
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(83)
+        states = [np.zeros((4, 4)), np.full((4, 4), -0.0), np.eye(4) - 0.0 * np.ones((4, 4))]
+        for _ in range(30):
+            v = random_physical_cm(2, rng)
+            v[rng.random((4, 4)) < 0.3] = 0.0
+            v[rng.random((4, 4)) < 0.3] = -0.0
+            states.append(v)
+        # entries in {-1, -0.0, 0.0, 1}: all four cofactor terms can be signed
+        # zeros, so I4 shows whether the expansion starts from 0.0
+        signed = np.array([-1.0, -0.0, 0.0, 1.0])
+        states.extend(signed[rng.integers(0, 4, size=(4, 4))] for _ in range(500))
+        for v4 in states:
+            self.assert_pair_matches_reference(v4)
+        for _ in range(10):
+            v6 = random_physical_cm(3, rng)
+            v6[rng.random((6, 6)) < 0.3] = -0.0
+            self.assert_triple_matches_reference(v6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs(self, bad):
+        # the inputs of TestNonFiniteInput
+        for i in range(4):
+            for j in range(4):
+                v = tmsv_cm(0.5)
+                v[i, j] = bad
+                self.assert_pair_matches_reference(v)
+        v6 = random_physical_cm(3, np.random.default_rng(5))
+        for i in range(6):
+            for j in range(6):
+                v = v6.copy()
+                v[i, j] = bad
+                self.assert_triple_matches_reference(v)
+
+    def test_triple_slice_and_pair_rows_match_the_mode_layout(self):
+        v = random_physical_cm(4, np.random.default_rng(89))
+        v6 = v[measures._TRIPLE_ROWS, measures._TRIPLE_ROWS]
+        assert np.array_equal(v6, extract_submatrix(v, TRIPLE_MODES))
+        for p, q in CANONICAL_PAIRS:
+            rows = measures._PAIR_ROWS[p + q]
+            assert np.array_equal(v6[np.ix_(rows, rows)], extract_submatrix(v, (p, q)))

@@ -42,6 +42,11 @@ class TestThermalOccupation:
         t_700 = HBAR * OMEGA_M * 1.0e6 / (K_B * 700.0)
         assert thermal_occupation(OMEGA_M, t_700) == pytest.approx(math.exp(-700.0), rel=1e-12)
 
+    def test_subnormal_temperature_is_the_zero_limit(self):
+        # k_B T underflows to 0.0 below about 1e-301 K
+        for t in (1e-320, 5e-324):
+            assert K_B * t == 0.0 and thermal_occupation(OMEGA_M, t) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             thermal_occupation(0.0, 0.01)

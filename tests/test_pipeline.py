@@ -16,10 +16,11 @@ from optocorr import (evaluate_point, gaussian_discord, log_negativity,
                       residual_contangle_min, solve_lyapunov)
 from optocorr.cli import main
 from optocorr.errors import NumericDomainError
-from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES,
-                               CorrelationReport, extract_submatrix)
+from optocorr.measures import CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, CorrelationReport
 from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, _apply_axes, figure_preset, run_sweep
+
+from conftest import extract_submatrix
 
 
 def grid_params(base_params, preset, counts):
@@ -105,7 +106,7 @@ class TestSkippedStages:
     def test_en_sweep_skips_spectra_and_discord(self, base_params, monkeypatch):
         minima = spy(monkeypatch, measures, "_pt_minima")
         discords = spy(monkeypatch, measures, "_discord")
-        invariants = spy(monkeypatch, measures, "_seralian_invariants")
+        invariants = spy(monkeypatch, measures, "_pair_invariants")
         result = run_sweep(figure_preset("fig3", base_params, counts=(4, 4)))
         assert minima == [] and discords == []
         stable = sum(row[2] for row in result.rows)

@@ -25,6 +25,18 @@ class TestAxis:
         with pytest.raises(ConfigError):
             Axis("phi", 1.0, 1.0, 5)
 
+    @pytest.mark.parametrize("start,stop,count", [
+        (0.0, math.inf, 3), (-math.inf, 0.0, 3), (math.nan, 1.0, 3), (0.0, math.nan, 3),
+        (1e308, -1e308, 3), (-1.7976931348623157e308, 1.7976931348623157e308, 2),
+        (0.0, 1.0, 2.5), (0.0, 1.0, 3.0), (0.0, 1.0, None)])
+    def test_rejects_what_the_grid_cannot_hold(self, start, stop, count):
+        with pytest.raises(ConfigError, match="^axis phi "):
+            Axis("phi", start, stop, count)
+
+    def test_grid_may_end_at_the_largest_float(self):
+        top = 1.7976931348623157e308
+        assert Axis("phi", 0.0, top, 3).values() == [0.0, top / 2, top]
+
 
 class TestRunSweep:
     def test_phase_periodicity_two_points(self, base_params):
