@@ -447,7 +447,6 @@ class TestExactFastPaths:
                 det2(s[:2, :2]), det2(s[2:, 2:]), det2(s[:2, 2:]), det4(s))
 
 
-
 class TestPairKernel:
     """The straight-line kernel equals the frozen list-based determinants
     bit for bit (float.hex), signed zeros and non-finite values included."""
