@@ -273,6 +273,16 @@ class TestModuleEntry:
         golden = Path(__file__).parent / "data" / "golden_measure.json"
         assert proc.stdout == golden.read_bytes()
 
+    def test_steady_matches_golden_file(self):
+        # a drive that needs a few hundred damped steps
+        proc = self.run_module("steady", "--set", "E1_mhz=8e4", "--set", "E2_mhz=2e4",
+                               "--set", "g1_khz=2.5", "--set", "g2_khz=2.5",
+                               "--set", "delta1_bare_over_omegam=0.85",
+                               "--set", "delta2_bare_over_omegam=0.95", "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).parent / "data" / "golden_steady.json"
+        assert proc.stdout == golden.read_bytes()
+
     def test_exit_code_reaches_the_shell(self):
         proc = self.run_module("sweep", "--axis", "phi=0:1:2", "--measures", "EN_c2a,EN_c2a")
         assert proc.returncode == 2

@@ -8,8 +8,12 @@ package defaults, and the sweep file is a whole JSON-lines sweep over phi
 golden_presets.txt pins every figure preset's spec: one line per (preset,
 base, grid counts) case with the spec's repr and provenance hash, or the
 error the case raises.
+golden_steady_drive.txt pins the mean-field solve on seeded raw drives:
+one line per config with every SteadyState field by float.hex, or the
+error's type, attributes and message.
 """
 
+import random
 import re
 from pathlib import Path
 
@@ -17,6 +21,9 @@ import pytest
 
 from optocorr import params_from_config
 from optocorr.cli import main
+from optocorr.errors import OptocorrError
+from optocorr.params import drive_from_config
+from optocorr.steadystate import solve_steady_state
 from optocorr.sweep import config_hash, figure_preset
 
 DATA = Path(__file__).parent / "data"
@@ -85,3 +92,58 @@ def preset_lines():
 
 def test_preset_specs_match_golden_file():
     assert preset_lines() == (DATA / "golden_presets.txt").read_text()
+
+
+# the raw-drive ranges of the benchmark's drive workload
+DRIVE_RANGES = (("g1_khz", 0.5, 3.0), ("g2_khz", 0.5, 3.0),
+                ("E1_mhz", 1.0e4, 1.0e5), ("E2_mhz", 1.0e4, 1.0e5),
+                ("delta1_bare_over_omegam", 0.8, 1.2),
+                ("delta2_bare_over_omegam", 0.8, 1.2))
+DRIVE_EDGES = [
+    # runs all 10^4 damped steps without converging
+    {"g1_khz": 2.1166142249894286, "g2_khz": 2.496551052195941,
+     "E1_mhz": 11263.305188272174, "E2_mhz": 86734.80504791152,
+     "delta1_bare_over_omegam": 1.07745660184991,
+     "delta2_bare_over_omegam": 0.9269406368906039},
+    # |alpha|^2 overflows on the first map evaluation
+    {"g1_khz": 1.0, "g2_khz": 1.0, "E1_mhz": 1e160, "E2_mhz": 1e160,
+     "delta1_bare_over_omegam": 1.0, "delta2_bare_over_omegam": 1.0},
+    # undriven, with exact zeros throughout the map
+    {"g1_khz": 1.0, "g2_khz": 0.0, "E1_mhz": 0.0, "E2_mhz": 0.0,
+     "delta1_bare_over_omegam": 1.0, "delta2_bare_over_omegam": 0.0},
+]
+
+
+def drive_configs(n=300, seed=2410):
+    rng = random.Random(seed)
+    drawn = [{key: rng.uniform(lo, hi) for key, lo, hi in DRIVE_RANGES} for _ in range(n)]
+    return drawn + DRIVE_EDGES
+
+
+def steady_drive_lines():
+    """One line per drive config: the solved state or the raised error."""
+    lines = []
+    for i, cfg in enumerate(drive_configs()):
+        params = params_from_config(cfg)
+        try:
+            ss = solve_steady_state(drive_from_config(cfg, params), params)
+        except OptocorrError as exc:
+            res = getattr(exc, "residual", None)
+            out = (f"{type(exc).__name__} iterations={getattr(exc, 'iterations', None)} "
+                   f"residual={None if res is None else float.hex(res)}: {exc}")
+        else:
+            values = (ss.alpha1.real, ss.alpha1.imag, ss.alpha2.real, ss.alpha2.imag,
+                      ss.xi.real, ss.xi.imag, ss.beta.real, ss.beta.imag,
+                      ss.delta1_eff, ss.delta2_eff, ss.g1_eff, ss.g2_eff, ss.residual_norm)
+            out = f"ok {' '.join(map(float.hex, values))} {ss.iterations}"
+        lines.append(f"{i} {out}\n")
+    return "".join(lines)
+
+
+def test_steady_drives_match_golden_file():
+    text = steady_drive_lines()
+    # the pin covers every way a solve ends
+    assert "did not converge after 10000 steps" in text
+    assert "overflowed" in text
+    assert " ok " in text
+    assert text == (DATA / "golden_steady_drive.txt").read_text()
