@@ -37,16 +37,30 @@ class SteadyState:
     iterations: int
 
 
-def _rhs(state, raw: RawDriveParams, base: SystemParams, j_ac: complex):
-    """One application of the fixed-point map (right-hand sides)."""
+def _map_constants(raw: RawDriveParams, base: SystemParams, j_ac: complex) -> tuple:
+    """The factors of the fixed-point map that no iteration changes.
+
+    Each is the left-most sub-product that the map's left-associated
+    expressions form first (``2.0 * g1 * x`` is ``(2.0 * g1) * x``), so
+    hoisting them changes no bit of any iterate.
+    """
+    return (raw.drive_e1, raw.drive_e2, raw.delta1_bare, raw.delta2_bare,
+            2.0 * raw.g1, 2.0 * raw.g2, base.kappa1, base.kappa2,
+            1j * j_ac, 1j * j_ac.conjugate(), 2j * base.j_ab, 1j * raw.g1, 1j * raw.g2,
+            1j * base.delta_at + base.f, 1j * base.omega_m + base.gamma_m)
+
+
+def _rhs(state, c):
+    """One application of the fixed-point map (right-hand sides).
+
+    `c` is `_map_constants(raw, base, j_ac)`."""
     alpha1, alpha2, xi, beta = state
-    d1 = raw.delta1_bare + 2.0 * raw.g1 * beta.real
-    d2 = raw.delta2_bare + 2.0 * raw.g2 * beta.real
-    new_a1 = (raw.drive_e1 - 1j * j_ac * xi) / (1j * d1 + base.kappa1)
-    new_a2 = raw.drive_e2 / (1j * d2 + base.kappa2)
-    new_xi = -(1j * j_ac.conjugate() * alpha1 + 2j * base.j_ab * beta.real) / (1j * base.delta_at + base.f)
-    new_b = -(1j * raw.g1 * abs(alpha1) ** 2 + 1j * raw.g2 * abs(alpha2) ** 2
-              + 2j * base.j_ab * xi.real) / (1j * base.omega_m + base.gamma_m)
+    e1, e2, d1_bare, d2_bare, tg1, tg2, k1, k2, ij, ijc, tjab, ig1, ig2, den_xi, den_b = c
+    x = beta.real
+    new_a1 = (e1 - ij * xi) / (1j * (d1_bare + tg1 * x) + k1)
+    new_a2 = e2 / (1j * (d2_bare + tg2 * x) + k2)
+    new_xi = -(ijc * alpha1 + tjab * x) / den_xi
+    new_b = -(ig1 * abs(alpha1) ** 2 + ig2 * abs(alpha2) ** 2 + tjab * xi.real) / den_b
     return (new_a1, new_a2, new_xi, new_b)
 
 
@@ -59,28 +73,32 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
     """
     j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
     tol = RESIDUAL_RTOL * max(1.0, abs(raw.drive_e1), abs(raw.drive_e2))
+    c = _map_constants(raw, base, j_ac)
 
     # decoupled initialization: couplings off
-    state = (
-        raw.drive_e1 / (1j * raw.delta1_bare + base.kappa1),
-        raw.drive_e2 / (1j * raw.delta2_bare + base.kappa2),
-        0.0 + 0.0j,
-        0.0 + 0.0j,
-    )
+    alpha1 = raw.drive_e1 / (1j * raw.delta1_bare + base.kappa1)
+    alpha2 = raw.drive_e2 / (1j * raw.delta2_bare + base.kappa2)
+    xi = 0.0 + 0.0j
+    beta = 0.0 + 0.0j
     lam = DAMPING_DEFAULT
+    mu = 1.0 - lam
     iterations = 0
     try:
         # the map at the current state gives both its residual and the next update
-        rhs = _rhs(state, raw, base, j_ac)
-        res = max(abs(x - y) for x, y in zip(state, rhs))
+        r1, r2, r3, r4 = _rhs((alpha1, alpha2, xi, beta), c)
+        res = max(abs(alpha1 - r1), abs(alpha2 - r2), abs(xi - r3), abs(beta - r4))
         for iterations in range(1, MAX_ITER + 1):
             if res <= tol:
                 break
-            state = tuple((1.0 - lam) * x + lam * y for x, y in zip(state, rhs))
-            rhs = _rhs(state, raw, base, j_ac)
-            new_res = max(abs(x - y) for x, y in zip(state, rhs))
+            alpha1 = mu * alpha1 + lam * r1
+            alpha2 = mu * alpha2 + lam * r2
+            xi = mu * xi + lam * r3
+            beta = mu * beta + lam * r4
+            r1, r2, r3, r4 = _rhs((alpha1, alpha2, xi, beta), c)
+            new_res = max(abs(alpha1 - r1), abs(alpha2 - r2), abs(xi - r3), abs(beta - r4))
             if new_res > res:
                 lam = DAMPING_FALLBACK
+                mu = 1.0 - lam
             res = new_res
     except OverflowError as exc:
         raise NonConvergenceError(
@@ -92,7 +110,6 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
             f"(residual {res:.3e}); possible multistable or ill-posed regime",
             residual=res, iterations=MAX_ITER)
 
-    alpha1, alpha2, xi, beta = state
     return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta,
                        delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
                        delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,

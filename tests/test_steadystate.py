@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -121,6 +122,48 @@ class TestCoupledSolve:
         with pytest.raises(NonConvergenceError, match="overflowed") as exc:
             solve_steady_state(raw, base_params)
         assert exc.value.iterations == 0
+
+
+def hex_parts(values):
+    return [(float.hex(z.real), float.hex(z.imag)) for z in values]
+
+
+class TestMapOracle:
+    """The solver's map, with its hoisted constants, equals the
+    transcription above bit for bit."""
+
+    PHASES = (0.0, math.pi / 2, 2.0955348232)
+
+    def random_state(self, rng, signed_zeros):
+        if signed_zeros:
+            return tuple(complex(rng.choice((0.0, -0.0, 1.0, -1.0)),
+                                 rng.choice((0.0, -0.0, 1.0, -1.0))) for _ in range(4))
+        return tuple(complex(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
+                     for _ in range(4))
+
+    def random_raw(self, rng, zero_couplings, base):
+        g1, g2 = (0.0, 0.0) if zero_couplings else (rng.uniform(0.0, 0.02),
+                                                    rng.uniform(0.0, 0.02))
+        return make_raw(g1=g1, g2=g2, e1=complex(rng.uniform(-1e5, 1e5), rng.uniform(-1e3, 1e3)),
+                        e2=rng.choice((0.0, -0.0, rng.uniform(0.0, 1e5))),
+                        d1=rng.uniform(-2.0, 2.0) * base.omega_m,
+                        d2=rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0) * base.omega_m)))
+
+    @pytest.mark.parametrize("phi", PHASES)
+    @pytest.mark.parametrize("zero_couplings", [False, True])
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_map_equals_oracle_by_float_hex(self, base_params, phi, zero_couplings,
+                                            signed_zeros):
+        rng = random.Random(f"{phi} {zero_couplings} {signed_zeros}")
+        base = base_params.with_values(phi=phi)
+        if zero_couplings:
+            base = base.with_values(j_ac_mag=0.0, j_ab=0.0)
+        j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
+        for _ in range(200):
+            raw = self.random_raw(rng, zero_couplings, base)
+            state = self.random_state(rng, signed_zeros)
+            got = steadystate._rhs(state, steadystate._map_constants(raw, base, j_ac))
+            assert hex_parts(got) == hex_parts(mean_field_rhs(state, raw, base))
 
 
 class TestDriveRecord:
