@@ -84,6 +84,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.unstable_policy not in UNSTABLE_POLICIES:
             raise ConfigError(f"unknown unstable policy {self.unstable_policy!r}")
+        if self.axis2 is not None and self.axis2.name == self.axis1.name:
+            raise ConfigError(f"both axes sweep {self.axis1.name}; a parameter takes one axis")
         bad = [m for m in self.measures if m not in MEASURE_KEYS]
         if bad:
             raise ConfigError(f"unknown measure(s): {', '.join(bad)}")

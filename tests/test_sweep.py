@@ -38,6 +38,14 @@ class TestAxis:
         assert Axis("phi", 0.0, top, 3).values() == [0.0, top / 2, top]
 
 
+class TestSpec:
+    def test_one_axis_per_parameter(self, base_params):
+        # axis2's value used to override axis1's, so the first column was ignored
+        with pytest.raises(ConfigError, match="both axes sweep phi"):
+            SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 3),
+                      axis2=Axis("phi", 0.0, 2.0, 2))
+
+
 class TestRunSweep:
     def test_phase_periodicity_two_points(self, base_params):
         spec = SweepSpec(base=base_params, axis1=Axis("phi", 0.0, TWO_PI, 2),
