@@ -107,7 +107,9 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
 
     omega_m in rad/us, temperature in kelvin.  The zero-temperature
     limit returns exactly 0 (no division by zero), also for a subnormal
-    temperature whose k_B T underflows to 0.
+    temperature whose k_B T underflows to 0.  A temperature so high that
+    the occupation overflows a float (above about 2e305 K at 24 MHz) is a
+    ParameterError.
     """
     if not omega_m > 0.0:
         raise ParameterError("omega_m must be positive")
@@ -118,9 +120,15 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
         return 0.0
     x = HBAR * omega_m * RAD_PER_US_TO_RAD_PER_S / k_t
     try:
-        return 1.0 / math.expm1(x)
+        n_th = 1.0 / math.expm1(x)
     except OverflowError:  # x > ~709.8: n_th < 1e-308, so 2 n_th + 1 == 1
         return 0.0
+    except ZeroDivisionError:  # x underflowed to 0
+        n_th = math.inf
+    if n_th == math.inf:
+        raise ParameterError(f"temperature {temperature!r} K is too high for a finite "
+                             "thermal occupation")
+    return n_th
 
 
 def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:

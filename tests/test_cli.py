@@ -67,6 +67,19 @@ class TestMeasure:
         assert code == 0, err
         assert json.loads(out)["n_th"] == 0.0
 
+    def test_temperature_beyond_finite_occupation_exit_2(self, capsys):
+        # n_th overflows above about 2e305 K; the covariance is not to blame
+        code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e308")
+        assert (code, out) == (2, "")
+        assert "temperature 1e+308 K" in err and "covariance" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_occupation_exit_3(self, capsys):
+        # n_th ~ 8.7e302 is finite, the covariance it drives is not
+        code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e300")
+        assert (code, out) == (3, "")
+        assert "NumericDomainError: non-finite covariance" in err
+
     def test_json_and_kv_encode_same_values(self, capsys):
         _, kv_out, _ = run_cli(capsys, "measure")
         _, json_out, _ = run_cli(capsys, "measure", "--format", "json")
@@ -198,6 +211,18 @@ class TestSweepAndFigure:
         assert code == 0, err
         rows = [line.split(",") for line in out.strip().split("\n")[2:]]
         assert len(rows) == 3 and len({r[2] for r in rows}) == 1 and all(r[-1] == "" for r in rows)
+
+    def test_temperature_axis_beyond_finite_occupation_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "T=0.01:1e308:3",
+                                 "--measures", "EN_c2a")
+        assert (code, out) == (2, "")
+        assert "temperature 5e+307 K" in err
+
+    def test_duplicate_axis_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "phi=0:1:3", "--axis2", "phi=0:2:2",
+                                 "--measures", "EN_c2a")
+        assert (code, out) == (2, "")
+        assert "both axes sweep phi" in err
 
     @pytest.mark.parametrize("axis", ["phi=0:inf:3", "phi=-inf:0:3", "phi=nan:1:3",
                                       "phi=1e308:-1e308:3"])

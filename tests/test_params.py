@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -46,6 +47,18 @@ class TestThermalOccupation:
         # k_B T underflows to 0.0 below about 1e-301 K
         for t in (1e-320, 5e-324):
             assert K_B * t == 0.0 and thermal_occupation(OMEGA_M, t) == 0.0
+
+    def test_overflowing_occupation_names_the_temperature(self):
+        # above about 2e305 K, 1/expm1(x) overflows; it read inf, and the
+        # covariance took the blame downstream
+        for t in (3e305, 1e308):
+            with pytest.raises(ParameterError, match=re.escape(f"temperature {t!r} K")):
+                thermal_occupation(OMEGA_M, t)
+        # x itself underflows to 0 at a vanishing frequency
+        with pytest.raises(ParameterError, match="temperature"):
+            thermal_occupation(1e-300, 1e300)
+        # just below the edge the occupation is finite and kept
+        assert thermal_occupation(OMEGA_M, 2e305) == pytest.approx(1.7364e308, rel=1e-4)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
