@@ -72,6 +72,11 @@ class TestMeasure:
         code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e308")
         assert (code, out) == (2, "")
         assert "temperature 1e+308 K" in err and "covariance" not in err
+        # hbar omega_m / k_B T underflows to 0 itself (a bare ZeroDivisionError before)
+        code, out, err = run_cli(capsys, "measure", "--set", "omega_m_mhz=1e-300",
+                                 "--set", "T_kelvin=1e300")
+        assert (code, out) == (2, "")
+        assert "temperature 1e+300 K" in err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_occupation_exit_3(self, capsys):
