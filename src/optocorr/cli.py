@@ -173,8 +173,9 @@ def cmd_measure(args) -> int:
             raise NumericDomainError(result.error)
         raise UnstableDriftError(
             f"parameter point is unstable (max Re eig = {result.verdict.max_real_part:.6g})")
-    record = dict(result.report.as_flat_dict())
-    record.update({f"param_{k}": v for k, v in echo.items()})
+    record = {**result.report.as_flat_dict(), "stable": result.verdict.stable,
+              "max_real_part": result.verdict.max_real_part, "n_th": result.n_th,
+              **{f"param_{k}": v for k, v in echo.items()}}
     _emit_record(args, record)
     return EXIT_OK
 

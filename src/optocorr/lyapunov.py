@@ -8,6 +8,7 @@ mostly-zero Kronecker products; no Bartels-Stewart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +27,15 @@ class CovarianceMatrix:
 
 
 def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
-    return float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
+    """||A V + V A^T + D||_F; finite entries whose squares overflow are scaled
+    by the largest first, so a huge residual gives its norm and no warning."""
+    r = (a @ v + v @ a.T + d).ravel()
+    with np.errstate(over="ignore"):
+        sqnorm = r.dot(r)
+    if math.isfinite(sqnorm) or not np.isfinite(r).all():
+        return math.sqrt(sqnorm)
+    scale = float(np.abs(r).max())
+    return scale * float(np.linalg.norm(r / scale))
 
 
 @lru_cache(maxsize=None)

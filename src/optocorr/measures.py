@@ -9,11 +9,11 @@ c1 work through the same API but are not part of the standard report.
 
 Every two-mode measure is a function of the four Seralian invariants of
 its pair (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
-`correlation_report` symmetrizes the (c2, a, b) block once and runs one
-straight-line kernel on Python floats per canonical pair (under 1 us
-each); E_N, D_G (Adesso & Datta, PRL 105, 030501 (2010)) and the pair
-contangles of the residual all come from that one pass, computing only
-the measure families it is asked for.
+`correlation_report` is a function of the covariance alone: it
+symmetrizes the (c2, a, b) block once and runs one straight-line kernel
+on Python floats per canonical pair; E_N, D_G (Adesso & Datta, PRL 105,
+030501 (2010)) and the pair contangles of the residual all come from that
+one pass, computing only the measure families it is asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
+from .dynamics import MODE_BLOCKS, OMEGA_4
 from .errors import NumericDomainError
 
 CANONICAL_PAIRS = (("c2", "a"), ("a", "b"), ("c2", "b"))
@@ -48,6 +48,11 @@ _TRIPLE_DIM = 2 * len(TRIPLE_MODES)
 
 # rows of each canonical pair ("c2a", ...) in that block
 _PAIR_ROWS = {p + q: _TRIPLE_BLOCKS[p] + _TRIPLE_BLOCKS[q] for p, q in CANONICAL_PAIRS}
+
+# the flat report keys a sweep can ask for; "stability" is the verdict alone
+EN_MEASURES = tuple(f"EN_{key}" for key in _PAIR_ROWS)
+DG_MEASURES = tuple(f"DG_{key}" for key in _PAIR_ROWS)
+MEASURE_KEYS = EN_MEASURES + DG_MEASURES + ("Rtau_min", "stability")
 
 # symplectic form of the triple: the leading blocks of the four-mode form
 OMEGA_3 = OMEGA_4[:_TRIPLE_DIM, :_TRIPLE_DIM].copy()
@@ -118,11 +123,6 @@ def _symplectic_pair(inv, transposed: bool):
     if not inner >= -DISCRIMINANT_TOL:
         raise NumericDomainError(f"negative squared symplectic eigenvalue {inner!r}")
     return math.sqrt(max(inner, 0.0)), math.sqrt(max(0.5 * (sigma + root), 0.0))
-
-
-def pt_symplectic_min(v4: np.ndarray) -> float:
-    """Minimum symplectic eigenvalue of the partially transposed 4x4 CM."""
-    return _symplectic_pair(_seralian_invariants(v4), transposed=True)[0]
 
 
 def _en_from_nu(nu: float) -> float:
@@ -244,7 +244,7 @@ def gaussian_discord(v4: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """The correlation measures of one parameter point.
+    """The correlation measures of one steady-state covariance matrix.
 
     r_tau residuals are clamped to zero when within round-off of the
     monogamy bound; the raw values stay available in r_tau_raw.  A report
@@ -257,8 +257,6 @@ class CorrelationReport:
     r_tau: dict
     r_tau_raw: dict
     r_tau_min: float | None
-    stability: StabilityVerdict
-    n_th: float
 
     def as_flat_dict(self) -> dict:
         out = {f"EN_{key}": val for key, val in self.e_n.items()}
@@ -267,34 +265,28 @@ class CorrelationReport:
             out["Rtau_min"] = self.r_tau_min
         for tag, val in self.r_tau.items():
             out[f"Rtau_{tag.replace('|', '_')}"] = val
-        out["stable"] = self.stability.stable
-        out["max_real_part"] = self.stability.max_real_part
-        out["n_th"] = self.n_th
         return out
 
 
 def measure_families(measures=None) -> set:
     """The measure families that flat report keys belong to; None names all.
 
-    "stability" and the other verdict keys belong to none: they need no
-    covariance.
+    "stability" belongs to none: the verdict needs no covariance.
     """
     if measures is None:
         return set(MEASURE_FAMILIES)
     return {key.split("_")[0] for key in measures}.intersection(MEASURE_FAMILIES)
 
 
-def correlation_report(v: np.ndarray, verdict: StabilityVerdict, n_th: float,
-                       measures=None) -> CorrelationReport:
+def correlation_report(v: np.ndarray, families=MEASURE_FAMILIES) -> CorrelationReport:
     """Compute the requested canonical measures from the steady-state CM.
 
-    `measures` names flat report keys ("EN_c2a", "DG_ab", "Rtau_min", ...);
-    each family it touches is computed for all three pairs, and None asks
-    for every family.  One Seralian pass per canonical pair of the
-    (c2, a, b) block feeds E_N, D_G and, as E_N^2, the pair contangles of
-    the residual; only the residual needs the tripartite PT spectra.
+    `families` names measure families ("EN", "DG", "Rtau"), as
+    measure_families returns them; each is computed for all three pairs.
+    One Seralian pass per canonical pair of the (c2, a, b) block feeds E_N,
+    D_G and, as E_N^2, the pair contangles of the residual; only the
+    residual needs the tripartite PT spectra.
     """
-    families = measure_families(measures)
     want_rtau, want_dg = "Rtau" in families, "DG" in families
     want_en = want_rtau or "EN" in families     # the residual subtracts pair E_N^2
     v6 = v[_TRIPLE_ROWS, _TRIPLE_ROWS]
@@ -309,5 +301,4 @@ def correlation_report(v: np.ndarray, verdict: StabilityVerdict, n_th: float,
         raw = _residuals(s6, e_n)
     clamped = {tag: 0.0 if -MONOGAMY_CLAMP <= val < 0.0 else val for tag, val in raw.items()}
     return CorrelationReport(e_n=e_n, d_g=d_g, r_tau=clamped, r_tau_raw=raw,
-                             r_tau_min=min(clamped.values()) if want_rtau else None,
-                             stability=verdict, n_th=n_th)
+                             r_tau_min=min(clamped.values()) if want_rtau else None)

@@ -72,6 +72,10 @@ class SystemParams:
             v = getattr(self, fld.name)
             if not math.isfinite(v):
                 raise ParameterError(f"{fld.name} must be finite, got {v!r}")
+        for name in ("g1_eff", "g2_eff", "j_ab"):    # the Hamiltonian holds these doubled
+            if not math.isfinite(2.0 * getattr(self, name)):
+                raise ParameterError(f"coupling {name} = {getattr(self, name)!r} rad/us is too "
+                                     "large: the Hamiltonian holds it doubled")
 
     def with_values(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)

@@ -41,12 +41,13 @@ def evaluate_point(params: SystemParams, measures=None) -> PointResult:
     report.
     """
     a, d, verdict, n_th = evaluate_matrices(params)
-    if not verdict.stable or not measure_families(measures):
+    families = measure_families(measures)
+    if not verdict.stable or not families:
         return PointResult(verdict=verdict, n_th=n_th, report=None,
                            covariance=None, error=None)
     try:
         cm = solve_lyapunov(a, d, check_stability=False)
-        report = correlation_report(cm.matrix, verdict, n_th, measures)
+        report = correlation_report(cm.matrix, families)
     except OptocorrError as exc:
         return PointResult(verdict=verdict, n_th=n_th, report=None,
                            covariance=None, error=f"{type(exc).__name__}: {exc}")

@@ -12,8 +12,7 @@ When the operating point specifies the effective quantities directly
 that no iteration changes are computed once per solve by
 `_map_constants`, each exactly as the map's left-associated products
 formed it, so every iterate, residual and iteration count is the same
-bit for bit as evaluating the whole expressions at every step.  A step
-costs about 1.1 us on a 2-core AMD EPYC with Python 3.11.
+bit for bit as evaluating the whole expressions at every step.
 """
 
 from __future__ import annotations

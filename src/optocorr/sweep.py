@@ -2,12 +2,11 @@
 
 Grids are linear and inclusive of both endpoints.  Every grid point is
 evaluated on its own, and only as far as the spec's measures need: a
-stability-only point stops at the drift spectrum (about 22 us on a 2-core
-AMD EPYC with numpy 2.4), and an `EN_*` fig3 point skips the discord and
-the tripartite spectra (about 60 us against about 105 us for the full
-report).  Each point's parameter record is built and validated once.
-Output ordering is deterministic (axis1 outer, axis2 inner) regardless of
-worker count.
+stability-only point stops at the drift spectrum, and an `EN_*` point
+skips the discord and the tripartite spectra.  Each point's parameter
+record is built and validated once, and the unstable policy is applied
+as the point is evaluated.  Output ordering is deterministic (axis1
+outer, axis2 inner) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -18,15 +17,14 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from itertools import chain, repeat
 
 from . import __version__
 from .errors import ConfigError, UnstableDriftError
+from .measures import DG_MEASURES, EN_MEASURES, MEASURE_KEYS
 from .params import SystemParams, mhz_to_angular
 from .pipeline import evaluate_point
-
-MEASURE_KEYS = ("EN_c2a", "EN_ab", "EN_c2b", "DG_c2a", "DG_ab", "DG_c2b",
-                "Rtau_min", "stability")
 
 UNSTABLE_POLICIES = ("missing", "skip", "error")
 
@@ -78,7 +76,7 @@ class SweepSpec:
     base: SystemParams
     axis1: Axis
     axis2: Axis | None = None
-    measures: tuple = MEASURE_KEYS[:-1]
+    measures: tuple = EN_MEASURES + DG_MEASURES + ("Rtau_min",)
     unstable_policy: str = "missing"
 
     def __post_init__(self):
@@ -93,14 +91,15 @@ class SweepSpec:
         if repeated:
             raise ConfigError(f"duplicate measure(s): {', '.join(repeated)}")
 
+    @cached_property
+    def measure_columns(self):
+        """The emitted measure columns: the measures but "stability", which
+        is the `stable` column every row has."""
+        return tuple(m for m in self.measures if m != "stability")
+
     def columns(self):
-        cols = [self.axis1.name]
-        if self.axis2 is not None:
-            cols.append(self.axis2.name)
-        cols.append("stable")
-        cols.extend(m for m in self.measures if m != "stability")
-        cols.append("error")
-        return cols
+        axes = [self.axis1.name] if self.axis2 is None else [self.axis1.name, self.axis2.name]
+        return [*axes, "stable", *self.measure_columns, "error"]
 
     def grid(self):
         """Grid points in emitted order: axis1 outer, axis2 inner."""
@@ -128,18 +127,23 @@ def _apply_axes(base: SystemParams, spec: SweepSpec, point):
 
 
 def _evaluate_rows(spec: SweepSpec, points) -> list:
-    wanted = [m for m in spec.measures if m != "stability"]
+    """Evaluate points in order, applying the spec's unstable policy to each."""
+    wanted = spec.measure_columns
     rows = []
     for point in points:
         result = evaluate_point(_apply_axes(spec.base, spec, point), spec.measures)
-        row = [*point, result.verdict.stable]
+        stable = result.verdict.stable
+        if not stable and spec.unstable_policy == "error":
+            axes = spec.axis1.name + ("/" + spec.axis2.name if spec.axis2 else "")
+            raise UnstableDriftError(f"unstable grid point at {axes} = {point}")
+        if not stable and spec.unstable_policy == "skip":
+            continue
         if result.report is None:
-            row.extend([None] * len(wanted))
+            cells = [None] * len(wanted)
         else:
             flat = result.report.as_flat_dict()
-            row.extend(flat[m] for m in wanted)
-        row.append(result.error)
-        rows.append(row)
+            cells = [flat[m] for m in wanted]
+        rows.append([*point, stable, *cells, result.error])
     return rows
 
 
@@ -153,7 +157,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the pipeline at every grid point, computing only the spec's measures.
 
     Per-point numeric errors of the stages that ran land in the error
-    column; only the "error" unstable policy aborts the sweep.
+    column; only the "error" unstable policy aborts the sweep, at the first
+    unstable point in grid order (with workers, from the earliest chunk
+    that holds one).
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -168,17 +174,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             rows = list(chain.from_iterable(pool.map(_evaluate_rows, repeat(spec), chunks)))
     else:
         rows = _evaluate_rows(spec, points)
-
-    n_axes = 1 if spec.axis2 is None else 2
-    if spec.unstable_policy == "error":
-        for row in rows:
-            if row[n_axes] is False:
-                point = tuple(row[:n_axes])
-                raise UnstableDriftError(f"unstable grid point at {spec.axis1.name}"
-                                         f"{'/' + spec.axis2.name if spec.axis2 else ''}"
-                                         f" = {point}")
-    elif spec.unstable_policy == "skip":
-        rows = [r for r in rows if r[n_axes] is not False]
     return SweepResult(columns=spec.columns(), rows=rows,
                        version=__version__, config_hash=config_hash(spec))
 
@@ -226,10 +221,6 @@ def to_json_lines(result: SweepResult) -> str:
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------
-
-EN_MEASURES = ("EN_c2a", "EN_ab", "EN_c2b")
-DG_MEASURES = ("DG_c2a", "DG_ab", "DG_c2b")
-
 
 def _resonant(p: SystemParams) -> SystemParams:
     """Anti-Stokes cavities and Stokes atoms: delta1' = delta2' = -delta_at = omega_m."""

@@ -13,13 +13,13 @@ import pytest
 from optocorr import (OMEGA_4, evaluate_point, figure_preset, gaussian_discord,
                       solve_lyapunov, run_sweep)
 from optocorr.lyapunov import lyapunov_residual, residual_bound
-from optocorr.measures import pt_symplectic_min
 from optocorr.params import TWO_PI, params_from_config
 from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import _apply_axes
 
 from conftest import random_physical_cm, random_stable_system
 from test_lyapunov import integrate_covariance
+from test_measures import pt_symplectic_min
 
 PHASE_TOL = (math.pi / 50.0) * (1.0 + 1e-9)
 

@@ -78,12 +78,33 @@ class TestMeasure:
         assert (code, out) == (2, "")
         assert "temperature 1e+300 K" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_finite_occupation_exit_3(self, capsys):
         # n_th ~ 8.7e302 is finite, the covariance it drives is not
         code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e300")
         assert (code, out) == (3, "")
         assert "NumericDomainError: non-finite covariance" in err
+
+    @pytest.mark.parametrize("key,field", [("G1_mhz", "g1_eff"), ("G2_mhz", "g2_eff"),
+                                           ("Jab_mhz", "j_ab")])
+    def test_coupling_whose_double_overflows_exit_2(self, capsys, key, field):
+        # the Hamiltonian holds 2 G1, 2 G2 and 2 J_ab; the drift is not to blame
+        code, out, err = run_cli(capsys, "measure", "--set", f"{key}=2.4e307")
+        assert (code, out) == (2, "")
+        assert f"coupling {field} = " in err and "drift" not in err
+
+    def test_yaml_list_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("- G1_mhz\n- 3\n")
+        code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "config root must be a mapping" in err
+
+    def test_empty_config_gives_the_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("")
+        _, default_out, _ = run_cli(capsys, "measure")
+        code, out, _ = run_cli(capsys, "measure", "--config", str(cfg))
+        assert code == 0 and out == default_out
 
     def test_json_and_kv_encode_same_values(self, capsys):
         _, kv_out, _ = run_cli(capsys, "measure")
@@ -114,6 +135,11 @@ class TestMatrix:
         a00 = lines[1].split(",")[0]
         # kappa1 = 2pi * 2 rad/us, printed at 17 significant digits
         assert float(a00) == pytest.approx(-4 * math.pi, rel=1e-15)
+
+    def test_with_cm_at_unstable_point_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "matrix", "--with-cm", "--set", "G1_mhz=40")
+        assert (code, out) == (3, "")
+        assert "cannot compute covariance matrix" in err
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "matrix", "--format", "json", "--with-cm")
@@ -177,6 +203,12 @@ class TestSweepAndFigure:
         assert code == 0
         assert len(out.strip().split("\n")) == 2 + 20
 
+    @pytest.mark.parametrize("grid", ["5x", "2x3x4"])
+    def test_malformed_grid_exit_2(self, capsys, grid):
+        code, out, err = run_cli(capsys, "figure", "fig2", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert f"bad grid spec {grid!r}" in err
+
     def test_extra_grid_count_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "figure", "fig5", "--grid", "5x7")
         assert code == 2
@@ -222,6 +254,12 @@ class TestSweepAndFigure:
                                  "--measures", "EN_c2a")
         assert (code, out) == (2, "")
         assert "temperature 5e+307 K" in err
+
+    def test_coupling_axis_whose_double_overflows_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--axis", "G1=1:2.4e307:3",
+                                 "--measures", "EN_c2a")
+        assert (code, out) == (2, "")
+        assert "coupling g1_eff = " in err
 
     def test_duplicate_axis_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--axis", "phi=0:1:3", "--axis2", "phi=0:2:2",
@@ -287,19 +325,22 @@ class TestSweepAndFigure:
 
 
 class TestModuleEntry:
-    """`python -m optocorr` runs the same front door as the console script."""
+    """`python -m optocorr` runs the same front door as the console script.
+
+    The subprocess runs with warnings as errors, as the in-process tests do,
+    so a leaked numpy warning shows as a traceback on stderr."""
 
     @staticmethod
     def run_module(*argv):
         src = str(Path(optocorr.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-        return subprocess.run([sys.executable, "-m", "optocorr", *argv], env=env,
-                              capture_output=True, timeout=120)
+        return subprocess.run([sys.executable, "-W", "error", "-m", "optocorr", *argv],
+                              env=env, capture_output=True, timeout=120)
 
     def test_measure_matches_golden_file(self):
         proc = self.run_module("measure", "--format", "json")
-        assert proc.returncode == 0, proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_measure.json"
         assert proc.stdout == golden.read_bytes()
 
@@ -309,7 +350,7 @@ class TestModuleEntry:
                                "--set", "g1_khz=2.5", "--set", "g2_khz=2.5",
                                "--set", "delta1_bare_over_omegam=0.85",
                                "--set", "delta2_bare_over_omegam=0.95", "--format", "json")
-        assert proc.returncode == 0, proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_steady.json"
         assert proc.stdout == golden.read_bytes()
 
@@ -317,3 +358,13 @@ class TestModuleEntry:
         proc = self.run_module("sweep", "--axis", "phi=0:1:2", "--measures", "EN_c2a,EN_c2a")
         assert proc.returncode == 2
         assert b"duplicate measure" in proc.stderr and proc.stdout == b""
+
+    @pytest.mark.parametrize("override,code,kind", [
+        ("T_kelvin=1e300", 3, b"numeric failure: NumericDomainError: non-finite covariance"),
+        ("G1_mhz=2.4e307", 2, b"config error: coupling g1_eff = ")])
+    def test_overflow_is_one_typed_line(self, override, code, kind):
+        # before, numpy's overflow warning escaped under -W error as a traceback
+        proc = self.run_module("measure", "--set", override)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.startswith(b"optocorr: " + kind)
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")

@@ -110,6 +110,52 @@ class TestErrorPaths:
         assert lyapunov_residual(a, v, np.eye(4)) <= 1e-15
 
 
+class TestResidualNorm:
+    """lyapunov_residual is numpy's Frobenius norm bit for bit wherever that
+    norm is finite, and stays finite (or inf) without a warning where the
+    sum of squares overflows."""
+
+    @staticmethod
+    def numpy_norm(a, v, d):
+        return float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
+
+    def test_equals_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(97)
+        systems = [random_stable_system(8, rng) for _ in range(30)]
+        spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
+        for point in spec.grid():
+            a, d, verdict, _ = evaluate_matrices(_apply_axes(spec.base, spec, point))
+            if verdict.stable:
+                systems.append((a, d))
+        assert len(systems) > 40
+        for a, d in systems:
+            v = solve_lyapunov(a, d, check_stability=False).matrix
+            for scale in (1.0, 1e-200, 1e150):   # the last one still sums to a finite square
+                assert lyapunov_residual(a, scale * v, scale * d).hex() == \
+                    self.numpy_norm(a, scale * v, scale * d).hex()
+
+    def test_huge_finite_residual_is_scaled(self):
+        # every square overflows; the norm of sixteen entries of 1e200 is 4e200
+        a = -np.eye(4)
+        assert lyapunov_residual(a, np.zeros((4, 4)), np.full((4, 4), 1e200)) == \
+            pytest.approx(4e200, rel=1e-15)
+        # the norm itself is beyond the floats
+        assert lyapunov_residual(a, np.zeros((4, 4)), np.full((4, 4), 1e308)) == np.inf
+
+    def test_non_finite_residual_is_non_finite(self):
+        a = -np.eye(2)
+        assert lyapunov_residual(a, np.zeros((2, 2)), np.diag([np.inf, 1e200])) == np.inf
+        assert np.isnan(lyapunov_residual(a, np.zeros((2, 2)), np.diag([np.nan, 1e200])))
+
+    def test_huge_covariance_solves_without_warning(self):
+        # the T_kelvin=1e300 point: n_th ~ 8.7e302 and a residual beyond the squares
+        params = params_from_config({"T_kelvin": 1e300})
+        a, d, verdict, _ = evaluate_matrices(params)
+        assert verdict.stable
+        cm = solve_lyapunov(a, d, check_stability=False)
+        assert cm.residual_norm > 1e154
+
+
 class TestIndexWrittenOperator:
     """The operator written by index is exactly the Kronecker sum, so the
     solve sees the same matrix as np.kron(I, A) + np.kron(A, I)."""

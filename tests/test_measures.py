@@ -9,9 +9,9 @@ from optocorr.errors import NumericDomainError
 import optocorr.measures as measures
 import optocorr.pipeline as pipeline
 from optocorr.lyapunov import CovarianceMatrix
-from optocorr.dynamics import MODE_BLOCKS, OMEGA_4, StabilityVerdict
+from optocorr.dynamics import MODE_BLOCKS, OMEGA_4
 from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, TRIPLE_MODES,
-                               correlation_report, pt_symplectic_min)
+                               correlation_report)
 from optocorr.params import TWO_PI
 from optocorr.sweep import _apply_axes, figure_preset
 
@@ -58,6 +58,14 @@ def reference_invariants(v4):
     m = (0.5 * (v4 + v4.T)).tolist()
     return (det2([row[:2] for row in m[:2]]), det2([row[2:] for row in m[2:]]),
             det2([row[2:] for row in m[:2]]), det4(m))
+
+
+# Frozen reference, formerly measures.pt_symplectic_min: the package's own
+# closed forms, kept here because no package code needs the eigenvalue alone.
+
+def pt_symplectic_min(v4: np.ndarray) -> float:
+    """Minimum symplectic eigenvalue of the partially transposed 4x4 CM."""
+    return measures._symplectic_pair(measures._seralian_invariants(v4), transposed=True)[0]
 
 
 class TestDeterminants:
@@ -230,6 +238,11 @@ class TestGaussianDiscord:
                 assert gaussian_discord(v) > 0.0
         assert found > 20  # the sample must actually contain entangled states
 
+    def test_unphysical_reduced_state_raises(self):
+        # sqrt(I1) = 0.1 is below the vacuum's 1/2: g is undefined there
+        with pytest.raises(NumericDomainError, match=r"^g argument 0\.1\d* below 1/2"):
+            gaussian_discord(0.1 * np.eye(4))
+
     def test_genuine_negative_raises(self, base_params, monkeypatch):
         # W = 1/4 makes g(sqrt W) vanish, so a thermal product state gives
         # D_G = g(1.7) - g(1.7) - g(0.9) = -g(0.9) < 0
@@ -338,10 +351,12 @@ class TestCorrelationReport:
     def test_flat_dict_keys_and_clamping(self, base_params):
         result = evaluate_point(base_params)
         flat = result.report.as_flat_dict()
-        for key in ("EN_c2a", "EN_ab", "EN_c2b", "DG_c2a", "DG_ab", "DG_c2b",
-                    "Rtau_min", "stable", "n_th"):
+        for key in ("EN_c2a", "EN_ab", "EN_c2b", "DG_c2a", "DG_ab", "DG_c2b", "Rtau_min"):
             assert key in flat
-        assert flat["stable"] is True
+        # the verdict and the occupation belong to the point, not the report
+        assert not {"stable", "max_real_part", "n_th"} & set(flat)
+        assert result.verdict.stable is True
+        assert isinstance(result.n_th, float)
         assert all(flat[k] >= 0.0 for k in ("EN_c2a", "EN_ab", "EN_c2b",
                                             "DG_c2a", "DG_ab", "DG_c2b"))
         rep = result.report
@@ -369,10 +384,9 @@ class TestSharedInvariants:
 
     def test_random_physical_states(self):
         rng = np.random.default_rng(59)
-        verdict = StabilityVerdict(stable=True, max_real_part=-1.0)
         for _ in range(30):
             v = random_physical_cm(4, rng)
-            self.assert_report_matches_standalone(v, correlation_report(v, verdict, 0.0))
+            self.assert_report_matches_standalone(v, correlation_report(v))
 
     @pytest.mark.parametrize("preset,counts", [("fig3", (4, 4)), ("fig5", (7,))])
     def test_figure_points(self, base_params, preset, counts):
@@ -395,7 +409,7 @@ class TestSharedInvariants:
             return original(m, rows)
 
         monkeypatch.setattr(measures, "_pair_invariants", counting)
-        correlation_report(v, StabilityVerdict(stable=True, max_real_part=-1.0), 0.0)
+        correlation_report(v)
         assert len(calls) == len(CANONICAL_PAIRS)
 
 

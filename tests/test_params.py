@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 
@@ -118,6 +119,23 @@ class TestSystemParams:
     def test_nonnegative_enforced(self, base_params, field):
         with pytest.raises(ParameterError):
             base_params.with_values(**{field: -0.1})
+
+    def test_nan_is_caught_by_the_finiteness_check(self, base_params):
+        # NaN passes the non-negativity test; only the finiteness loop stops it
+        with pytest.raises(ParameterError, match="^g1_eff must be finite, got nan$"):
+            base_params.with_values(g1_eff=math.nan)
+
+    @pytest.mark.parametrize("field", ["g1_eff", "g2_eff", "j_ab"])
+    def test_coupling_whose_double_overflows(self, base_params, field):
+        # H holds 2 G1, 2 G2 and 2 J_ab, so a finite coupling above half the
+        # largest float is an inf in the drift matrix
+        with pytest.raises(ParameterError,
+                           match=f"^coupling {field} = 1e\\+308 rad/us is too large"):
+            base_params.with_values(**{field: 1e308})
+        half = sys.float_info.max / 2.0
+        assert getattr(base_params.with_values(**{field: half}), field) == half
+        # the beam splitter J_ac enters H once
+        assert base_params.with_values(j_ac_mag=1e308).j_ac_mag == 1e308
 
     def test_phi_stored_raw_reported_normalized(self, base_params):
         p = base_params.with_values(phi=-math.pi)

@@ -16,7 +16,8 @@ from optocorr import (evaluate_point, gaussian_discord, log_negativity,
                       residual_contangle_min, solve_lyapunov)
 from optocorr.cli import main
 from optocorr.errors import NumericDomainError
-from optocorr.measures import CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, CorrelationReport
+from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, CorrelationReport,
+                               correlation_report)
 from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, _apply_axes, figure_preset, run_sweep
 
@@ -42,17 +43,17 @@ def spy(monkeypatch, module, name):
 
 
 def standalone_report(params):
-    """The full report rebuilt from the public single-measure functions."""
+    """The verdict, occupation, covariance and full report of a point, rebuilt
+    from the public single-measure functions."""
     a, d, verdict, n_th = evaluate_matrices(params)
     v = solve_lyapunov(a, d, check_stability=False).matrix
     pairs = {f"{p}{q}": extract_submatrix(v, (p, q)) for p, q in CANONICAL_PAIRS}
     _, raw = residual_contangle_min(extract_submatrix(v, TRIPLE_MODES))
     clamped = {tag: 0.0 if -MONOGAMY_CLAMP <= val < 0.0 else val for tag, val in raw.items()}
-    return v, CorrelationReport(
+    return verdict, n_th, v, CorrelationReport(
         e_n={key: log_negativity(v4) for key, v4 in pairs.items()},
         d_g={key: gaussian_discord(v4) for key, v4 in pairs.items()},
-        r_tau=clamped, r_tau_raw=raw, r_tau_min=min(clamped.values()),
-        stability=verdict, n_th=n_th)
+        r_tau=clamped, r_tau_raw=raw, r_tau_min=min(clamped.values()))
 
 
 class TestFullReport:
@@ -62,12 +63,11 @@ class TestFullReport:
             result = evaluate_point(params)
             if not result.verdict.stable:
                 continue
-            v, expected = standalone_report(params)
-            assert result.report == expected
-            assert np.array_equal(result.covariance, v)
-            named = evaluate_point(params, MEASURE_KEYS)
-            assert named.report == expected
-            assert np.array_equal(named.covariance, v)
+            verdict, n_th, v, expected = standalone_report(params)
+            for got in (result, evaluate_point(params, MEASURE_KEYS)):
+                assert (got.verdict, got.n_th) == (verdict, n_th)
+                assert got.report == expected
+                assert np.array_equal(got.covariance, v)
             checked += 1
         assert checked >= 4
 
@@ -79,9 +79,22 @@ class TestFullReport:
         for params in grid_params(base_params, "fig5", (7,)):
             full = evaluate_point(params).report.as_flat_dict()
             part = evaluate_point(params, wanted).report.as_flat_dict()
-            computed = set(part) - {"stable", "max_real_part", "n_th"}
-            assert {key.split("_")[0] for key in computed} == families
+            assert {key.split("_")[0] for key in part} == families
             assert part == {key: full[key] for key in part}
+
+    @pytest.mark.parametrize("wanted", [None, ("stability",), ("EN_ab", "Rtau_min")])
+    def test_request_resolved_once_per_point(self, base_params, monkeypatch, wanted):
+        resolved = spy(monkeypatch, pipeline, "measure_families")
+        unstable = base_params.with_values(g1_eff=0.1 * base_params.g1_eff,
+                                           g2_eff=0.1 * base_params.g2_eff)
+        results = [evaluate_point(params, wanted) for params in (base_params, unstable)]
+        assert resolved == [(wanted,)] * 2
+        assert [r.verdict.stable for r in results] == [True, False]
+
+    def test_report_is_a_function_of_the_covariance(self, base_params):
+        cov = evaluate_point(base_params).covariance
+        assert correlation_report(cov) == evaluate_point(base_params).report
+        assert correlation_report(cov, {"DG"}) == evaluate_point(base_params, DG_MEASURES).report
 
     def test_stability_only_point_stops_at_the_verdict(self, base_params):
         full = evaluate_point(base_params)

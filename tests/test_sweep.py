@@ -7,7 +7,10 @@ import pytest
 
 from optocorr import Axis, SweepSpec, figure_preset, run_sweep, to_csv, to_json_lines
 from optocorr.errors import ConfigError, UnstableDriftError
+import optocorr.sweep as sweep
 from optocorr.sweep import PRESET_IDS, config_hash
+
+from test_pipeline import spy
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,6 +42,20 @@ class TestAxis:
 
 
 class TestSpec:
+    def test_unknown_unstable_policy(self, base_params):
+        with pytest.raises(ConfigError, match="unknown unstable policy 'bogus'"):
+            SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 3),
+                      unstable_policy="bogus")
+
+    def test_measure_columns_leave_out_stability(self, base_params):
+        spec = SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 3),
+                         measures=("EN_ab", "stability", "Rtau_min"))
+        digest = config_hash(spec)
+        assert spec.measure_columns == ("EN_ab", "Rtau_min")
+        assert spec.columns() == ["phi", "stable", "EN_ab", "Rtau_min", "error"]
+        # the cached columns are no field, so they leave the provenance hash alone
+        assert config_hash(spec) == digest
+
     def test_one_axis_per_parameter(self, base_params):
         # axis2's value used to override axis1's, so the first column was ignored
         with pytest.raises(ConfigError, match="both axes sweep phi"):
@@ -121,6 +138,28 @@ class TestRunSweep:
 
         with pytest.raises(UnstableDriftError):
             run_sweep(spec("error"))
+
+    def test_error_policy_stops_at_the_first_unstable_point(self, base_params, monkeypatch):
+        # fig2's first grid point (G1 = G2 = 0.1 MHz) is unstable
+        calls = spy(monkeypatch, sweep, "evaluate_point")
+        spec = dataclasses.replace(figure_preset("fig2", base_params, counts=(9, 9)),
+                                   unstable_policy="error")
+        with pytest.raises(UnstableDriftError,
+                           match=re.escape("unstable grid point at G1/G2 = (0.1, 0.1)")):
+            run_sweep(spec)
+        assert len(calls) == 1
+
+    def test_error_policy_with_workers_names_the_first_unstable_point(self, base_params):
+        # grid point 140 (of 400) is the first unstable one: in the third chunk of 64
+        spec = dataclasses.replace(figure_preset("fig3", base_params, counts=(20, 20)),
+                                   unstable_policy="error")
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(UnstableDriftError) as exc:
+                run_sweep(spec, workers=workers)
+            messages.append(str(exc.value))
+        assert messages == ["unstable grid point at delta_at/delta_eff_common = "
+                            "(-1.263157894736842, 0.0)"] * 2
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, base_params, workers):
