@@ -26,16 +26,22 @@ class CovarianceMatrix:
     residual_norm: float      # ||A V + V A^T + D||_F after symmetrization
 
 
-def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
-    """||A V + V A^T + D||_F; finite entries whose squares overflow are scaled
-    by the largest first, so a huge residual gives its norm and no warning."""
-    r = (a @ v + v @ a.T + d).ravel()
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F, numpy's norm bit for bit; finite entries whose squares
+    overflow are scaled by the largest first, so a huge matrix gives its
+    norm and no warning."""
+    r = m.ravel()
     with np.errstate(over="ignore"):
         sqnorm = r.dot(r)
     if math.isfinite(sqnorm) or not np.isfinite(r).all():
         return math.sqrt(sqnorm)
     scale = float(np.abs(r).max())
     return scale * float(np.linalg.norm(r / scale))
+
+
+def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
+    """||A V + V A^T + D||_F, by `_frobenius`."""
+    return _frobenius(a @ v + v @ a.T + d)
 
 
 @lru_cache(maxsize=None)
@@ -76,5 +82,4 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
 
 def residual_bound(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
     """Acceptance bound RESIDUAL_RTOL*(||A||_F ||V||_F + ||D||_F) for the residual."""
-    return RESIDUAL_RTOL * (np.linalg.norm(a, "fro") * np.linalg.norm(v, "fro")
-                            + np.linalg.norm(d, "fro"))
+    return RESIDUAL_RTOL * (_frobenius(a) * _frobenius(v) + _frobenius(d))

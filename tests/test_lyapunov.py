@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 
 from optocorr import solve_lyapunov
 from optocorr.errors import SingularSystemError, UnstableDriftError
-from optocorr.lyapunov import _kron_sum, lyapunov_residual, residual_bound
+from optocorr.lyapunov import RESIDUAL_RTOL, _kron_sum, lyapunov_residual, residual_bound
 from optocorr.params import params_from_config
 from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import _apply_axes, figure_preset
@@ -111,13 +111,18 @@ class TestErrorPaths:
 
 
 class TestResidualNorm:
-    """lyapunov_residual is numpy's Frobenius norm bit for bit wherever that
-    norm is finite, and stays finite (or inf) without a warning where the
-    sum of squares overflows."""
+    """lyapunov_residual and residual_bound are numpy's Frobenius norms bit
+    for bit wherever those norms are finite, and stay finite (or inf)
+    without a warning where a sum of squares overflows."""
 
     @staticmethod
     def numpy_norm(a, v, d):
         return float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
+
+    @staticmethod
+    def numpy_bound(a, v, d):
+        return float(RESIDUAL_RTOL * (np.linalg.norm(a, "fro") * np.linalg.norm(v, "fro")
+                                      + np.linalg.norm(d, "fro")))
 
     def test_equals_numpy_norm_bit_for_bit(self):
         rng = np.random.default_rng(97)
@@ -133,6 +138,8 @@ class TestResidualNorm:
             for scale in (1.0, 1e-200, 1e150):   # the last one still sums to a finite square
                 assert lyapunov_residual(a, scale * v, scale * d).hex() == \
                     self.numpy_norm(a, scale * v, scale * d).hex()
+                assert residual_bound(a, scale * v, scale * d).hex() == \
+                    self.numpy_bound(a, scale * v, scale * d).hex()
 
     def test_huge_finite_residual_is_scaled(self):
         # every square overflows; the norm of sixteen entries of 1e200 is 4e200
@@ -154,6 +161,21 @@ class TestResidualNorm:
         assert verdict.stable
         cm = solve_lyapunov(a, d, check_stability=False)
         assert cm.residual_norm > 1e154
+
+    def test_huge_covariance_bound_without_warning(self):
+        # at T_kelvin=1e300 the squares of the entries of V and D overflow; the
+        # bound is still ||A|| ||V|| + ||D||, each norm scaled by its largest entry
+        params = params_from_config({"T_kelvin": 1e300})
+        a, d, _, _ = evaluate_matrices(params)
+        v = solve_lyapunov(a, d, check_stability=False).matrix
+
+        def scaled(m):
+            s = np.abs(m).max()
+            return s * np.linalg.norm(m / s)
+
+        expected = RESIDUAL_RTOL * (scaled(a) * scaled(v) + scaled(d))
+        assert 1e285 < residual_bound(a, v, d) < np.inf
+        assert residual_bound(a, v, d) == pytest.approx(expected, rel=1e-15)
 
 
 class TestIndexWrittenOperator:
