@@ -135,6 +135,7 @@ def cmd_steady(args) -> int:
         "delta1_eff": ss.delta1_eff, "delta2_eff": ss.delta2_eff,
         "G1_eff": ss.g1_eff, "G2_eff": ss.g2_eff,
         "residual_norm": ss.residual_norm, "iterations": ss.iterations,
+        "real_roots": ss.real_roots, "stable": ss.stable,
     }
     _emit_record(args, record)
     return EXIT_OK

@@ -8,25 +8,33 @@ optomechanical couplings consumed by the dynamics module.
 When the operating point specifies the effective quantities directly
 (the convention used by all figure presets) this module is bypassed.
 
-`_rhs` is the one transcription of the fixed-point map.  The factors
-that no iteration changes are computed once per solve by
-`_map_constants`, each exactly as the map's left-associated products
-formed it, so every iterate, residual and iteration count is the same
-bit for bit as evaluating the whole expressions at every step.
+The map sees beta only through x = Re(beta).  Given x, alpha2 is
+explicit and (alpha1, xi) solve a 2x2 linear system, so the fixed points
+are the real roots of F(x) = Re(beta(x)) - x.  Clearing the two cavity
+denominators Q1(x), Q2(x) (positive quadratics) leaves a real polynomial
+of degree at most 5, the two-cavity form of the optomechanical
+bistability cubic (Dorsel et al., PRL 51, 1550 (1983)).  Its real roots
+are enumerated from one companion-matrix eigenvalue solve; each is
+accepted only if `_rhs`, the one transcription of the map, returns it
+to within the residual tolerance.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .dynamics import assess_stability, build_drift, default_margin_tol
 from .errors import NonConvergenceError
 from .params import RawDriveParams, SystemParams
 
-MAX_ITER = 10_000
 RESIDUAL_RTOL = 1.0e-10
-DAMPING_DEFAULT = 0.5
-DAMPING_FALLBACK = 0.1
+NEWTON_STEPS = 2
+# an eigenvalue of the companion matrix this close to the real axis is a real-root candidate
+REAL_ROOT_RTOL = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -40,15 +48,16 @@ class SteadyState:
     g1_eff: float
     g2_eff: float
     residual_norm: float
-    iterations: int
+    iterations: int         # Newton steps spent polishing the real roots
+    real_roots: int         # certified real roots: the mean-field fixed points
+    stable: bool            # spectral verdict of the chosen branch
 
 
 def _map_constants(raw: RawDriveParams, base: SystemParams, j_ac: complex) -> tuple:
-    """The factors of the fixed-point map that no iteration changes.
+    """The factors of the fixed-point map that do not depend on the state.
 
     Each is the left-most sub-product that the map's left-associated
-    expressions form first (``2.0 * g1 * x`` is ``(2.0 * g1) * x``), so
-    hoisting them changes no bit of any iterate.
+    expressions form first (``2.0 * g1 * x`` is ``(2.0 * g1) * x``).
     """
     return (raw.drive_e1, raw.drive_e2, raw.delta1_bare, raw.delta2_bare,
             2.0 * raw.g1, 2.0 * raw.g2, base.kappa1, base.kappa2,
@@ -70,57 +79,174 @@ def _rhs(state, c):
     return (new_a1, new_a2, new_xi, new_b)
 
 
-def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
-    """Damped fixed-point iteration from the decoupled closed form.
+def _state_at(x: float, c) -> tuple:
+    """The state the map fixes given Re(beta) = x.
 
-    Damping starts at 0.5 and drops to 0.1 the first time the residual
-    increases.  Returns the branch reached from the decoupled initial
-    point; no branch enumeration.  Both records check their own fields.
+    alpha1 solves alpha1 D1 = e1 - ij xi with xi the map's xi of
+    (alpha1, x): alpha1 (D1 den_xi - ij ijc) = e1 den_xi + ij tjab x."""
+    e1, e2, d1_bare, d2_bare, tg1, tg2, k1, k2, ij, ijc, tjab, ig1, ig2, den_xi, den_b = c
+    alpha1 = ((e1 * den_xi + ij * tjab * x)
+              / ((1j * (d1_bare + tg1 * x) + k1) * den_xi - ij * ijc))
+    alpha2 = e2 / (1j * (d2_bare + tg2 * x) + k2)
+    xi = -(ijc * alpha1 + tjab * x) / den_xi
+    beta = -(ig1 * abs(alpha1) ** 2 + ig2 * abs(alpha2) ** 2 + tjab * xi.real) / den_b
+    return (alpha1, alpha2, xi, beta)
+
+
+def _quintic(raw: RawDriveParams, base: SystemParams, c) -> list:
+    """Coefficients, highest degree first, of F(x) Q1(x) Q2(x).
+
+    With D_j = k_j + i(d_j + 2 g_j x), alpha1 = N1/P1 (`_state_at`:
+    N1 = e1 den_xi + ij tjab x, P1 = D1 den_xi - ij ijc), Q1 = |P1|^2,
+    Q2 = |D2|^2, u = ijc/den_xi and s = Re(-i/den_b):
+
+        F Q1 Q2 = W Q2 + s g2 |e2|^2 Q1 + K x Q1 Q2,
+        W = s (g1 |N1|^2 - 2 J_ab Re(u N1 conj(P1))),
+        K = -2 s J_ab Re(tjab/den_xi) - 1.
+
+    Q1 and Q2 have no real zeros (kappa1, kappa2, f > 0), so the real
+    roots are exactly the fixed points.  g1 = 0 or g2 = 0 zeroes the two
+    leading coefficients, and e1 = e2 = 0 the constant one.
     """
+    e1, e2, d1_bare, d2_bare, tg1, tg2, k1, k2, ij, ijc, tjab, ig1, ig2, den_xi, den_b = c
+    g1, g2, jab = raw.g1, raw.g2, base.j_ab
+    s = (-1j / den_b).real
+    u = ijc / den_xi
+    n0, n1 = e1 * den_xi, ij * tjab
+    p0, p1 = complex(k1, d1_bare) * den_xi - ij * ijc, 1j * tg1 * den_xi
+    # W, Q1, Q2 in ascending powers of x
+    w0 = s * (g1 * (n0 * n0.conjugate()).real - 2.0 * jab * (u * n0 * p0.conjugate()).real)
+    w1 = s * (g1 * 2.0 * (n0 * n1.conjugate()).real
+              - 2.0 * jab * (u * (n1 * p0.conjugate() + n0 * p1.conjugate())).real)
+    w2 = s * (g1 * (n1 * n1.conjugate()).real - 2.0 * jab * (u * n1 * p1.conjugate()).real)
+    q10, q11, q12 = (p0 * p0.conjugate()).real, 2.0 * (p0 * p1.conjugate()).real, \
+        (p1 * p1.conjugate()).real
+    q20, q21, q22 = k2 * k2 + d2_bare * d2_bare, 2.0 * d2_bare * tg2, tg2 * tg2
+    t = s * g2 * (e2 * e2.conjugate()).real
+    k = -2.0 * s * jab * (tjab / den_xi).real - 1.0
+    return [k * q12 * q22,
+            w2 * q22 + k * (q11 * q22 + q12 * q21),
+            w1 * q22 + w2 * q21 + k * (q10 * q22 + q11 * q21 + q12 * q20),
+            w0 * q22 + w1 * q21 + w2 * q20 + t * q12 + k * (q10 * q21 + q11 * q20),
+            w0 * q21 + w1 * q20 + t * q11 + k * q10 * q20,
+            w0 * q20 + t * q10]
+
+
+def _horner(coeffs, x: float):
+    """(p(x), p'(x)) for coefficients highest degree first."""
+    p = dp = 0.0
+    for a in coeffs:
+        dp = dp * x + p
+        p = p * x + a
+    return p, dp
+
+
+def _real_roots(coeffs: list):
+    """Distinct real roots, each polished by NEWTON_STEPS Newton steps,
+    with the polynomial's slope there; and the number of Newton steps."""
+    if not all(map(math.isfinite, coeffs)):
+        raise NonConvergenceError("mean-field polynomial overflowed; "
+                                  "drives too strong for a finite steady state", iterations=0)
+    poly = list(coeffs)
+    while poly and poly[0] == 0.0:
+        poly.pop(0)
+    starts = []
+    while poly and poly[-1] == 0.0:     # a zero constant term: a root at 0
+        poly.pop()
+        starts = [0.0]
+    while len(poly) > 1:
+        row = [-a / poly[0] for a in poly[1:]]
+        if all(map(math.isfinite, row)):
+            break
+        # a lead so small that a ratio overflows only moves roots past |x| ~ 1e61
+        poly.pop(0)
+    if len(poly) > 1:
+        companion = np.eye(len(row), k=-1)
+        companion[0] = row
+        try:
+            eigs = np.linalg.eigvals(companion).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"mean-field root enumeration failed: {exc}",
+                                      iterations=0) from exc
+        starts += [z.real for z in eigs if abs(z.imag) <= REAL_ROOT_RTOL * abs(z)]
+    roots = {}
+    steps = 0
+    for x in starts:
+        for _ in range(NEWTON_STEPS):
+            p, dp = _horner(coeffs, x)
+            steps += 1
+            if dp != 0.0 and math.isfinite(p / dp):
+                x -= p / dp
+        roots.setdefault(x, _horner(coeffs, x)[1])
+    return roots, steps
+
+
+def _effective_fields(state, raw: RawDriveParams) -> dict:
+    """Effective detunings and couplings of a mean-field state."""
+    alpha1, alpha2, _, beta = state
+    return dict(delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
+                delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,
+                g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2))
+
+
+def _is_stable(state, raw: RawDriveParams, base: SystemParams) -> bool:
+    """The verdict `evaluate_point` gives the linearization about `state`."""
+    point = base.with_values(**_effective_fields(state, raw))
+    return assess_stability(build_drift(point), margin_tol=default_margin_tol(point)).stable
+
+
+def _fixed_points(raw: RawDriveParams, base: SystemParams):
+    """The certified roots as (slope, state, residual), nearest x = 0 first,
+    and the Newton steps spent; a NonConvergenceError when there is none."""
     j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
     tol = RESIDUAL_RTOL * max(1.0, abs(raw.drive_e1), abs(raw.drive_e2))
     c = _map_constants(raw, base, j_ac)
-
-    # decoupled initialization: couplings off
-    alpha1 = raw.drive_e1 / (1j * raw.delta1_bare + base.kappa1)
-    alpha2 = raw.drive_e2 / (1j * raw.delta2_bare + base.kappa2)
-    xi = 0.0 + 0.0j
-    beta = 0.0 + 0.0j
-    lam = DAMPING_DEFAULT
-    mu = 1.0 - lam
-    iterations = 0
-    try:
-        # the map at the current state gives both its residual and the next update
-        r1, r2, r3, r4 = _rhs((alpha1, alpha2, xi, beta), c)
-        res = max(abs(alpha1 - r1), abs(alpha2 - r2), abs(xi - r3), abs(beta - r4))
-        for iterations in range(1, MAX_ITER + 1):
-            if res <= tol:
-                break
-            alpha1 = mu * alpha1 + lam * r1
-            alpha2 = mu * alpha2 + lam * r2
-            xi = mu * xi + lam * r3
-            beta = mu * beta + lam * r4
-            r1, r2, r3, r4 = _rhs((alpha1, alpha2, xi, beta), c)
-            new_res = max(abs(alpha1 - r1), abs(alpha2 - r2), abs(xi - r3), abs(beta - r4))
-            if new_res > res:
-                lam = DAMPING_FALLBACK
-                mu = 1.0 - lam
-            res = new_res
-    except OverflowError as exc:
+    roots, steps = _real_roots(_quintic(raw, base, c))
+    certified, rejected = [], []
+    for x in sorted(roots, key=abs):
+        try:
+            state = _state_at(x, c)
+            res = max(abs(z - r) for z, r in zip(state, _rhs(state, c)))
+        except OverflowError:   # |alpha|^2 beyond the floats at a huge root
+            res = math.inf
+        if not res <= tol:      # a NaN residual fails too
+            rejected.append(res)
+        else:
+            certified.append((roots[x], state, res))
+    if not certified:
+        finite = [r for r in rejected if not math.isnan(r)]
+        res = min(finite) if finite else math.nan if rejected else None
         raise NonConvergenceError(
-            f"mean-field iteration overflowed at step {iterations}; "
-            f"drives too strong for a finite steady state", iterations=iterations) from exc
-    if not res <= tol:      # a NaN residual fails too
-        raise NonConvergenceError(
-            f"mean-field iteration did not converge after {MAX_ITER} steps "
-            f"(residual {res:.3e}); possible multistable or ill-posed regime",
-            residual=res, iterations=MAX_ITER)
+            f"none of the {len(roots)} real roots of the mean-field polynomial passes "
+            f"the residual test (smallest residual {res}, tolerance {tol:.3e})",
+            residual=res, iterations=steps)
+    return certified, steps
 
+
+def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
+    """The mean-field fixed point on the stable branch nearest Re(beta) = 0.
+
+    Every real root of the polynomial that `_rhs` certifies is a fixed
+    point.  A root where the polynomial rises cannot be stable (the drift
+    has det(A) < 0 there); the others are tried nearest to x = 0, the
+    decoupled point, first, and the first one the drift's spectrum calls
+    stable is returned.  With two stable roots (bistability) that is an
+    explicit choice of the one nearer x = 0.  With none the nearest root
+    is returned, unstable, as `evaluate_point` then reports it.
+    """
+    certified, steps = _fixed_points(raw, base)
+    stable = False
+    for i, (slope, state, _) in enumerate(certified):
+        if slope <= 0.0 and _is_stable(state, raw, base):
+            stable = True
+            break
+    else:
+        i = 0       # no root is stable: the nearest one
+    _, state, res = certified[i]
+    alpha1, alpha2, xi, beta = state
     return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta,
-                       delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
-                       delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,
-                       g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2),
-                       residual_norm=res, iterations=iterations)
+                       **_effective_fields(state, raw), residual_norm=res,
+                       iterations=steps, real_roots=len(certified), stable=stable)
 
 
 def apply_steady_state(base: SystemParams, ss: SteadyState) -> SystemParams:

@@ -13,6 +13,8 @@ from optocorr import figure_preset, params_from_config
 from optocorr.cli import build_parser, main
 from optocorr.sweep import UNSTABLE_POLICIES, SweepSpec, config_hash
 
+from test_golden import DRIVE_EDGES
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -345,7 +347,7 @@ class TestModuleEntry:
         assert proc.stdout == golden.read_bytes()
 
     def test_steady_matches_golden_file(self):
-        # a drive that needs a few hundred damped steps
+        # a drive with a single, unstable mean-field root
         proc = self.run_module("steady", "--set", "E1_mhz=8e4", "--set", "E2_mhz=2e4",
                                "--set", "g1_khz=2.5", "--set", "g2_khz=2.5",
                                "--set", "delta1_bare_over_omegam=0.85",
@@ -353,6 +355,29 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_steady.json"
         assert proc.stdout == golden.read_bytes()
+
+    @staticmethod
+    def steady_argv(cfg):
+        return [arg for key, value in cfg.items() for arg in ("--set", f"{key}={value!r}")]
+
+    def test_steady_overflow_is_one_typed_line(self):
+        proc = self.run_module("steady", *self.steady_argv(DRIVE_EDGES[1]))
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr == (b"optocorr: numeric failure: mean-field polynomial overflowed; "
+                               b"drives too strong for a finite steady state\n")
+
+    def test_steady_undriven_is_the_zero_state(self):
+        proc = self.run_module("steady", *self.steady_argv(DRIVE_EDGES[2]), "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        record = json.loads(proc.stdout)
+        assert record["beta_re"] == record["alpha1_re"] == 0.0
+        assert record["real_roots"] == 1
+
+    def test_steady_formerly_nonconverging_reports_unstable(self):
+        proc = self.run_module("steady", *self.steady_argv(DRIVE_EDGES[0]))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        lines = proc.stdout.decode().splitlines()
+        assert lines[-2:] == ["real_roots=1", "stable=False"]
 
     def test_exit_code_reaches_the_shell(self):
         proc = self.run_module("sweep", "--axis", "phi=0:1:2", "--measures", "EN_c2a,EN_c2a")

@@ -9,8 +9,8 @@ golden_presets.txt pins every figure preset's spec: one line per (preset,
 base, grid counts) case with the spec's repr and provenance hash, or the
 error the case raises.
 golden_steady_drive.txt pins the mean-field solve on seeded raw drives:
-one line per config with every SteadyState field by float.hex, or the
-error's type, attributes and message.
+one line per config with every SteadyState field (floats by float.hex),
+or the error's type, attributes and message.
 """
 
 import random
@@ -100,12 +100,13 @@ DRIVE_RANGES = (("g1_khz", 0.5, 3.0), ("g2_khz", 0.5, 3.0),
                 ("delta1_bare_over_omegam", 0.8, 1.2),
                 ("delta2_bare_over_omegam", 0.8, 1.2))
 DRIVE_EDGES = [
-    # runs all 10^4 damped steps without converging
+    # a unique, unstable root (the damped iteration that solved the mean field
+    # before ran all 10^4 steps here without converging)
     {"g1_khz": 2.1166142249894286, "g2_khz": 2.496551052195941,
      "E1_mhz": 11263.305188272174, "E2_mhz": 86734.80504791152,
      "delta1_bare_over_omegam": 1.07745660184991,
      "delta2_bare_over_omegam": 0.9269406368906039},
-    # |alpha|^2 overflows on the first map evaluation
+    # |E|^2 overflows in the mean-field polynomial's coefficients
     {"g1_khz": 1.0, "g2_khz": 1.0, "E1_mhz": 1e160, "E2_mhz": 1e160,
      "delta1_bare_over_omegam": 1.0, "delta2_bare_over_omegam": 1.0},
     # undriven, with exact zeros throughout the map
@@ -135,15 +136,16 @@ def steady_drive_lines():
             values = (ss.alpha1.real, ss.alpha1.imag, ss.alpha2.real, ss.alpha2.imag,
                       ss.xi.real, ss.xi.imag, ss.beta.real, ss.beta.imag,
                       ss.delta1_eff, ss.delta2_eff, ss.g1_eff, ss.g2_eff, ss.residual_norm)
-            out = f"ok {' '.join(map(float.hex, values))} {ss.iterations}"
+            out = (f"ok {' '.join(map(float.hex, values))} {ss.iterations} "
+                   f"{ss.real_roots} {ss.stable}")
         lines.append(f"{i} {out}\n")
     return "".join(lines)
 
 
 def test_steady_drives_match_golden_file():
     text = steady_drive_lines()
-    # the pin covers every way a solve ends
-    assert "did not converge after 10000 steps" in text
+    # the pin covers every way a solve ends, and every branch outcome
     assert "overflowed" in text
-    assert " ok " in text
+    for outcome in ("1 False", "1 True", "3 False", "3 True", "5 False", "5 True"):
+        assert f" {outcome}\n" in text
     assert text == (DATA / "golden_steady_drive.txt").read_text()

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from optocorr.errors import NonConvergenceError, ParameterError
-from optocorr.params import TWO_PI, RawDriveParams
+from optocorr.dynamics import build_drift
+from optocorr.params import TWO_PI, RawDriveParams, drive_from_config, params_from_config
+from optocorr.pipeline import evaluate_point
 import optocorr.steadystate as steadystate
 from optocorr.steadystate import apply_steady_state, solve_steady_state
 
@@ -31,6 +33,63 @@ def mean_field_rhs(state, raw, base):
         -(1j * raw.g1 * abs(a1) ** 2 + 1j * raw.g2 * abs(a2) ** 2
           + 2j * base.j_ab * xi.real) / (1j * base.omega_m + base.gamma_m),
     )
+
+
+# The damped fixed-point iteration that solved the mean field before the
+# real roots of the polynomial were enumerated, kept as the oracle they are
+# checked against.  It returns the state, residual and step count instead of
+# a SteadyState; the loop is unchanged.
+MAX_ITER = 10_000
+DAMPING_DEFAULT = 0.5
+DAMPING_FALLBACK = 0.1
+
+
+def damped_fixed_point(raw, base):
+    """Damped fixed-point iteration from the decoupled closed form.
+
+    Damping starts at 0.5 and drops to 0.1 the first time the residual
+    increases.  Returns the branch reached from the decoupled initial
+    point; no branch enumeration.
+    """
+    j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
+    tol = steadystate.RESIDUAL_RTOL * max(1.0, abs(raw.drive_e1), abs(raw.drive_e2))
+    c = steadystate._map_constants(raw, base, j_ac)
+
+    # decoupled initialization: couplings off
+    alpha1 = raw.drive_e1 / (1j * raw.delta1_bare + base.kappa1)
+    alpha2 = raw.drive_e2 / (1j * raw.delta2_bare + base.kappa2)
+    xi = 0.0 + 0.0j
+    beta = 0.0 + 0.0j
+    lam = DAMPING_DEFAULT
+    mu = 1.0 - lam
+    iterations = 0
+    try:
+        # the map at the current state gives both its residual and the next update
+        r1, r2, r3, r4 = steadystate._rhs((alpha1, alpha2, xi, beta), c)
+        res = max(abs(alpha1 - r1), abs(alpha2 - r2), abs(xi - r3), abs(beta - r4))
+        for iterations in range(1, MAX_ITER + 1):
+            if res <= tol:
+                break
+            alpha1 = mu * alpha1 + lam * r1
+            alpha2 = mu * alpha2 + lam * r2
+            xi = mu * xi + lam * r3
+            beta = mu * beta + lam * r4
+            r1, r2, r3, r4 = steadystate._rhs((alpha1, alpha2, xi, beta), c)
+            new_res = max(abs(alpha1 - r1), abs(alpha2 - r2), abs(xi - r3), abs(beta - r4))
+            if new_res > res:
+                lam = DAMPING_FALLBACK
+                mu = 1.0 - lam
+            res = new_res
+    except OverflowError as exc:
+        raise NonConvergenceError(
+            f"mean-field iteration overflowed at step {iterations}; "
+            f"drives too strong for a finite steady state", iterations=iterations) from exc
+    if not res <= tol:      # a NaN residual fails too
+        raise NonConvergenceError(
+            f"mean-field iteration did not converge after {MAX_ITER} steps "
+            f"(residual {res:.3e}); possible multistable or ill-posed regime",
+            residual=res, iterations=MAX_ITER)
+    return (alpha1, alpha2, xi, beta), res, iterations
 
 
 class TestDecoupledLimits:
@@ -85,7 +144,7 @@ class TestCoupledSolve:
         # the solver tolerance scales with |E1|, so the root match does too
         assert np.min(np.abs(real_roots - ss.beta.real)) < 1e-9 * max(1.0, abs(e1))
 
-    def test_one_map_evaluation_per_iteration(self, base_params, monkeypatch):
+    def test_one_map_evaluation_per_real_root(self, base_params, monkeypatch):
         raw = make_raw(g1=TWO_PI * 2e-3, g2=TWO_PI * 3e-3, e1=2000.0, e2=1500.0,
                        base=base_params)
         calls = []
@@ -97,31 +156,59 @@ class TestCoupledSolve:
 
         monkeypatch.setattr(steadystate, "_rhs", counting)
         ss = solve_steady_state(raw, base_params)
-        assert ss.iterations > 1
-        assert len(calls) == ss.iterations
+        c = steadystate._map_constants(raw, base_params, base_params.j_ac_mag
+                                       * cmath.exp(1j * base_params.phi))
+        roots, steps = steadystate._real_roots(steadystate._quintic(raw, base_params, c))
+        assert len(calls) == len(roots) == ss.real_roots
+        assert ss.iterations == steps == steadystate.NEWTON_STEPS * len(roots)
 
-    def test_nonconvergence_reports_residual(self, base_params, monkeypatch):
+    def test_no_certified_root_reports_residual(self, base_params, monkeypatch):
         raw = make_raw(g1=TWO_PI * 2e-3, e1=2000.0, base=base_params)
-        monkeypatch.setattr(steadystate, "MAX_ITER", 2)
-        with pytest.raises(NonConvergenceError) as exc:
+        monkeypatch.setattr(steadystate, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(NonConvergenceError, match="passes the residual test") as exc:
             solve_steady_state(raw, base_params)
-        assert exc.value.residual is not None
-        assert exc.value.iterations == 2
+        assert exc.value.residual > 0.0
+        assert exc.value.iterations >= steadystate.NEWTON_STEPS
 
-    def test_nan_residual_never_converges(self, base_params, monkeypatch):
+    def test_nan_residual_never_accepted(self, base_params, monkeypatch):
         nan = complex(math.nan, math.nan)
         monkeypatch.setattr(steadystate, "_rhs", lambda *args: (nan,) * 4)
-        monkeypatch.setattr(steadystate, "MAX_ITER", 3)
-        with pytest.raises(NonConvergenceError, match="did not converge"):
+        with pytest.raises(NonConvergenceError, match="passes the residual test") as exc:
             solve_steady_state(make_raw(e1=100.0, base=base_params), base_params)
+        assert math.isnan(exc.value.residual)
 
     def test_overflow_is_nonconvergence(self, base_params):
-        # |alpha1|^2 overflows a float on the first map evaluation
+        # |E|^2 overflows a float in the polynomial's coefficients
         raw = make_raw(g1=TWO_PI * 1e-3, g2=TWO_PI * 1e-3, e1=TWO_PI * 1e160,
                        e2=TWO_PI * 1e160, base=base_params)
         with pytest.raises(NonConvergenceError, match="overflowed") as exc:
             solve_steady_state(raw, base_params)
         assert exc.value.iterations == 0
+
+    def test_negligible_leading_coefficient_is_dropped(self, base_params):
+        # finite coefficients, but a lead so small that the companion would overflow:
+        # the roots that remain are those of g1 = 0
+        raw = make_raw(g1=1e-150, g2=TWO_PI * 1e-3, e1=1e4, e2=1e4, base=base_params)
+        coeffs = quintic(raw, base_params)
+        assert coeffs[0] != 0.0 and all(map(math.isfinite, coeffs))
+        assert not all(math.isfinite(a / coeffs[0]) for a in coeffs[1:])
+        ss = solve_steady_state(raw, base_params)
+        ref = solve_steady_state(make_raw(g2=TWO_PI * 1e-3, e1=1e4, e2=1e4, base=base_params),
+                                 base_params)
+        assert ss.beta == pytest.approx(ref.beta, rel=1e-12)
+        assert ss.real_roots == ref.real_roots
+
+    @pytest.mark.parametrize("g1", [1e-155, 1e-200])
+    def test_root_whose_state_overflows_is_rejected(self, base_params, g1):
+        # a root near 1/g1, where |alpha1|^2 is beyond the floats, is not a fixed point
+        raw = make_raw(g1=g1, g2=TWO_PI * 1e-3, e1=1e4, e2=1e4, base=base_params)
+        roots = steadystate._real_roots(quintic(raw, base_params))[0]
+        assert max(map(abs, roots)) > 1e150
+        ss = solve_steady_state(raw, base_params)
+        ref = solve_steady_state(make_raw(g2=TWO_PI * 1e-3, e1=1e4, e2=1e4, base=base_params),
+                                 base_params)
+        assert ss.beta == pytest.approx(ref.beta, rel=1e-12)
+        assert ss.real_roots == ref.real_roots
 
 
 def hex_parts(values):
@@ -209,3 +296,110 @@ class TestEffectiveParams:
         assert updated.g1_eff == ss.g1_eff
         assert updated.delta1_eff == ss.delta1_eff
         assert updated.omega_m == p.omega_m
+
+
+def drive_cases():
+    """The golden drive configs as (index, raw, base)."""
+    from test_golden import drive_configs
+    for i, cfg in enumerate(drive_configs()):
+        base = params_from_config(cfg)
+        yield i, cfg, drive_from_config(cfg, base), base
+
+
+def quintic(raw, base):
+    return steadystate._quintic(raw, base, steadystate._map_constants(
+        raw, base, base.j_ac_mag * cmath.exp(1j * base.phi)))
+
+
+class TestAgainstDampedOracle:
+    """The certified roots against the iteration they replaced, on the
+    303 golden drive configs."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for i, cfg, raw, base in drive_cases():
+            try:
+                oracle = damped_fixed_point(raw, base)
+            except NonConvergenceError as exc:
+                oracle = exc
+            try:
+                roots = steadystate._fixed_points(raw, base)[0]
+            except NonConvergenceError as exc:
+                roots = exc
+            out.append((i, cfg, raw, base, oracle, roots))
+        return out
+
+    def test_every_converged_oracle_lies_on_a_certified_root(self, cases):
+        # the iteration stops once its residual is under the tolerance; the
+        # state it stops at is then within 1e-6 relative of the fixed point
+        converged = 0
+        for i, _, _, _, oracle, roots in cases:
+            if isinstance(oracle, NonConvergenceError):
+                continue
+            converged += 1
+            state = oracle[0]
+            scale = max(abs(z) for z in state)
+            gaps = [max(abs(a - b) for a, b in zip(state, root)) for _, root, _ in roots]
+            assert min(gaps) <= 1e-6 * scale, i
+        assert converged == len(cases) - 2
+
+    def test_oracle_failures_are_the_overflow_and_the_nonconverging_edge(self, cases):
+        failed = {i: str(o) for i, _, _, _, o, _ in cases if isinstance(o, NonConvergenceError)}
+        assert sorted(failed) == [300, 301]
+        assert "did not converge" in failed[300] and "overflowed" in failed[301]
+        assert [i for i, *_, r in cases if isinstance(r, NonConvergenceError)] == [301]
+
+    def test_positive_slope_roots_have_negative_drift_determinant(self, cases):
+        # the reason a root where the polynomial rises is never tried for stability
+        checked = 0
+        for i, _, raw, base, _, roots in cases:
+            if isinstance(roots, NonConvergenceError):
+                continue
+            for slope, state, _ in roots:
+                if slope > 0.0:
+                    point = base.with_values(**steadystate._effective_fields(state, raw))
+                    assert np.linalg.det(build_drift(point)) < 0.0, i
+                    checked += 1
+        assert checked > 100
+
+    def test_bistable_config_takes_the_stable_root_nearest_zero(self, cases):
+        _, _, raw, base, oracle, roots = cases[253]
+        stable = [steadystate._is_stable(state, raw, base) for _, state, _ in roots]
+        assert stable.count(True) == 2
+        ss = solve_steady_state(raw, base)
+        assert ss.stable and ss.real_roots == 5
+        assert ss.beta == roots[stable.index(True)][1][3]
+        assert abs(ss.beta.real - oracle[0][3].real) <= 1e-6 * abs(ss.beta.real)
+
+    def test_formerly_nonconverging_config_is_unique_and_unstable(self, cases):
+        _, _, raw, base, oracle, _ = cases[300]
+        assert "possible multistable" in str(oracle)
+        ss = solve_steady_state(raw, base)
+        assert (ss.real_roots, ss.stable) == (1, False)
+        result = evaluate_point(apply_steady_state(base, ss))
+        assert not result.verdict.stable and result.report is None
+
+
+class TestDegreeDrop:
+    @pytest.mark.parametrize("zero", ["g1", "g2"])
+    def test_zero_coupling_drops_two_degrees(self, base_params, zero):
+        kw = dict(g1=TWO_PI * 2e-3, g2=TWO_PI * 3e-3, e1=2000.0, e2=1500.0)
+        kw[zero] = 0.0
+        coeffs = quintic(make_raw(**kw, base=base_params), base_params)
+        assert coeffs[:2] == [0.0, 0.0] and coeffs[2] != 0.0
+
+    def test_zero_drive_zeroes_the_constant_term(self, base_params):
+        raw = make_raw(g1=TWO_PI * 2e-3, g2=TWO_PI * 3e-3, base=base_params)
+        coeffs = quintic(raw, base_params)
+        assert coeffs[0] != 0.0 and coeffs[-1] == 0.0
+        ss = solve_steady_state(raw, base_params)
+        assert (ss.alpha1, ss.alpha2, ss.xi, ss.beta) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_undriven_golden_config(self):
+        # g2 = 0 and no drive: a cubic with a zero constant term
+        *_, raw, base = list(drive_cases())[302]
+        coeffs = quintic(raw, base)
+        assert coeffs[:2] == [0.0, 0.0] and coeffs[-1] == 0.0 and coeffs[2] != 0.0
+        ss = solve_steady_state(raw, base)
+        assert ss.beta == 0.0 and ss.residual_norm == 0.0
