@@ -18,7 +18,7 @@ from .params import (SYSTEM_KEY_DEFAULTS, apply_overrides, drive_from_config,
                      load_config, params_from_config)
 from .pipeline import evaluate_matrices, evaluate_point
 from .lyapunov import solve_lyapunov
-from .steadystate import solve_steady_state
+from .steadystate import apply_steady_state, solve_steady_state
 from .sweep import (Axis, PRESET_IDS, SweepSpec, figure_preset, run_sweep,
                     to_csv, to_json_lines, MEASURE_KEYS, SWEEPABLE, UNSTABLE_POLICIES)
 
@@ -127,6 +127,7 @@ def cmd_steady(args) -> int:
     params = params_from_config(cfg)
     raw = drive_from_config(cfg, params)
     ss = solve_steady_state(raw, params)
+    verdict = evaluate_point(apply_steady_state(params, ss), ("stability",)).verdict
     record = {
         "alpha1_re": ss.alpha1.real, "alpha1_im": ss.alpha1.imag,
         "alpha2_re": ss.alpha2.real, "alpha2_im": ss.alpha2.imag,
@@ -135,7 +136,7 @@ def cmd_steady(args) -> int:
         "delta1_eff": ss.delta1_eff, "delta2_eff": ss.delta2_eff,
         "G1_eff": ss.g1_eff, "G2_eff": ss.g2_eff,
         "residual_norm": ss.residual_norm, "iterations": ss.iterations,
-        "real_roots": ss.real_roots, "stable": ss.stable,
+        "real_roots": ss.real_roots, "stable": verdict.stable,
     }
     _emit_record(args, record)
     return EXIT_OK

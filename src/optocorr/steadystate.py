@@ -50,7 +50,6 @@ class SteadyState:
     residual_norm: float
     iterations: int         # Newton steps spent polishing the real roots
     real_roots: int         # certified real roots: the mean-field fixed points
-    stable: bool            # spectral verdict of the chosen branch
 
 
 def _map_constants(raw: RawDriveParams, base: SystemParams, j_ac: complex) -> tuple:
@@ -170,15 +169,13 @@ def _real_roots(coeffs: list):
                                       iterations=0) from exc
         starts += [z.real for z in eigs if abs(z.imag) <= REAL_ROOT_RTOL * abs(z)]
     roots = {}
-    steps = 0
     for x in starts:
         for _ in range(NEWTON_STEPS):
             p, dp = _horner(coeffs, x)
-            steps += 1
             if dp != 0.0 and math.isfinite(p / dp):
                 x -= p / dp
         roots.setdefault(x, _horner(coeffs, x)[1])
-    return roots, steps
+    return roots, NEWTON_STEPS * len(starts)
 
 
 def _effective_fields(state, raw: RawDriveParams) -> dict:
@@ -205,8 +202,9 @@ def _fixed_points(raw: RawDriveParams, base: SystemParams):
     certified, rejected = [], []
     for x in sorted(roots, key=abs):
         try:
-            state = _state_at(x, c)
-            res = max(abs(z - r) for z, r in zip(state, _rhs(state, c)))
+            a1, a2, xi, b = state = _state_at(x, c)
+            r1, r2, r3, r4 = _rhs(state, c)
+            res = max(abs(a1 - r1), abs(a2 - r2), abs(xi - r3), abs(b - r4))
         except OverflowError:   # |alpha|^2 beyond the floats at a huge root
             res = math.inf
         if not res <= tol:      # a NaN residual fails too
@@ -228,25 +226,24 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
 
     Every real root of the polynomial that `_rhs` certifies is a fixed
     point.  A root where the polynomial rises cannot be stable (the drift
-    has det(A) < 0 there); the others are tried nearest to x = 0, the
-    decoupled point, first, and the first one the drift's spectrum calls
-    stable is returned.  With two stable roots (bistability) that is an
-    explicit choice of the one nearer x = 0.  With none the nearest root
-    is returned, unstable, as `evaluate_point` then reports it.
+    has det(A) < 0 there), so the candidates are the others, nearest to
+    x = 0, the decoupled point, first.  A lone candidate is the answer;
+    of several, the first one the drift's spectrum calls stable is, and
+    with two stable ones (bistability) that is an explicit choice of the
+    one nearer x = 0.  With none stable the nearest candidate is
+    returned, unstable, as `evaluate_point` then reports it; with no
+    candidate, the nearest root.
     """
     certified, steps = _fixed_points(raw, base)
-    stable = False
-    for i, (slope, state, _) in enumerate(certified):
-        if slope <= 0.0 and _is_stable(state, raw, base):
-            stable = True
-            break
-    else:
-        i = 0       # no root is stable: the nearest one
-    _, state, res = certified[i]
+    candidates = [(state, res) for slope, state, res in certified if slope <= 0.0]
+    candidates = candidates or [certified[0][1:]]
+    state, res = candidates[0]
+    if len(candidates) > 1:
+        state, res = next((c for c in candidates if _is_stable(c[0], raw, base)), candidates[0])
     alpha1, alpha2, xi, beta = state
     return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta,
                        **_effective_fields(state, raw), residual_norm=res,
-                       iterations=steps, real_roots=len(certified), stable=stable)
+                       iterations=steps, real_roots=len(certified))
 
 
 def apply_steady_state(base: SystemParams, ss: SteadyState) -> SystemParams:

@@ -9,8 +9,9 @@ golden_presets.txt pins every figure preset's spec: one line per (preset,
 base, grid counts) case with the spec's repr and provenance hash, or the
 error the case raises.
 golden_steady_drive.txt pins the mean-field solve on seeded raw drives:
-one line per config with every SteadyState field (floats by float.hex),
-or the error's type, attributes and message.
+one line per config with every SteadyState field (floats by float.hex)
+and the stability verdict at the solved point, or the error's type,
+attributes and message.
 """
 
 import random
@@ -23,7 +24,8 @@ from optocorr import params_from_config
 from optocorr.cli import main
 from optocorr.errors import OptocorrError
 from optocorr.params import drive_from_config
-from optocorr.steadystate import solve_steady_state
+from optocorr.pipeline import evaluate_point
+from optocorr.steadystate import apply_steady_state, solve_steady_state
 from optocorr.sweep import config_hash, figure_preset
 
 DATA = Path(__file__).parent / "data"
@@ -128,6 +130,7 @@ def steady_drive_lines():
         params = params_from_config(cfg)
         try:
             ss = solve_steady_state(drive_from_config(cfg, params), params)
+            point = evaluate_point(apply_steady_state(params, ss), ("stability",))
         except OptocorrError as exc:
             res = getattr(exc, "residual", None)
             out = (f"{type(exc).__name__} iterations={getattr(exc, 'iterations', None)} "
@@ -137,7 +140,7 @@ def steady_drive_lines():
                       ss.xi.real, ss.xi.imag, ss.beta.real, ss.beta.imag,
                       ss.delta1_eff, ss.delta2_eff, ss.g1_eff, ss.g2_eff, ss.residual_norm)
             out = (f"ok {' '.join(map(float.hex, values))} {ss.iterations} "
-                   f"{ss.real_roots} {ss.stable}")
+                   f"{ss.real_roots} {point.verdict.stable}")
         lines.append(f"{i} {out}\n")
     return "".join(lines)
 

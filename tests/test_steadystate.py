@@ -298,6 +298,19 @@ class TestEffectiveParams:
         assert updated.omega_m == p.omega_m
 
 
+def spy_stability(monkeypatch):
+    """The verdicts the solver asks for, in order."""
+    checks = []
+    original = steadystate._is_stable
+
+    def spy(*args):
+        checks.append(original(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(steadystate, "_is_stable", spy)
+    return checks
+
+
 def drive_cases():
     """The golden drive configs as (index, raw, base)."""
     from test_golden import drive_configs
@@ -363,22 +376,50 @@ class TestAgainstDampedOracle:
                     checked += 1
         assert checked > 100
 
-    def test_bistable_config_takes_the_stable_root_nearest_zero(self, cases):
+    def test_bistable_config_takes_the_stable_root_nearest_zero(self, cases, monkeypatch):
         _, _, raw, base, oracle, roots = cases[253]
         stable = [steadystate._is_stable(state, raw, base) for _, state, _ in roots]
         assert stable.count(True) == 2
+        checks = spy_stability(monkeypatch)
         ss = solve_steady_state(raw, base)
-        assert ss.stable and ss.real_roots == 5
-        assert ss.beta == roots[stable.index(True)][1][3]
+        assert ss.real_roots == 5 and ss.beta == roots[stable.index(True)][1][3]
+        assert checks == [True]     # the nearest candidate is stable: one check
+        assert evaluate_point(apply_steady_state(base, ss), ("stability",)).verdict.stable
         assert abs(ss.beta.real - oracle[0][3].real) <= 1e-6 * abs(ss.beta.real)
 
-    def test_formerly_nonconverging_config_is_unique_and_unstable(self, cases):
+    def test_formerly_nonconverging_config_is_unique_and_unstable(self, cases, monkeypatch):
         _, _, raw, base, oracle, _ = cases[300]
         assert "possible multistable" in str(oracle)
+        checks = spy_stability(monkeypatch)
         ss = solve_steady_state(raw, base)
-        assert (ss.real_roots, ss.stable) == (1, False)
+        assert ss.real_roots == 1 and checks == []  # a lone candidate needs no verdict
         result = evaluate_point(apply_steady_state(base, ss))
         assert not result.verdict.stable and result.report is None
+
+    def test_no_stable_candidate_returns_the_nearest(self, cases, monkeypatch):
+        # configs 29, 122 and 238 have three roots and none is stable
+        for i in (29, 122, 238):
+            _, _, raw, base, _, roots = cases[i]
+            checks = spy_stability(monkeypatch)
+            ss = solve_steady_state(raw, base)
+            assert checks == [False, False]   # both candidates (the outer roots) tried
+            assert ss.beta == roots[0][1][3] and roots[0][0] < 0.0
+
+
+class TestRealRoots:
+    def test_roots_slopes_and_newton_steps(self):
+        # 2x^3 - 3x^2 + x = x (2x - 1)(x - 1): the zero root is factored out
+        roots, steps = steadystate._real_roots([2.0, -3.0, 1.0, 0.0])
+        assert roots == {0.0: 1.0, 0.5: -0.5, 1.0: 1.0}
+        assert steps == 3 * steadystate.NEWTON_STEPS
+
+    def test_near_double_root_is_a_candidate(self):
+        # (x - 1)^2 + 1e-14: the companion's eigenvalues are 1 +- 1e-7 i, a
+        # tangency that rounding may put on either side of the real axis
+        assert steadystate._real_roots([1.0, -2.0, 1.0 + 1e-14])[0] == {1.0: 0.0}
+
+    def test_complex_pair_is_not(self):
+        assert steadystate._real_roots([1.0, 0.0, 1.0]) == ({}, 0)
 
 
 class TestDegreeDrop:
