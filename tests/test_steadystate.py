@@ -156,9 +156,7 @@ class TestCoupledSolve:
 
         monkeypatch.setattr(steadystate, "_rhs", counting)
         ss = solve_steady_state(raw, base_params)
-        c = steadystate._map_constants(raw, base_params, base_params.j_ac_mag
-                                       * cmath.exp(1j * base_params.phi))
-        roots, steps = steadystate._real_roots(steadystate._quintic(raw, base_params, c))
+        roots, steps = steadystate._real_roots(quintic(raw, base_params))
         assert len(calls) == len(roots) == ss.real_roots
         assert ss.iterations == steps == steadystate.NEWTON_STEPS * len(roots)
 
