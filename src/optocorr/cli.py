@@ -80,25 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args):
-    cfg = load_config(args.config) if args.config else {}
-    return apply_overrides(cfg, getattr(args, "overrides", None))
-
-
-def _write(args, text: str):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_record(args, record: dict):
+def _record_text(args, record: dict) -> str:
     if args.format == "json":
-        _write(args, json.dumps(record, indent=2) + "\n")
-    else:
-        lines = [f"{k}={'%.12g' % v if isinstance(v, float) else v}" for k, v in record.items()]
-        _write(args, "\n".join(lines) + "\n")
+        return json.dumps(record, indent=2) + "\n"
+    lines = [f"{k}={'%.12g' % v if isinstance(v, float) else v}" for k, v in record.items()]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_axis(text: str) -> Axis:
@@ -122,9 +108,7 @@ def _parse_grid(text):
     return tuple(parts)
 
 
-def cmd_steady(args) -> int:
-    cfg = _resolve_config(args)
-    params = params_from_config(cfg)
+def cmd_steady(args, cfg, params) -> str:
     raw = drive_from_config(cfg, params)
     ss = solve_steady_state(raw, params)
     verdict = evaluate_point(apply_steady_state(params, ss), ("stability",)).verdict
@@ -138,13 +122,10 @@ def cmd_steady(args) -> int:
         "residual_norm": ss.residual_norm, "iterations": ss.iterations,
         "real_roots": ss.real_roots, "stable": verdict.stable,
     }
-    _emit_record(args, record)
-    return EXIT_OK
+    return _record_text(args, record)
 
 
-def cmd_matrix(args) -> int:
-    cfg = _resolve_config(args)
-    params = params_from_config(cfg)
+def cmd_matrix(args, cfg, params) -> str:
     a, d, verdict, _ = evaluate_matrices(params)
     blocks = {"A": a, "D": d}
     if args.with_cm:
@@ -154,20 +135,15 @@ def cmd_matrix(args) -> int:
                 f"(max Re eig = {verdict.max_real_part:.6g})")
         blocks["V"] = solve_lyapunov(a, d, check_stability=False).matrix
     if args.format == "json":
-        _write(args, json.dumps({k: [[float("%.17g" % x) for x in row] for row in m]
-                                 for k, m in blocks.items()}, indent=2) + "\n")
-    else:
-        lines = []
-        for tag, m in blocks.items():
-            lines.append(f"# {tag}")
-            lines.extend(",".join("%.17g" % x for x in row) for row in m)
-        _write(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return json.dumps({k: m.tolist() for k, m in blocks.items()}, indent=2) + "\n"
+    lines = []
+    for tag, m in blocks.items():
+        lines.append(f"# {tag}")
+        lines.extend(",".join("%.17g" % x for x in row) for row in m)
+    return "\n".join(lines) + "\n"
 
 
-def cmd_measure(args) -> int:
-    cfg = _resolve_config(args)
-    params = params_from_config(cfg)
+def cmd_measure(args, cfg, params) -> str:
     echo = {**SYSTEM_KEY_DEFAULTS, **{k: v for k, v in cfg.items() if k in SYSTEM_KEY_DEFAULTS}}
     result = evaluate_point(params)
     if result.report is None:
@@ -178,33 +154,25 @@ def cmd_measure(args) -> int:
     record = {**result.report.as_flat_dict(), "stable": result.verdict.stable,
               "max_real_part": result.verdict.max_real_part, "n_th": result.n_th,
               **{f"param_{k}": v for k, v in echo.items()}}
-    _emit_record(args, record)
-    return EXIT_OK
+    return _record_text(args, record)
 
 
-def _run_and_emit(args, spec, workers) -> int:
-    result = run_sweep(spec, workers=workers)
-    text = to_csv(result) if args.format == "csv" else to_json_lines(result)
-    _write(args, text)
-    return EXIT_OK
+def _sweep_text(args, spec) -> str:
+    result = run_sweep(spec, workers=args.workers)
+    return to_csv(result) if args.format == "csv" else to_json_lines(result)
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args)
-    params = params_from_config(cfg)
+def cmd_sweep(args, cfg, params) -> str:
     measures = tuple(m.strip() for m in args.measures.split(",") if m.strip())
     spec = SweepSpec(base=params, axis1=_parse_axis(args.axis),
                      axis2=_parse_axis(args.axis2) if args.axis2 else None,
                      measures=measures, unstable_policy=args.unstable)
-    return _run_and_emit(args, spec, args.workers)
+    return _sweep_text(args, spec)
 
 
-def cmd_figure(args) -> int:
-    cfg = _resolve_config(args)
-    params = params_from_config(cfg)
+def cmd_figure(args, cfg, params) -> str:
     spec = figure_preset(args.preset, params, counts=_parse_grid(args.grid))
-    spec = dataclasses.replace(spec, unstable_policy=args.unstable)
-    return _run_and_emit(args, spec, args.workers)
+    return _sweep_text(args, dataclasses.replace(spec, unstable_policy=args.unstable))
 
 
 COMMANDS = {
@@ -217,10 +185,18 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: resolve its config (file, then each --set), build the
+    parameter record, and write the command's text to --out or stdout."""
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        cfg = apply_overrides(load_config(args.config) if args.config else {}, args.overrides)
+        text = COMMANDS[args.command](args, cfg, params_from_config(cfg))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except (ConfigError, ParameterError) as exc:
         print(f"optocorr: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -235,7 +211,3 @@ def main(argv=None) -> int:
 def main_entry():
     """Console-script entry point."""
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    main_entry()

@@ -20,7 +20,8 @@ class ParameterError(OptocorrError):
 
 
 class NonConvergenceError(OptocorrError):
-    """Mean-field fixed-point iteration failed to converge."""
+    """No mean-field steady state: no real root of the mean-field polynomial
+    passes the residual test, or the polynomial overflowed."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

@@ -33,7 +33,8 @@ from .params import RawDriveParams, SystemParams
 
 RESIDUAL_RTOL = 1.0e-10
 NEWTON_STEPS = 2
-# an eigenvalue of the companion matrix this close to the real axis is a real-root candidate
+# an eigenvalue of the companion matrix this close to the real axis is a real-root
+# candidate, and polished roots this close together are one multiple root
 REAL_ROOT_RTOL = 1.0e-6
 
 
@@ -52,12 +53,13 @@ class SteadyState:
     real_roots: int         # certified real roots: the mean-field fixed points
 
 
-def _map_constants(raw: RawDriveParams, base: SystemParams, j_ac: complex) -> tuple:
+def _map_constants(raw: RawDriveParams, base: SystemParams) -> tuple:
     """The factors of the fixed-point map that do not depend on the state.
 
     Each is the left-most sub-product that the map's left-associated
     expressions form first (``2.0 * g1 * x`` is ``(2.0 * g1) * x``).
     """
+    j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
     return (raw.drive_e1, raw.drive_e2, raw.delta1_bare, raw.delta2_bare,
             2.0 * raw.g1, 2.0 * raw.g2, base.kappa1, base.kappa2,
             1j * j_ac, 1j * j_ac.conjugate(), 2j * base.j_ab, 1j * raw.g1, 1j * raw.g2,
@@ -67,7 +69,7 @@ def _map_constants(raw: RawDriveParams, base: SystemParams, j_ac: complex) -> tu
 def _rhs(state, c):
     """One application of the fixed-point map (right-hand sides).
 
-    `c` is `_map_constants(raw, base, j_ac)`."""
+    `c` is `_map_constants(raw, base)`."""
     alpha1, alpha2, xi, beta = state
     e1, e2, d1_bare, d2_bare, tg1, tg2, k1, k2, ij, ijc, tjab, ig1, ig2, den_xi, den_b = c
     x = beta.real
@@ -141,8 +143,14 @@ def _horner(coeffs, x: float):
 
 
 def _real_roots(coeffs: list):
-    """Distinct real roots, each polished by NEWTON_STEPS Newton steps,
-    with the polynomial's slope there; and the number of Newton steps."""
+    """Distinct real roots, each polished by NEWTON_STEPS Newton steps, as
+    {root: slope of the polynomial there}, nearest 0 first; and the number
+    of Newton steps.
+
+    Polished roots within REAL_ROOT_RTOL (relative, floor 1) of each other
+    are the copies of one multiple root, where Newton converges only
+    linearly; they count once, with slope 0.
+    """
     if not all(map(math.isfinite, coeffs)):
         raise NonConvergenceError("mean-field polynomial overflowed; "
                                   "drives too strong for a finite steady state", iterations=0)
@@ -168,14 +176,20 @@ def _real_roots(coeffs: list):
             raise NonConvergenceError(f"mean-field root enumeration failed: {exc}",
                                       iterations=0) from exc
         starts += [z.real for z in eigs if abs(z.imag) <= REAL_ROOT_RTOL * abs(z)]
-    roots = {}
+    polished = []
     for x in starts:
         for _ in range(NEWTON_STEPS):
             p, dp = _horner(coeffs, x)
             if dp != 0.0 and math.isfinite(p / dp):
                 x -= p / dp
-        roots.setdefault(x, _horner(coeffs, x)[1])
-    return roots, NEWTON_STEPS * len(starts)
+        polished.append(x)
+    roots = []      # (root, slope), ascending
+    for x in sorted(polished):
+        if roots and x - roots[-1][0] <= REAL_ROOT_RTOL * max(1.0, abs(x), abs(roots[-1][0])):
+            roots[-1] = (roots[-1][0], 0.0)
+        else:
+            roots.append((x, _horner(coeffs, x)[1]))
+    return dict(sorted(roots, key=lambda r: abs(r[0]))), NEWTON_STEPS * len(starts)
 
 
 def _effective_fields(state, raw: RawDriveParams) -> dict:
@@ -195,12 +209,11 @@ def _is_stable(state, raw: RawDriveParams, base: SystemParams) -> bool:
 def _fixed_points(raw: RawDriveParams, base: SystemParams):
     """The certified roots as (slope, state, residual), nearest x = 0 first,
     and the Newton steps spent; a NonConvergenceError when there is none."""
-    j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
     tol = RESIDUAL_RTOL * max(1.0, abs(raw.drive_e1), abs(raw.drive_e2))
-    c = _map_constants(raw, base, j_ac)
+    c = _map_constants(raw, base)
     roots, steps = _real_roots(_quintic(raw, base, c))
     certified, rejected = [], []
-    for x in sorted(roots, key=abs):
+    for x, slope in roots.items():
         try:
             a1, a2, xi, b = state = _state_at(x, c)
             r1, r2, r3, r4 = _rhs(state, c)
@@ -210,7 +223,7 @@ def _fixed_points(raw: RawDriveParams, base: SystemParams):
         if not res <= tol:      # a NaN residual fails too
             rejected.append(res)
         else:
-            certified.append((roots[x], state, res))
+            certified.append((slope, state, res))
     if not certified:
         finite = [r for r in rejected if not math.isnan(r)]
         res = min(finite) if finite else math.nan if rejected else None

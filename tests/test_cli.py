@@ -10,6 +10,7 @@ import pytest
 
 import optocorr
 from optocorr import figure_preset, params_from_config
+from optocorr import cli
 from optocorr.cli import build_parser, main
 from optocorr.sweep import UNSTABLE_POLICIES, SweepSpec, config_hash
 
@@ -324,6 +325,63 @@ class TestSweepAndFigure:
         assert json.loads(out_set)["param_Jab_mhz"] == 1
         assert json.loads(out_set)["EN_c2a"] == pytest.approx(
             json.loads(out_default)["EN_c2a"], rel=1e-12)
+
+
+# one run of each command, small enough for every format
+COMMAND_RUNS = {
+    "steady": ("steady", *TestSteady.DRIVE),
+    "matrix": ("matrix", "--with-cm"),
+    "measure": ("measure",),
+    "sweep": ("sweep", "--axis", "phi=0:3:3", "--axis2", "T=0.01:0.02:2"),
+    "figure": ("figure", "fig2", "--grid", "3x2"),
+}
+
+
+class TestOutput:
+    """`main` resolves the config, builds the parameters and writes the
+    command's text, to --out or to stdout, the same bytes either way."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+    def test_out_file_equals_stdout(self, capsys, tmp_path, command, fmt):
+        argv = (*COMMAND_RUNS[command], "--format", fmt)
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 0 and stdout, err
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (("measure", "--set", "not_a_key=1"), 2),
+        (("figure", "fig2", "--grid", "5x5", "--unstable", "error"), 3)])
+    def test_failing_run_writes_nothing(self, capsys, tmp_path, argv, exit_code):
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (exit_code, "") and err.count("\n") == 1
+        assert not out_path.exists()
+        assert run_cli(capsys, *argv)[:2] == (exit_code, "")
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+    def test_config_read_and_parameters_built_once(self, capsys, tmp_path, monkeypatch,
+                                                   command):
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text("Jab_mhz: 1\n")
+        calls = []
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+            return counting
+
+        for name in ("load_config", "params_from_config"):
+            monkeypatch.setattr(cli, name, spy(name))
+        code, _, err = run_cli(capsys, *COMMAND_RUNS[command], "--config", str(cfg))
+        assert code == 0, err
+        assert calls == ["load_config", "params_from_config"]
 
 
 class TestModuleEntry:

@@ -51,9 +51,8 @@ def damped_fixed_point(raw, base):
     increases.  Returns the branch reached from the decoupled initial
     point; no branch enumeration.
     """
-    j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
     tol = steadystate.RESIDUAL_RTOL * max(1.0, abs(raw.drive_e1), abs(raw.drive_e2))
-    c = steadystate._map_constants(raw, base, j_ac)
+    c = steadystate._map_constants(raw, base)
 
     # decoupled initialization: couplings off
     alpha1 = raw.drive_e1 / (1j * raw.delta1_bare + base.kappa1)
@@ -243,11 +242,10 @@ class TestMapOracle:
         base = base_params.with_values(phi=phi)
         if zero_couplings:
             base = base.with_values(j_ac_mag=0.0, j_ab=0.0)
-        j_ac = base.j_ac_mag * cmath.exp(1j * base.phi)
         for _ in range(200):
             raw = self.random_raw(rng, zero_couplings, base)
             state = self.random_state(rng, signed_zeros)
-            got = steadystate._rhs(state, steadystate._map_constants(raw, base, j_ac))
+            got = steadystate._rhs(state, steadystate._map_constants(raw, base))
             assert hex_parts(got) == hex_parts(mean_field_rhs(state, raw, base))
 
 
@@ -318,8 +316,7 @@ def drive_cases():
 
 
 def quintic(raw, base):
-    return steadystate._quintic(raw, base, steadystate._map_constants(
-        raw, base, base.j_ac_mag * cmath.exp(1j * base.phi)))
+    return steadystate._quintic(raw, base, steadystate._map_constants(raw, base))
 
 
 class TestAgainstDampedOracle:
@@ -415,6 +412,18 @@ class TestRealRoots:
         # (x - 1)^2 + 1e-14: the companion's eigenvalues are 1 +- 1e-7 i, a
         # tangency that rounding may put on either side of the real axis
         assert steadystate._real_roots([1.0, -2.0, 1.0 + 1e-14])[0] == {1.0: 0.0}
+
+    @pytest.mark.parametrize("coeffs,simple", [([1.0, 0.0, -3.0, 2.0], (-2.0, 9.0)),
+                                               ([1.0, -1.0, -1.0, 1.0], (-1.0, 4.0))])
+    def test_double_root_counts_once(self, coeffs, simple):
+        # (x - 1)^2 (x + 2) and (x - 1)^2 (x + 1): eigvals splits the double root
+        # into 1 +- 2e-8 and Newton converges only linearly there, so two copies
+        # 8e-9 apart were counted as two roots; they are one, of true slope 0
+        roots, steps = steadystate._real_roots(coeffs)
+        assert len(roots) == 2 and steps == 3 * steadystate.NEWTON_STEPS
+        double = next(x for x in roots if x > 0.0)
+        assert abs(double - 1.0) <= 1e-8 and roots[double] == 0.0
+        assert list(roots.items()) == sorted([(double, 0.0), simple], key=lambda r: abs(r[0]))
 
     def test_complex_pair_is_not(self):
         assert steadystate._real_roots([1.0, 0.0, 1.0]) == ({}, 0)
