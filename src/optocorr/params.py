@@ -12,6 +12,7 @@ kelvin and the thermal occupation uses SI constants.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass, replace, fields
 
@@ -193,26 +194,37 @@ KNOWN_KEYS = set(SYSTEM_KEY_DEFAULTS) | DRIVE_KEYS
 
 
 def validate_config(raw: dict) -> dict:
-    """Check key names and numeric types; unknown keys are a hard error."""
+    """The one gate for config values, from a file or --set: known keys only,
+    each value a number or text that float() reads, returned as that float."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping of key: value")
-    unknown = sorted(set(raw) - KNOWN_KEYS)
+    unknown = sorted(str(key) for key in raw if key not in KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    out = {}
     for key, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"config key {key} must be a number, got {value!r}")
-    return dict(raw)
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise TypeError
+            out[key] = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {key} must be a number, got {value!r}") from exc
+    return out
 
 
 def load_config(path: str) -> dict:
-    """Load a YAML/JSON config file and validate its keys."""
+    """Load a JSON (or else YAML) config file and pass it through the gate."""
     import yaml     # only a config file needs the parser
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            text = fh.read()
+            try:
+                raw = json.loads(text)
+            except ValueError:
+                fh.seek(0)      # so that a YAML error names the file
+                raw = yaml.safe_load(fh)
+        except (ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:
         raw = {}
@@ -220,20 +232,14 @@ def load_config(path: str) -> dict:
 
 
 def apply_overrides(cfg: dict, overrides) -> dict:
-    """Apply repeatable key=value overrides on top of a loaded config."""
+    """Merge repeatable key=value overrides over a config, through the gate."""
     out = dict(cfg)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, _, text = item.partition("=")
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"unknown config key: {key}")
-        try:
-            out[key] = float(text)
-        except ValueError as exc:
-            raise ConfigError(f"override value for {key} is not a number: {text!r}") from exc
-    return out
+        out[key.strip()] = text
+    return validate_config(out)
 
 
 def params_from_config(cfg: dict) -> SystemParams:

@@ -2,8 +2,9 @@
 
 Grids are linear and inclusive of both endpoints.  Every grid point is
 evaluated on its own, and only as far as the spec's measures need: a
-stability-only point stops at the drift spectrum, and an `EN_*` point
-skips the discord and the tripartite spectra.  Each point's parameter
+stability-only point stops after the drift, the thermal occupation, the
+diffusion matrix and the drift spectrum, and an `EN_*` point skips the
+discord and the tripartite spectra.  Each point's parameter
 record is built and validated once, and the unstable policy is applied
 as the point is evaluated.  Output ordering is deterministic (axis1
 outer, axis2 inner) regardless of worker count.
@@ -187,7 +188,9 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, str):
+    if isinstance(value, str):    # RFC 4180: quote a cell holding a comma, quote or newline
+        if any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, float) and math.isnan(value):
         return ""

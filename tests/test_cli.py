@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -21,6 +22,34 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# config files that escaped as untyped tracebacks (exit 1) before every value
+# went through one gate: (file name, text, start of the error message)
+CRASHING_CONFIGS = {
+    "int-key": ("c.yaml", "1: 2\n", "unknown config key(s): 1\n"),
+    "null-key": ("c.yaml", "null: 3\n", "unknown config key(s): None\n"),
+    "yaml-int-beyond-floats": ("c.yaml", f"T_kelvin: 1{'0' * 400}\n",
+                               "config key T_kelvin must be a number"),
+    "json-int-beyond-floats": ("c.json", f'{{"T_kelvin": 1{"0" * 400}}}',
+                               "config key T_kelvin must be a number"),
+    "int-beyond-digit-limit": ("c.yaml", f"T_kelvin: 1{'0' * 5000}\n", "cannot parse config"),
+}
+
+# file values PyYAML or the old gate read differently from --set: (file name, text, --set item)
+FILE_AND_SET = {
+    "json-exponent": ("c.json", '{"T_kelvin": 1e-3}', "T_kelvin=1e-3"),
+    "yaml-exponent": ("c.yaml", "T_kelvin: 1e-3\n", "T_kelvin=1e-3"),
+    "yaml-int-T": ("c.yaml", "T_kelvin: 0\n", "T_kelvin=0"),
+    "yaml-int-phi": ("c.yaml", "phi_rad: 0\n", "phi_rad=0"),
+    "yaml-int-omega": ("c.yaml", "omega_m_mhz: 24\n", "omega_m_mhz=24"),
+}
+
+
+def write_config(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
 
 
 class TestMeasure:
@@ -101,6 +130,20 @@ class TestMeasure:
         code, out, err = run_cli(capsys, "measure", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert "config root must be a mapping" in err
+
+    @pytest.mark.parametrize("case", sorted(CRASHING_CONFIGS))
+    def test_config_that_crashed_exit_2(self, capsys, tmp_path, case):
+        name, text, message = CRASHING_CONFIGS[case]
+        code, out, err = run_cli(capsys, "measure", "--config", write_config(tmp_path, name, text))
+        assert (code, out) == (2, "")
+        assert err.startswith("optocorr: config error: " + message)
+
+    @pytest.mark.parametrize("name,text", [("c.json", '{"T_kelvin": 1e-3}'),
+                                           ("c.yaml", "T_kelvin: 1e-3\n")], ids=["json", "yaml"])
+    def test_exponent_without_dot_is_a_number(self, capsys, tmp_path, name, text):
+        code, out, err = run_cli(capsys, "measure", "--config", write_config(tmp_path, name, text))
+        assert code == 0, err
+        assert "param_T_kelvin=0.001" in out.splitlines()
 
     def test_empty_config_gives_the_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -310,6 +353,19 @@ class TestSweepAndFigure:
         assert code == 2
         assert "workers" in err and out == ""
 
+    def test_csv_error_cell_reads_back_with_csv_reader(self, capsys):
+        # the error text holds commas, so its cell is quoted
+        argv = ("sweep", "--axis", "T=1e299:1e300:3", "--measures", "EN_c2a,DG_ab")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        columns, *rows = csv.reader(out.splitlines()[1:])
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        records = [json.loads(line) for line in out.splitlines()[1:]]
+        assert len(rows) == len(records) == 3
+        for row, record in zip(rows, records):
+            assert len(row) == len(columns)
+            assert "," in record["error"] and row[columns.index("error")] == record["error"]
+
     def test_io_failure_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--out", "/nonexistent/dir/x.csv")
         assert code == 4
@@ -361,6 +417,16 @@ class TestOutput:
         assert (code, out) == (exit_code, "") and err.count("\n") == 1
         assert not out_path.exists()
         assert run_cli(capsys, *argv)[:2] == (exit_code, "")
+
+    @pytest.mark.parametrize("argv", [("figure", "fig5", "--grid", "3"),
+                                      ("measure", "--format", "json")], ids=["fig5", "measure"])
+    @pytest.mark.parametrize("case", sorted(FILE_AND_SET))
+    def test_file_value_gives_the_bytes_set_gives(self, capsys, tmp_path, argv, case):
+        # the provenance header included
+        name, text, item = FILE_AND_SET[case]
+        code, from_file, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, name, text))
+        assert code == 0, err
+        assert from_file == run_cli(capsys, *argv, "--set", item)[1]
 
     @pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
     def test_config_read_and_parameters_built_once(self, capsys, tmp_path, monkeypatch,
@@ -451,3 +517,20 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stdout) == (code, b"")
         assert proc.stderr.startswith(b"optocorr: " + kind)
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+    @pytest.mark.parametrize("case", sorted(CRASHING_CONFIGS))
+    def test_config_that_crashed_is_one_typed_line(self, tmp_path, case):
+        name, text, message = CRASHING_CONFIGS[case]
+        proc = self.run_module("measure", "--config", write_config(tmp_path, name, text))
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"optocorr: config error: " + message.encode())
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+    @pytest.mark.parametrize("case", sorted(FILE_AND_SET))
+    def test_file_value_gives_the_bytes_set_gives(self, tmp_path, case):
+        name, text, item = FILE_AND_SET[case]
+        argv = ("measure", "--format", "json")
+        from_file = self.run_module(*argv, "--config", write_config(tmp_path, name, text))
+        from_set = self.run_module(*argv, "--set", item)
+        assert (from_file.returncode, from_file.stderr) == (0, b"")
+        assert from_file.stdout == from_set.stdout

@@ -177,6 +177,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cannot parse config"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("value", ["true", "null", "[1]", "{a: 1}", "2024-01-01",
+                                       "!!binary MS41"])
+    def test_value_neither_number_nor_text_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"G1_mhz: {value}\n")
+        with pytest.raises(ConfigError, match="config key G1_mhz must be a number"):
+            load_config(str(path))
+
+    def test_tab_indented_json_is_read_as_json(self, tmp_path):
+        # YAML allows no tab in indentation
+        path = tmp_path / "c.json"
+        path.write_text('{\n\t"T_kelvin": 0.02\n}\n')
+        assert load_config(str(path)) == {"T_kelvin": 0.02}
+
     def test_power_drives(self, base_params):
         # each cavity's drive takes its own kappa; omega_l_thz is in THz
         p = base_params.with_values(kappa2=2.0 * base_params.kappa1)

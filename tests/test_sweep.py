@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import math
 import re
@@ -223,6 +224,12 @@ class TestSerialization:
                 jval = jrow[col]
                 if isinstance(jval, float):
                     assert float(cval) == pytest.approx(jval, rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["plain", "a, b", 'say "x"', 'q", r', "two\nlines"])
+    def test_text_cell_reads_back_with_csv_reader(self, text):
+        # RFC 4180: a cell holding a comma, quote or newline is quoted
+        line = sweep._fmt(text) + ",1\n"
+        assert list(csv.reader(line.splitlines(keepends=True))) == [[text, "1"]]
 
 
 class TestFigurePresets:
