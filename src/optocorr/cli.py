@@ -14,9 +14,10 @@ import sys
 from . import __version__
 from .errors import (ConfigError, NumericDomainError, OptocorrError, ParameterError,
                      UnstableDriftError)
+from .dynamics import build_diffusion, build_drift
 from .params import (SYSTEM_KEY_DEFAULTS, apply_overrides, drive_from_config,
-                     load_config, params_from_config)
-from .pipeline import evaluate_matrices, evaluate_point
+                     load_config, params_from_config, thermal_occupation)
+from .pipeline import evaluate_point
 from .lyapunov import solve_lyapunov
 from .steadystate import apply_steady_state, solve_steady_state
 from .sweep import (Axis, PRESET_IDS, SweepSpec, figure_preset, run_sweep,
@@ -126,9 +127,11 @@ def cmd_steady(args, cfg, params) -> str:
 
 
 def cmd_matrix(args, cfg, params) -> str:
-    a, d, verdict, _ = evaluate_matrices(params)
+    a = build_drift(params)
+    d = build_diffusion(params, thermal_occupation(params.omega_m, params.temperature))
     blocks = {"A": a, "D": d}
     if args.with_cm:
+        verdict = evaluate_point(params, ("stability",)).verdict
         if not verdict.stable:
             raise UnstableDriftError(
                 f"cannot compute covariance matrix: point unstable "

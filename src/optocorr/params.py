@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import reprlib
 from dataclasses import dataclass, replace, fields
 
 from .errors import ConfigError, ParameterError
@@ -208,7 +209,8 @@ def validate_config(raw: dict) -> dict:
                 raise TypeError
             out[key] = float(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config key {key} must be a number, got {value!r}") from exc
+            raise ConfigError(f"config key {key} must be a number, "
+                              f"got {reprlib.repr(value)}") from exc
     return out
 
 
@@ -225,7 +227,7 @@ def load_config(path: str) -> dict:
                 fh.seek(0)      # so that a YAML error names the file
                 raw = yaml.safe_load(fh)
         except (ValueError, yaml.YAMLError) as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+            raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
     if raw is None:
         raw = {}
     return validate_config(raw)

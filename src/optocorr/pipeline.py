@@ -23,28 +23,22 @@ class PointResult:
     error: str | None = None
 
 
-def evaluate_matrices(params: SystemParams):
-    """(A, D, verdict, n_th) for one parameter point."""
-    a = build_drift(params)
-    n_th = thermal_occupation(params.omega_m, params.temperature)
-    d = build_diffusion(params, n_th)
-    verdict = assess_stability(a, margin_tol=default_margin_tol(params))
-    return a, d, verdict, n_th
-
-
 def evaluate_point(params: SystemParams, measures=None) -> PointResult:
     """Pipeline for one point; numeric errors are captured, not raised.
 
     `measures` names the report keys wanted, as a sweep spec does; None
-    asks for the full report.  A request for no measure family (only
-    "stability", say) stops at the verdict, with no covariance and no
-    report.
+    asks for the full report.  The verdict comes first: an unstable point,
+    or a request for no measure family ("stability" only, say), stops there
+    with no diffusion matrix, covariance or report.
     """
-    a, d, verdict, n_th = evaluate_matrices(params)
+    a = build_drift(params)
+    n_th = thermal_occupation(params.omega_m, params.temperature)
+    verdict = assess_stability(a, margin_tol=default_margin_tol(params))
     families = measure_families(measures)
     if not verdict.stable or not families:
         return PointResult(verdict=verdict, n_th=n_th, report=None,
                            covariance=None, error=None)
+    d = build_diffusion(params, n_th)
     try:
         cm = solve_lyapunov(a, d, check_stability=False)
         report = correlation_report(cm.matrix, families)

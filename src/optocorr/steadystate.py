@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import assess_stability, build_drift, default_margin_tol
 from .errors import NonConvergenceError
 from .params import RawDriveParams, SystemParams
+from .pipeline import evaluate_point
 
 RESIDUAL_RTOL = 1.0e-10
 NEWTON_STEPS = 2
@@ -201,9 +201,9 @@ def _effective_fields(state, raw: RawDriveParams) -> dict:
 
 
 def _is_stable(state, raw: RawDriveParams, base: SystemParams) -> bool:
-    """The verdict `evaluate_point` gives the linearization about `state`."""
+    """`evaluate_point`'s verdict on the linearization about `state`."""
     point = base.with_values(**_effective_fields(state, raw))
-    return assess_stability(build_drift(point), margin_tol=default_margin_tol(point)).stable
+    return evaluate_point(point, ("stability",)).verdict.stable
 
 
 def _fixed_points(raw: RawDriveParams, base: SystemParams):

@@ -2,8 +2,8 @@
 
 Grids are linear and inclusive of both endpoints.  Every grid point is
 evaluated on its own, and only as far as the spec's measures need: a
-stability-only point stops after the drift, the thermal occupation, the
-diffusion matrix and the drift spectrum, and an `EN_*` point skips the
+stability-only or unstable point stops after the drift, the thermal
+occupation and the drift spectrum, and an `EN_*` point skips the
 discord and the tripartite spectra.  Each point's parameter
 record is built and validated once, and the unstable policy is applied
 as the point is evaluated.  Output ordering is deterministic (axis1

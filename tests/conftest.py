@@ -3,13 +3,24 @@ import pytest
 from scipy.linalg import expm
 
 from optocorr import SystemParams, params_from_config
-from optocorr.dynamics import MODE_BLOCKS
+from optocorr.dynamics import (MODE_BLOCKS, assess_stability, build_diffusion, build_drift,
+                               default_margin_tol)
+from optocorr.params import thermal_occupation
 
 
 @pytest.fixture
 def base_params() -> SystemParams:
     """Baseline operating point (package defaults)."""
     return params_from_config({})
+
+
+def point_matrices(params: SystemParams):
+    """(A, D, verdict, n_th) of one point, from the public stage functions:
+    the tests' own copy of the chain and margin rule `evaluate_point` applies."""
+    a = build_drift(params)
+    n_th = thermal_occupation(params.omega_m, params.temperature)
+    verdict = assess_stability(a, margin_tol=default_margin_tol(params))
+    return a, build_diffusion(params, n_th), verdict, n_th
 
 
 def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:

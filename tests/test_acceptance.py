@@ -14,10 +14,9 @@ from optocorr import (OMEGA_4, evaluate_point, figure_preset, gaussian_discord,
                       solve_lyapunov, run_sweep)
 from optocorr.lyapunov import lyapunov_residual, residual_bound
 from optocorr.params import TWO_PI, params_from_config
-from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import _apply_axes
 
-from conftest import random_physical_cm, random_stable_system
+from conftest import point_matrices, random_physical_cm, random_stable_system
 from test_lyapunov import integrate_covariance
 from test_measures import pt_symplectic_min
 
@@ -67,7 +66,7 @@ def test_criterion_1_lyapunov_residuals_on_fig3_grid(base_params):
     worst_ratio = 0.0
     n_stable = 0
     for _, params in grid_params(spec):
-        a, d, verdict, _ = evaluate_matrices(params)
+        a, d, verdict, _ = point_matrices(params)
         if not verdict.stable:
             continue
         n_stable += 1
@@ -104,7 +103,7 @@ def test_criterion_3_stability_map(base_params):
     for (x, y), params in grid_params(spec):
         i = np.argmin(np.abs(g1 - x))
         j = np.argmin(np.abs(g2 - y))
-        stable[i, j] = evaluate_matrices(params)[2].stable
+        stable[i, j] = point_matrices(params)[2].stable
     # reference point (2, 4) MHz
     ref = stable[np.argmin(np.abs(g1 - 2.0)), np.argmin(np.abs(g2 - 4.0))]
     small = (g1[:, None] < 1.0) & (g2[None, :] < 1.0)

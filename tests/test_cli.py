@@ -34,6 +34,7 @@ CRASHING_CONFIGS = {
     "json-int-beyond-floats": ("c.json", f'{{"T_kelvin": 1{"0" * 400}}}',
                                "config key T_kelvin must be a number"),
     "int-beyond-digit-limit": ("c.yaml", f"T_kelvin: 1{'0' * 5000}\n", "cannot parse config"),
+    "yaml-syntax-error": ("c.yaml", "T_kelvin: [\n", "cannot parse config"),
 }
 
 # file values PyYAML or the old gate read differently from --set: (file name, text, --set item)
@@ -521,10 +522,21 @@ class TestModuleEntry:
     @pytest.mark.parametrize("case", sorted(CRASHING_CONFIGS))
     def test_config_that_crashed_is_one_typed_line(self, tmp_path, case):
         name, text, message = CRASHING_CONFIGS[case]
-        proc = self.run_module("measure", "--config", write_config(tmp_path, name, text))
+        path = write_config(tmp_path, name, text)
+        proc = self.run_module("measure", "--config", path)
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.startswith(b"optocorr: config error: " + message.encode())
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+        # the path is the caller's; what the message adds to it, the echoed value
+        # included, is bounded
+        assert len(proc.stderr.replace(path.encode(), b"")) < 200
+
+    def test_stability_only_sweep_overflowing_temperature_is_one_typed_line(self):
+        # a fig2 point never builds D, yet still computes the thermal occupation
+        proc = self.run_module("figure", "fig2", "--grid", "3x3", "--set", "T_kelvin=1.7e308")
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == (b"optocorr: config error: temperature 1.7e+308 K is too high "
+                               b"for a finite thermal occupation\n")
 
     @pytest.mark.parametrize("case", sorted(FILE_AND_SET))
     def test_file_value_gives_the_bytes_set_gives(self, tmp_path, case):

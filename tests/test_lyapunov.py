@@ -6,10 +6,9 @@ from optocorr import solve_lyapunov
 from optocorr.errors import SingularSystemError, UnstableDriftError
 from optocorr.lyapunov import RESIDUAL_RTOL, _kron_sum, lyapunov_residual, residual_bound
 from optocorr.params import params_from_config
-from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import _apply_axes, figure_preset
 
-from conftest import random_stable_system
+from conftest import point_matrices, random_stable_system
 
 
 def integrate_covariance(a, d, rel_window=35.0):
@@ -129,7 +128,7 @@ class TestResidualNorm:
         systems = [random_stable_system(8, rng) for _ in range(30)]
         spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
         for point in spec.grid():
-            a, d, verdict, _ = evaluate_matrices(_apply_axes(spec.base, spec, point))
+            a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
             if verdict.stable:
                 systems.append((a, d))
         assert len(systems) > 40
@@ -157,7 +156,7 @@ class TestResidualNorm:
     def test_huge_covariance_solves_without_warning(self):
         # the T_kelvin=1e300 point: n_th ~ 8.7e302 and a residual beyond the squares
         params = params_from_config({"T_kelvin": 1e300})
-        a, d, verdict, _ = evaluate_matrices(params)
+        a, d, verdict, _ = point_matrices(params)
         assert verdict.stable
         cm = solve_lyapunov(a, d, check_stability=False)
         assert cm.residual_norm > 1e154
@@ -166,7 +165,7 @@ class TestResidualNorm:
         # at T_kelvin=1e300 the squares of the entries of V and D overflow; the
         # bound is still ||A|| ||V|| + ||D||, each norm scaled by its largest entry
         params = params_from_config({"T_kelvin": 1e300})
-        a, d, _, _ = evaluate_matrices(params)
+        a, d, _, _ = point_matrices(params)
         v = solve_lyapunov(a, d, check_stability=False).matrix
 
         def scaled(m):
@@ -205,7 +204,7 @@ class TestIndexWrittenOperator:
         systems = [random_stable_system(8, rng) for _ in range(30)]
         spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
         for point in spec.grid():
-            a, d, verdict, _ = evaluate_matrices(_apply_axes(spec.base, spec, point))
+            a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
             if verdict.stable:
                 systems.append((a, d))
         assert len(systems) > 40

@@ -18,10 +18,9 @@ from optocorr.cli import main
 from optocorr.errors import NumericDomainError
 from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, CorrelationReport,
                                correlation_report)
-from optocorr.pipeline import evaluate_matrices
 from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, _apply_axes, figure_preset, run_sweep
 
-from conftest import extract_submatrix
+from conftest import extract_submatrix, point_matrices
 
 
 def grid_params(base_params, preset, counts):
@@ -45,7 +44,7 @@ def spy(monkeypatch, module, name):
 def standalone_report(params):
     """The verdict, occupation, covariance and full report of a point, rebuilt
     from the public single-measure functions."""
-    a, d, verdict, n_th = evaluate_matrices(params)
+    a, d, verdict, n_th = point_matrices(params)
     v = solve_lyapunov(a, d, check_stability=False).matrix
     pairs = {f"{p}{q}": extract_submatrix(v, (p, q)) for p, q in CANONICAL_PAIRS}
     _, raw = residual_contangle_min(extract_submatrix(v, TRIPLE_MODES))
@@ -108,13 +107,24 @@ class TestFullReport:
 
 class TestSkippedStages:
     def test_stability_sweep_never_solves(self, base_params, monkeypatch, tmp_path):
+        diffusions = spy(monkeypatch, pipeline, "build_diffusion")
         solves = spy(monkeypatch, pipeline, "solve_lyapunov")
         reports = spy(monkeypatch, pipeline, "correlation_report")
         out = tmp_path / "fig2.csv"
         assert main(["figure", "fig2", "--grid", "13x11", "--out", str(out)]) == 0
         stable = [row.split(",")[2] for row in out.read_text().splitlines()[2:]]
         assert len(stable) == 143 and "0" in stable and "1" in stable
-        assert solves == [] and reports == []
+        assert diffusions == [] and solves == [] and reports == []
+
+    def test_diffusion_built_once_per_solved_point(self, base_params, monkeypatch):
+        points = grid_params(base_params, "fig3", (4, 4))
+        stable = [params for params in points if point_matrices(params)[2].stable]
+        assert 0 < len(stable) < len(points)
+        diffusions = spy(monkeypatch, pipeline, "build_diffusion")
+        solves = spy(monkeypatch, pipeline, "solve_lyapunov")
+        run_sweep(figure_preset("fig3", base_params, counts=(4, 4)))
+        assert [args[0] for args in diffusions] == stable
+        assert len(solves) == len(stable)
 
     def test_en_sweep_skips_spectra_and_discord(self, base_params, monkeypatch):
         minima = spy(monkeypatch, measures, "_pt_minima")

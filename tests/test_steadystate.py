@@ -9,6 +9,7 @@ from optocorr.errors import NonConvergenceError, ParameterError
 from optocorr.dynamics import build_drift
 from optocorr.params import TWO_PI, RawDriveParams, drive_from_config, params_from_config
 from optocorr.pipeline import evaluate_point
+import optocorr.pipeline as pipeline
 import optocorr.steadystate as steadystate
 from optocorr.steadystate import apply_steady_state, solve_steady_state
 
@@ -381,6 +382,14 @@ class TestAgainstDampedOracle:
         assert checks == [True]     # the nearest candidate is stable: one check
         assert evaluate_point(apply_steady_state(base, ss), ("stability",)).verdict.stable
         assert abs(ss.beta.real - oracle[0][3].real) <= 1e-6 * abs(ss.beta.real)
+
+    def test_solver_verdict_is_the_pipeline_verdict(self, cases, monkeypatch):
+        # no margin passes: the solver must see the pipeline's rule, not a copy
+        _, _, raw, base, _, roots = cases[253]
+        stable = [state for _, state, _ in roots if steadystate._is_stable(state, raw, base)]
+        assert len(stable) == 2
+        monkeypatch.setattr(pipeline, "default_margin_tol", lambda params: math.inf)
+        assert [steadystate._is_stable(state, raw, base) for state in stable] == [False, False]
 
     def test_formerly_nonconverging_config_is_unique_and_unstable(self, cases, monkeypatch):
         _, _, raw, base, oracle, _ = cases[300]
