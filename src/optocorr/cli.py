@@ -112,14 +112,15 @@ def _parse_grid(text):
 def cmd_steady(args, cfg, params) -> str:
     raw = drive_from_config(cfg, params)
     ss = solve_steady_state(raw, params)
-    verdict = evaluate_point(apply_steady_state(params, ss), ("stability",)).verdict
+    point = apply_steady_state(params, ss)
+    verdict = evaluate_point(point, ("stability",)).verdict
     record = {
         "alpha1_re": ss.alpha1.real, "alpha1_im": ss.alpha1.imag,
         "alpha2_re": ss.alpha2.real, "alpha2_im": ss.alpha2.imag,
         "xi_re": ss.xi.real, "xi_im": ss.xi.imag,
         "beta_re": ss.beta.real, "beta_im": ss.beta.imag,
-        "delta1_eff": ss.delta1_eff, "delta2_eff": ss.delta2_eff,
-        "G1_eff": ss.g1_eff, "G2_eff": ss.g2_eff,
+        "delta1_eff": point.delta1_eff, "delta2_eff": point.delta2_eff,
+        "G1_eff": point.g1_eff, "G2_eff": point.g2_eff,
         "residual_norm": ss.residual_norm, "iterations": ss.iterations,
         "real_roots": ss.real_roots, "stable": verdict.stable,
     }

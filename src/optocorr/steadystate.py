@@ -2,8 +2,9 @@
 
 Solves the coupled fixed-point equations for the intracavity amplitudes
 (alpha1, alpha2), the collective atomic amplitude (xi) and the
-mechanical displacement (beta), and derives the effective detunings and
-optomechanical couplings consumed by the dynamics module.
+mechanical displacement (beta).  `apply_steady_state` linearizes about
+the solution: the effective detunings and optomechanical couplings the
+dynamics module consumes.
 
 When the operating point specifies the effective quantities directly
 (the convention used by all figure presets) this module is bypassed.
@@ -44,10 +45,7 @@ class SteadyState:
     alpha2: complex
     xi: complex
     beta: complex
-    delta1_eff: float
-    delta2_eff: float
-    g1_eff: float
-    g2_eff: float
+    raw: RawDriveParams     # the drives it was solved for
     residual_norm: float
     iterations: int         # Newton steps spent polishing the real roots
     real_roots: int         # certified real roots: the mean-field fixed points
@@ -192,18 +190,18 @@ def _real_roots(coeffs: list):
     return dict(sorted(roots, key=lambda r: abs(r[0]))), NEWTON_STEPS * len(starts)
 
 
-def _effective_fields(state, raw: RawDriveParams) -> dict:
-    """Effective detunings and couplings of a mean-field state."""
+def _linearized(base: SystemParams, state, raw: RawDriveParams) -> SystemParams:
+    """The point linearized about the mean-field `state` of the drives `raw`:
+    effective detunings and couplings."""
     alpha1, alpha2, _, beta = state
-    return dict(delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
-                delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,
-                g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2))
+    return base.with_values(delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
+                            delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,
+                            g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2))
 
 
 def _is_stable(state, raw: RawDriveParams, base: SystemParams) -> bool:
     """`evaluate_point`'s verdict on the linearization about `state`."""
-    point = base.with_values(**_effective_fields(state, raw))
-    return evaluate_point(point, ("stability",)).verdict.stable
+    return evaluate_point(_linearized(base, state, raw), ("stability",)).verdict.stable
 
 
 def _fixed_points(raw: RawDriveParams, base: SystemParams):
@@ -254,12 +252,10 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
     if len(candidates) > 1:
         state, res = next((c for c in candidates if _is_stable(c[0], raw, base)), candidates[0])
     alpha1, alpha2, xi, beta = state
-    return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta,
-                       **_effective_fields(state, raw), residual_norm=res,
-                       iterations=steps, real_roots=len(certified))
+    return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta, raw=raw,
+                       residual_norm=res, iterations=steps, real_roots=len(certified))
 
 
 def apply_steady_state(base: SystemParams, ss: SteadyState) -> SystemParams:
-    """Replace the effective fields of a parameter record with solved values."""
-    return base.with_values(delta1_eff=ss.delta1_eff, delta2_eff=ss.delta2_eff,
-                            g1_eff=ss.g1_eff, g2_eff=ss.g2_eff)
+    """The parameter record `base` linearized about the solved state."""
+    return _linearized(base, (ss.alpha1, ss.alpha2, ss.xi, ss.beta), ss.raw)

@@ -270,28 +270,28 @@ class TestEffectiveParams:
     def test_zero_beta_keeps_bare_detunings(self, base_params):
         p = base_params.with_values(j_ac_mag=0.0, j_ab=0.0)
         raw = make_raw(g1=TWO_PI * 1e-3, base=p)   # undriven: beta = 0
-        ss = solve_steady_state(raw, p)
-        assert ss.delta1_eff == pytest.approx(raw.delta1_bare)
-        assert ss.delta2_eff == pytest.approx(raw.delta2_bare)
-        assert ss.g1_eff == pytest.approx(0.0, abs=1e-12)
-        assert ss.g2_eff == pytest.approx(0.0, abs=1e-12)
+        point = apply_steady_state(p, solve_steady_state(raw, p))
+        assert point.delta1_eff == pytest.approx(raw.delta1_bare)
+        assert point.delta2_eff == pytest.approx(raw.delta2_bare)
+        assert point.g1_eff == pytest.approx(0.0, abs=1e-12)
+        assert point.g2_eff == pytest.approx(0.0, abs=1e-12)
 
     def test_decoupled_effective_coupling_closed_form(self, base_params):
         p = base_params.with_values(j_ac_mag=0.0, j_ab=0.0)
         g1 = TWO_PI * 1e-6  # weak enough that beta shift is negligible
         e1 = 100.0
         raw = make_raw(g1=g1, e1=e1, base=p)
-        ss = solve_steady_state(raw, p)
+        point = apply_steady_state(p, solve_steady_state(raw, p))
         expected = g1 * e1 / math.sqrt(raw.delta1_bare ** 2 + p.kappa1 ** 2)
-        assert ss.g1_eff == pytest.approx(expected, rel=1e-6)
+        assert point.g1_eff == pytest.approx(expected, rel=1e-6)
 
     def test_apply_steady_state_replaces_effective_fields(self, base_params):
         p = base_params.with_values(j_ac_mag=0.0, j_ab=0.0)
         raw = make_raw(g1=TWO_PI * 5e-3, e1=3000.0, base=p)
         ss = solve_steady_state(raw, p)
         updated = apply_steady_state(p, ss)
-        assert updated.g1_eff == ss.g1_eff
-        assert updated.delta1_eff == ss.delta1_eff
+        assert updated.g1_eff == raw.g1 * abs(ss.alpha1)
+        assert updated.delta1_eff == raw.delta1_bare + 2.0 * raw.g1 * ss.beta.real
         assert updated.omega_m == p.omega_m
 
 
@@ -367,7 +367,7 @@ class TestAgainstDampedOracle:
                 continue
             for slope, state, _ in roots:
                 if slope > 0.0:
-                    point = base.with_values(**steadystate._effective_fields(state, raw))
+                    point = steadystate._linearized(base, state, raw)
                     assert np.linalg.det(build_drift(point)) < 0.0, i
                     checked += 1
         assert checked > 100
