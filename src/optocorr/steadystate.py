@@ -192,11 +192,14 @@ def _real_roots(coeffs: list):
 
 def _linearized(base: SystemParams, state, raw: RawDriveParams) -> SystemParams:
     """The point linearized about the mean-field `state` of the drives `raw`:
-    effective detunings and couplings."""
+    effective detunings and couplings, in the frame where G1 = g1 alpha1 is
+    real.  That frame turns cavity 1 by arg(alpha1), so the J_ac phase,
+    given in the drives' frame, loses that angle."""
     alpha1, alpha2, _, beta = state
     return base.with_values(delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
                             delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,
-                            g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2))
+                            g1_eff=raw.g1 * abs(alpha1), g2_eff=raw.g2 * abs(alpha2),
+                            phi=base.phi - cmath.phase(alpha1))
 
 
 def _is_stable(state, raw: RawDriveParams, base: SystemParams) -> bool:

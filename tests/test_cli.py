@@ -15,7 +15,7 @@ from optocorr import cli
 from optocorr.cli import build_parser, main
 from optocorr.sweep import UNSTABLE_POLICIES, SweepSpec, config_hash
 
-from test_golden import DRIVE_EDGES
+from test_golden import DRIVE_EDGES, drive_configs
 
 
 def run_cli(capsys, *argv):
@@ -503,6 +503,14 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stderr) == (0, b"")
         lines = proc.stdout.decode().splitlines()
         assert lines[-2:] == ["real_roots=1", "stable=False"]
+
+    def test_steady_verdict_is_taken_where_g1_is_real(self):
+        # golden drive config 10: with the J_ac phase left in the drives' frame
+        # the linearized point read stable
+        proc = self.run_module("steady", *self.steady_argv(drive_configs()[10]))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        lines = proc.stdout.decode().splitlines()
+        assert lines[-2:] == ["real_roots=3", "stable=False"]
 
     def test_exit_code_reaches_the_shell(self):
         proc = self.run_module("sweep", "--axis", "phi=0:1:2", "--measures", "EN_c2a,EN_c2a")

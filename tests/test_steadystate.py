@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from optocorr.errors import NonConvergenceError, ParameterError
-from optocorr.dynamics import build_drift
+from optocorr.dynamics import build_drift, default_margin_tol
 from optocorr.params import TWO_PI, RawDriveParams, drive_from_config, params_from_config
 from optocorr.pipeline import evaluate_point
 import optocorr.pipeline as pipeline
@@ -320,6 +320,69 @@ def quintic(raw, base):
     return steadystate._quintic(raw, base, steadystate._map_constants(raw, base))
 
 
+def bistable_case():
+    """(raw, base) of draw 475 of seed 7 over the golden drive ranges: three
+    roots, both candidates (the outer two) stable.  No golden drive config
+    has two stable roots; this is 1 of 11 such draws in 20,000."""
+    from test_golden import DRIVE_RANGES
+    rng = random.Random(7)
+    for _ in range(476):
+        cfg = {key: rng.uniform(lo, hi) for key, lo, hi in DRIVE_RANGES}
+    base = params_from_config(cfg)
+    return drive_from_config(cfg, base), base
+
+
+def flow_jacobian(state, raw, base):
+    """Central-difference Jacobian, in the 8 real components of the state,
+    of the mean-field equations state' = -den (state - _rhs(state)).
+
+    Each new value of `_rhs` is a numerator over its component's den, so
+    1/den is `_rhs` with unit numerators: e1 = e2 = 1 and ij = 0 for the
+    cavities, ijc = ig1 = -1 with tjab = 0 and alpha1 = 1 for xi and beta."""
+    c = steadystate._map_constants(raw, base)
+    unit = (1.0, 1.0, *c[2:8], 0.0, -1.0, 0.0, -1.0, 0.0, *c[13:])
+
+    def flow(z):
+        state = tuple(complex(z[k], z[k + 1]) for k in range(0, 8, 2))
+        inv_den = steadystate._rhs((1.0, 0.0, 0.0, state[3]), unit)
+        out = [(r - s) / d for s, r, d in zip(state, steadystate._rhs(state, c), inv_den)]
+        return np.array([part for w in out for part in (w.real, w.imag)])
+
+    z = np.array([part for w in state for part in (w.real, w.imag)])
+    h = 1e-6 * max(1.0, np.max(np.abs(z)))
+    jac = np.empty((8, 8))
+    for k, dz in enumerate(h * np.eye(8)):
+        jac[:, k] = (flow(z + dz) - flow(z - dz)) / (2.0 * h)
+    return jac
+
+
+class TestLinearization:
+    """The linearized point against the mean-field equations it linearizes,
+    at every certified root of the 303 golden drive configs."""
+
+    def test_drift_spectrum_is_the_mean_field_jacobians(self):
+        # the spectrum is frame-free; the point is taken in the frame where G1 is
+        # real, so a J_ac phase left in the drives' frame moves it
+        roots = 0
+        for i, _, raw, base in drive_cases():
+            try:
+                certified = steadystate._fixed_points(raw, base)[0]
+            except NonConvergenceError:
+                continue
+            for _, state, _ in certified:
+                point = steadystate._linearized(base, state, raw)
+                drift = np.linalg.eigvals(build_drift(point))
+                jac = np.linalg.eigvals(flow_jacobian(state, raw, base))
+                gaps = np.abs(drift[:, None] - jac[None, :])
+                # Hausdorff distance, relative to the spectral radius
+                dist = max(gaps.min(axis=1).max(), gaps.min(axis=0).max()) / np.abs(drift).max()
+                assert dist <= 1e-8, (i, dist)
+                verdict = jac.real.max() < -default_margin_tol(point)
+                assert steadystate._is_stable(state, raw, base) == verdict, i
+                roots += 1
+        assert roots == 848
+
+
 class TestAgainstDampedOracle:
     """The certified roots against the iteration they replaced, on the
     303 golden drive configs."""
@@ -372,20 +435,23 @@ class TestAgainstDampedOracle:
                     checked += 1
         assert checked > 100
 
-    def test_bistable_config_takes_the_stable_root_nearest_zero(self, cases, monkeypatch):
-        _, _, raw, base, oracle, roots = cases[253]
+    def test_bistable_config_takes_the_stable_root_nearest_zero(self, monkeypatch):
+        raw, base = bistable_case()
+        roots = steadystate._fixed_points(raw, base)[0]
         stable = [steadystate._is_stable(state, raw, base) for _, state, _ in roots]
-        assert stable.count(True) == 2
+        assert stable == [True, False, True]
         checks = spy_stability(monkeypatch)
         ss = solve_steady_state(raw, base)
-        assert ss.real_roots == 5 and ss.beta == roots[stable.index(True)][1][3]
+        assert ss.real_roots == 3 and ss.beta == roots[0][1][3]
         assert checks == [True]     # the nearest candidate is stable: one check
         assert evaluate_point(apply_steady_state(base, ss), ("stability",)).verdict.stable
+        oracle = damped_fixed_point(raw, base)
         assert abs(ss.beta.real - oracle[0][3].real) <= 1e-6 * abs(ss.beta.real)
 
-    def test_solver_verdict_is_the_pipeline_verdict(self, cases, monkeypatch):
+    def test_solver_verdict_is_the_pipeline_verdict(self, monkeypatch):
         # no margin passes: the solver must see the pipeline's rule, not a copy
-        _, _, raw, base, _, roots = cases[253]
+        raw, base = bistable_case()
+        roots = steadystate._fixed_points(raw, base)[0]
         stable = [state for _, state, _ in roots if steadystate._is_stable(state, raw, base)]
         assert len(stable) == 2
         monkeypatch.setattr(pipeline, "default_margin_tol", lambda params: math.inf)
