@@ -15,6 +15,7 @@ import cmath
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, replace, fields
 
 from .errors import ConfigError, ParameterError
@@ -227,7 +228,10 @@ def load_config(path: str) -> dict:
                 fh.seek(0)      # so that a YAML error names the file
                 raw = yaml.safe_load(fh)
         except (ValueError, yaml.YAMLError) as exc:
-            raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
+            reason = " ".join(str(exc).split())
+            if "integer string conversion" in reason:   # Python's int digit limit
+                reason = f"a number has more than {sys.get_int_max_str_digits()} digits"
+            raise ConfigError(f"cannot parse config {path}: {reason}") from exc
     if raw is None:
         raw = {}
     return validate_config(raw)

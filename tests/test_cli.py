@@ -25,7 +25,8 @@ def run_cli(capsys, *argv):
 
 
 # config files that escaped as untyped tracebacks (exit 1) before every value
-# went through one gate: (file name, text, start of the error message)
+# went through one gate: (file name, text, start of the error message, where
+# {path} stands for the file's path)
 CRASHING_CONFIGS = {
     "int-key": ("c.yaml", "1: 2\n", "unknown config key(s): 1\n"),
     "null-key": ("c.yaml", "null: 3\n", "unknown config key(s): None\n"),
@@ -33,7 +34,9 @@ CRASHING_CONFIGS = {
                                "config key T_kelvin must be a number"),
     "json-int-beyond-floats": ("c.json", f'{{"T_kelvin": 1{"0" * 400}}}',
                                "config key T_kelvin must be a number"),
-    "int-beyond-digit-limit": ("c.yaml", f"T_kelvin: 1{'0' * 5000}\n", "cannot parse config"),
+    "int-beyond-digit-limit": ("c.yaml", f"T_kelvin: 1{'0' * 5000}\n",
+                               "cannot parse config {path}: a number has more than "
+                               f"{sys.get_int_max_str_digits()} digits\n"),
     "yaml-syntax-error": ("c.yaml", "T_kelvin: [\n", "cannot parse config"),
 }
 
@@ -135,9 +138,10 @@ class TestMeasure:
     @pytest.mark.parametrize("case", sorted(CRASHING_CONFIGS))
     def test_config_that_crashed_exit_2(self, capsys, tmp_path, case):
         name, text, message = CRASHING_CONFIGS[case]
-        code, out, err = run_cli(capsys, "measure", "--config", write_config(tmp_path, name, text))
+        path = write_config(tmp_path, name, text)
+        code, out, err = run_cli(capsys, "measure", "--config", path)
         assert (code, out) == (2, "")
-        assert err.startswith("optocorr: config error: " + message)
+        assert err.startswith("optocorr: config error: " + message.format(path=path))
 
     @pytest.mark.parametrize("name,text", [("c.json", '{"T_kelvin": 1e-3}'),
                                            ("c.yaml", "T_kelvin: 1e-3\n")], ids=["json", "yaml"])
@@ -533,8 +537,11 @@ class TestModuleEntry:
         path = write_config(tmp_path, name, text)
         proc = self.run_module("measure", "--config", path)
         assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr.startswith(b"optocorr: config error: " + message.encode())
+        assert proc.stderr.startswith(b"optocorr: config error: "
+                                      + message.format(path=path).encode())
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+        # Python's own remedy for its int digit limit is no use to a config author
+        assert b"set_int_max_str_digits" not in proc.stderr
         # the path is the caller's; what the message adds to it, the echoed value
         # included, is bounded
         assert len(proc.stderr.replace(path.encode(), b"")) < 200
