@@ -2,9 +2,8 @@
 
 Solves the coupled fixed-point equations for the intracavity amplitudes
 (alpha1, alpha2), the collective atomic amplitude (xi) and the
-mechanical displacement (beta).  `apply_steady_state` linearizes about
-the solution: the effective detunings and optomechanical couplings the
-dynamics module consumes.
+mechanical displacement (beta); `apply_steady_state` linearizes the
+dynamics about the solution.
 
 When the operating point specifies the effective quantities directly
 (the convention used by all figure presets) this module is bypassed.
@@ -191,10 +190,9 @@ def _real_roots(coeffs: list):
 
 
 def _linearized(base: SystemParams, state, raw: RawDriveParams) -> SystemParams:
-    """The point linearized about the mean-field `state` of the drives `raw`:
-    effective detunings and couplings, in the frame where G1 = g1 alpha1 is
-    real.  That frame turns cavity 1 by arg(alpha1), so the J_ac phase,
-    given in the drives' frame, loses that angle."""
+    """The point linearized about the mean-field `state` of the drives `raw`,
+    in the frame where G1 = g1 alpha1 is real: turning cavity 1 by
+    arg(alpha1) takes that angle off the J_ac phase of the drives' frame."""
     alpha1, alpha2, _, beta = state
     return base.with_values(delta1_eff=raw.delta1_bare + 2.0 * raw.g1 * beta.real,
                             delta2_eff=raw.delta2_bare + 2.0 * raw.g2 * beta.real,

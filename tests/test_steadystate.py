@@ -292,6 +292,7 @@ class TestEffectiveParams:
         updated = apply_steady_state(p, ss)
         assert updated.g1_eff == raw.g1 * abs(ss.alpha1)
         assert updated.delta1_eff == raw.delta1_bare + 2.0 * raw.g1 * ss.beta.real
+        assert updated.phi == p.phi - cmath.phase(ss.alpha1)
         assert updated.omega_m == p.omega_m
 
 
