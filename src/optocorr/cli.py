@@ -15,8 +15,8 @@ from . import __version__
 from .errors import (ConfigError, NumericDomainError, OptocorrError, ParameterError,
                      UnstableDriftError)
 from .dynamics import build_diffusion, build_drift
-from .params import (SYSTEM_KEY_DEFAULTS, apply_overrides, drive_from_config,
-                     load_config, params_from_config, thermal_occupation)
+from .params import (apply_overrides, drive_from_config, load_config, params_from_config,
+                     system_config, thermal_occupation)
 from .pipeline import evaluate_point
 from .lyapunov import solve_lyapunov
 from .steadystate import apply_steady_state, solve_steady_state
@@ -148,7 +148,6 @@ def cmd_matrix(args, cfg, params) -> str:
 
 
 def cmd_measure(args, cfg, params) -> str:
-    echo = {**SYSTEM_KEY_DEFAULTS, **{k: v for k, v in cfg.items() if k in SYSTEM_KEY_DEFAULTS}}
     result = evaluate_point(params)
     if result.report is None:
         if result.error is not None:
@@ -157,7 +156,7 @@ def cmd_measure(args, cfg, params) -> str:
             f"parameter point is unstable (max Re eig = {result.verdict.max_real_part:.6g})")
     record = {**result.report.as_flat_dict(), "stable": result.verdict.stable,
               "max_real_part": result.verdict.max_real_part, "n_th": result.n_th,
-              **{f"param_{k}": v for k, v in echo.items()}}
+              **{f"param_{k}": v for k, v in system_config(cfg).items()}}
     return _record_text(args, record)
 
 

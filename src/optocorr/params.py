@@ -160,23 +160,24 @@ def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
 # Config schema
 # ---------------------------------------------------------------------------
 
-# System keys default to the baseline operating point used throughout the
-# README examples (anti-Stokes cavities, Stokes atoms, 10 mK bath).
-SYSTEM_KEY_DEFAULTS = {
-    "omega_m_mhz": 24.0,
-    "gamma_m_hz": 100.0,
-    "f_mhz": 1.0,
-    "kappa1_mhz": 2.0,
-    "kappa2_mhz": 2.0,
-    "G1_mhz": 2.0,
-    "G2_mhz": 4.0,
-    "Jac_mhz": 12.0,
-    "Jab_mhz": 1.0,
-    "phi_rad": math.pi / 2.0,
-    "delta1_over_omegam": 1.0,
-    "delta2_over_omegam": 1.0,
-    "delta_at_over_omegam": -1.0,
-    "T_kelvin": 0.010,
+# system key -> (default, the SystemParams field it sets, its value's conversion to
+# internal units given omega_m in rad/us).  The defaults are the baseline operating
+# point of the README examples (anti-Stokes cavities, Stokes atoms, 10 mK bath).
+SYSTEM_KEYS = {
+    "omega_m_mhz": (24.0, "omega_m", lambda v, omega_m: mhz_to_angular(v)),
+    "gamma_m_hz": (100.0, "gamma_m", lambda v, omega_m: hz_to_angular(v)),
+    "f_mhz": (1.0, "f", lambda v, omega_m: mhz_to_angular(v)),
+    "kappa1_mhz": (2.0, "kappa1", lambda v, omega_m: mhz_to_angular(v)),
+    "kappa2_mhz": (2.0, "kappa2", lambda v, omega_m: mhz_to_angular(v)),
+    "G1_mhz": (2.0, "g1_eff", lambda v, omega_m: mhz_to_angular(v)),
+    "G2_mhz": (4.0, "g2_eff", lambda v, omega_m: mhz_to_angular(v)),
+    "Jac_mhz": (12.0, "j_ac_mag", lambda v, omega_m: mhz_to_angular(v)),
+    "Jab_mhz": (1.0, "j_ab", lambda v, omega_m: mhz_to_angular(v)),
+    "phi_rad": (math.pi / 2.0, "phi", lambda v, omega_m: v),
+    "delta1_over_omegam": (1.0, "delta1_eff", lambda v, omega_m: v * omega_m),
+    "delta2_over_omegam": (1.0, "delta2_eff", lambda v, omega_m: v * omega_m),
+    "delta_at_over_omegam": (-1.0, "delta_at", lambda v, omega_m: v * omega_m),
+    "T_kelvin": (0.010, "temperature", lambda v, omega_m: v),
 }
 
 # Optional drive keys, required only by the `steady` subcommand.
@@ -192,7 +193,7 @@ DRIVE_KEYS = {
     "omega_l_thz",            # laser frequency, THz
 }
 
-KNOWN_KEYS = set(SYSTEM_KEY_DEFAULTS) | DRIVE_KEYS
+KNOWN_KEYS = set(SYSTEM_KEYS) | DRIVE_KEYS
 
 
 def validate_config(raw: dict) -> dict:
@@ -248,26 +249,25 @@ def apply_overrides(cfg: dict, overrides) -> dict:
     return validate_config(out)
 
 
+def system_config(cfg: dict) -> dict:
+    """Every system key's value in its config unit: the config's, else the default."""
+    return {key: cfg.get(key, default) for key, (default, _, _) in SYSTEM_KEYS.items()}
+
+
 def params_from_config(cfg: dict) -> SystemParams:
     """Resolve a validated config mapping into internal angular units."""
-    c = {**SYSTEM_KEY_DEFAULTS, **{k: v for k, v in cfg.items() if k in SYSTEM_KEY_DEFAULTS}}
-    omega_m = mhz_to_angular(c["omega_m_mhz"])
-    return SystemParams(
-        omega_m=omega_m,
-        gamma_m=hz_to_angular(c["gamma_m_hz"]),
-        f=mhz_to_angular(c["f_mhz"]),
-        kappa1=mhz_to_angular(c["kappa1_mhz"]),
-        kappa2=mhz_to_angular(c["kappa2_mhz"]),
-        delta1_eff=c["delta1_over_omegam"] * omega_m,
-        delta2_eff=c["delta2_over_omegam"] * omega_m,
-        delta_at=c["delta_at_over_omegam"] * omega_m,
-        g1_eff=mhz_to_angular(c["G1_mhz"]),
-        g2_eff=mhz_to_angular(c["G2_mhz"]),
-        j_ac_mag=mhz_to_angular(c["Jac_mhz"]),
-        phi=c["phi_rad"],
-        j_ab=mhz_to_angular(c["Jab_mhz"]),
-        temperature=c["T_kelvin"],
-    )
+    c = system_config(cfg)
+    omega_m = SYSTEM_KEYS["omega_m_mhz"][2](c["omega_m_mhz"], None)
+    return SystemParams(**{field: to_internal(c[key], omega_m)
+                           for key, (_, field, to_internal) in SYSTEM_KEYS.items()})
+
+
+def with_keys(p: SystemParams, values: dict) -> SystemParams:
+    """`p` with system keys set in their config units (omega_m multiples of p.omega_m)."""
+    if "omega_m_mhz" in values:     # p's detunings would stay multiples of the old omega_m
+        raise ConfigError("omega_m_mhz cannot be set on a built record")
+    return p.with_values(**{SYSTEM_KEYS[key][1]: SYSTEM_KEYS[key][2](v, p.omega_m)
+                            for key, v in values.items()})
 
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:

@@ -24,26 +24,18 @@ from itertools import chain, repeat
 from . import __version__
 from .errors import ConfigError, UnstableDriftError
 from .measures import DG_MEASURES, EN_MEASURES, MEASURE_KEYS
-from .params import SystemParams, mhz_to_angular
+from .params import SystemParams, with_keys
 from .pipeline import evaluate_point
 
 UNSTABLE_POLICIES = ("missing", "skip", "error")
 
-# sweepable parameter -> the field updates its value makes to a base point;
-# README gives each one's unit
-_SETTERS = {
-    "phi": lambda p, v: {"phi": v},
-    "delta_at": lambda p, v: {"delta_at": v * p.omega_m},
-    "delta_eff_common": lambda p, v: {"delta1_eff": v * p.omega_m, "delta2_eff": v * p.omega_m},
-    "G1": lambda p, v: {"g1_eff": mhz_to_angular(v)},
-    "G2": lambda p, v: {"g2_eff": mhz_to_angular(v)},
-    "Jac": lambda p, v: {"j_ac_mag": mhz_to_angular(v)},
-    "Jab": lambda p, v: {"j_ab": mhz_to_angular(v)},
-    "T": lambda p, v: {"temperature": v},
-    "f": lambda p, v: {"f": mhz_to_angular(v)},
-}
+# sweepable parameter -> the system key(s) its value sets, in their config units
+_AXIS_KEYS = {"phi": ("phi_rad",), "delta_at": ("delta_at_over_omegam",),
+              "delta_eff_common": ("delta1_over_omegam", "delta2_over_omegam"),
+              "G1": ("G1_mhz",), "G2": ("G2_mhz",), "Jac": ("Jac_mhz",), "Jab": ("Jab_mhz",),
+              "T": ("T_kelvin",), "f": ("f_mhz",)}
 
-SWEEPABLE = tuple(_SETTERS)
+SWEEPABLE = tuple(_AXIS_KEYS)
 
 
 @dataclass(frozen=True)
@@ -54,7 +46,7 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        if self.name not in _SETTERS:
+        if self.name not in _AXIS_KEYS:
             raise ConfigError(f"unknown sweep parameter {self.name!r}; "
                               f"choose from {', '.join(SWEEPABLE)}")
         if not isinstance(self.count, numbers.Integral):
@@ -121,10 +113,8 @@ class SweepResult:
 
 def _apply_axes(base: SystemParams, spec: SweepSpec, point):
     """The grid point's record, built and validated once."""
-    updates = _SETTERS[spec.axis1.name](base, point[0])
-    if spec.axis2 is not None:
-        updates.update(_SETTERS[spec.axis2.name](base, point[1]))
-    return base.with_values(**updates)
+    return with_keys(base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
+                            for key in _AXIS_KEYS[axis.name]})
 
 
 def _evaluate_rows(spec: SweepSpec, points) -> list:
@@ -225,28 +215,23 @@ def to_json_lines(result: SweepResult) -> str:
 # figure presets
 # ---------------------------------------------------------------------------
 
-def _resonant(p: SystemParams) -> SystemParams:
-    """Anti-Stokes cavities and Stokes atoms: delta1' = delta2' = -delta_at = omega_m."""
-    return p.with_values(delta1_eff=p.omega_m, delta2_eff=p.omega_m, delta_at=-p.omega_m)
+# preset base shifts as system keys: resonant is delta1' = delta2' = -delta_at = omega_m
+_RESONANT = {"delta1_over_omegam": 1.0, "delta2_over_omegam": 1.0, "delta_at_over_omegam": -1.0}
+_STOKES_ATOMS = {"delta_at_over_omegam": -1.0}
 
-
-def _stokes_atoms(p: SystemParams) -> SystemParams:
-    return p.with_values(delta_at=-p.omega_m)
-
-
-# preset id -> (base shift or None, axes as (name, start, stop, default count), measures)
+# preset id -> (base shift, axes as (name, start, stop, default count), measures)
 _PRESETS = {
-    "fig2": (None, (("G1", 0.1, 5.0, 50), ("G2", 0.1, 5.0, 50)), ("stability",)),
-    "fig3": (None, (("delta_at", -2.0, 0.0, 100), ("delta_eff_common", 0.0, 2.0, 100)),
+    "fig2": ({}, (("G1", 0.1, 5.0, 50), ("G2", 0.1, 5.0, 50)), ("stability",)),
+    "fig3": ({}, (("delta_at", -2.0, 0.0, 100), ("delta_eff_common", 0.0, 2.0, 100)),
              EN_MEASURES),
-    "fig4": (_resonant, (("Jac", 6.0, 18.0, 100), ("Jab", 0.0, 3.0, 100)), EN_MEASURES),
-    "fig5": (_resonant, (("phi", 0.0, 2.0 * math.pi, 201),), EN_MEASURES + ("Rtau_min",)),
-    "fig6": (None, (("delta_at", -2.0, 0.0, 100), ("T", 0.001, 0.4, 100)), EN_MEASURES),
-    "fig7": (_stokes_atoms, (("T", 0.001, 0.4, 100), ("Jab", 1.0, 3.0, 3)),
+    "fig4": (_RESONANT, (("Jac", 6.0, 18.0, 100), ("Jab", 0.0, 3.0, 100)), EN_MEASURES),
+    "fig5": (_RESONANT, (("phi", 0.0, 2.0 * math.pi, 201),), EN_MEASURES + ("Rtau_min",)),
+    "fig6": ({}, (("delta_at", -2.0, 0.0, 100), ("T", 0.001, 0.4, 100)), EN_MEASURES),
+    "fig7": (_STOKES_ATOMS, (("T", 0.001, 0.4, 100), ("Jab", 1.0, 3.0, 3)),
              EN_MEASURES + ("Rtau_min",)),
-    "fig8": (None, (("delta_at", -2.0, 0.0, 100), ("T", 0.001, 0.4, 100)), DG_MEASURES),
-    "fig9": (None, (("delta_at", -2.0, 0.0, 100), ("f", 1.0, 3.0, 3)), DG_MEASURES),
-    "fig10": (_resonant, (("phi", 0.0, 2.0 * math.pi, 201),), DG_MEASURES),
+    "fig8": ({}, (("delta_at", -2.0, 0.0, 100), ("T", 0.001, 0.4, 100)), DG_MEASURES),
+    "fig9": ({}, (("delta_at", -2.0, 0.0, 100), ("f", 1.0, 3.0, 3)), DG_MEASURES),
+    "fig10": (_RESONANT, (("phi", 0.0, 2.0 * math.pi, 201),), DG_MEASURES),
 }
 
 PRESET_IDS = tuple(_PRESETS)
@@ -271,5 +256,5 @@ def figure_preset(preset_id: str, base: SystemParams,
              for k, (name, start, stop, count) in enumerate(axes)]
     if len(counts) > len(axes):
         raise ConfigError(f"{preset_id} has {len(axes)} axis(es), got {len(counts)} grid counts")
-    return SweepSpec(base=base if shift is None else shift(base), axis1=built[0],
+    return SweepSpec(base=with_keys(base, shift), axis1=built[0],
                      axis2=built[1] if len(built) > 1 else None, measures=measures)
