@@ -120,7 +120,7 @@ def cmd_steady(args, cfg, params) -> str:
         "xi_re": ss.xi.real, "xi_im": ss.xi.imag,
         "beta_re": ss.beta.real, "beta_im": ss.beta.imag,
         "delta1_eff": point.delta1_eff, "delta2_eff": point.delta2_eff,
-        "G1_eff": point.g1_eff, "G2_eff": point.g2_eff,
+        "G1_eff": point.g1_eff, "G2_eff": point.g2_eff, "phi_eff": point.phi,
         "residual_norm": ss.residual_norm, "iterations": ss.iterations,
         "real_roots": ss.real_roots, "stable": verdict.stable,
     }

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import dataclasses
 import json
@@ -232,6 +233,16 @@ class TestSteady:
         code, out, err = run_cli(capsys, "steady", *self.DRIVE, "--set", bad)
         assert (code, out) == (2, "")
         assert "must be finite" in err
+
+    def test_record_names_the_phase_of_its_point(self, capsys):
+        # the verdict is taken where G1 is real, at phi_rad - arg(alpha1)
+        code, out, _ = run_cli(capsys, "steady", *self.DRIVE, "--set", "phi_rad=0.7",
+                               "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        alpha1 = complex(record["alpha1_re"], record["alpha1_im"])
+        assert alpha1 != 0.0
+        assert record["phi_eff"] == 0.7 - cmath.phase(alpha1)
 
     def test_overflowing_mean_field_exit_3(self, capsys):
         code, out, err = run_cli(capsys, "steady", *self.DRIVE,
