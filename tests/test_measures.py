@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from optocorr import (evaluate_point, gaussian_discord, log_negativity,
+from optocorr import (evaluate_point, gaussian_discord, log_negativity, params_from_config,
                       residual_contangle_min)
 from optocorr.errors import NumericDomainError
 import optocorr.measures as measures
@@ -300,6 +300,34 @@ class TestInvariances:
         v_sym = 0.5 * (v_asym + v_asym.T)
         assert log_negativity(v_asym) == log_negativity(v_sym)
         assert gaussian_discord(v_asym) == gaussian_discord(v_sym)
+
+
+class TestPhaseReflection:
+    """phi against 2 pi - phi at fig5's base point, over fig5's phi grid.
+
+    The c2-b pair is symmetric to round-off; the atom-mechanics pair is
+    not, so nothing pins its extrema to multiples of pi (acceptance
+    criteria 5 and 6 fail on that pair)."""
+
+    @pytest.fixture(scope="class")
+    def deviations(self):
+        """Largest |f(phi) - f(2 pi - phi)| / max(1, |f(phi)|) of each measure."""
+        spec = figure_preset("fig5", params_from_config({}))
+        worst = dict.fromkeys(("EN_c2b", "DG_c2b", "EN_ab", "DG_ab"), 0.0)
+        for phi in spec.axis1.values():
+            here, mirror = (evaluate_point(spec.base.with_values(phi=x)).report.as_flat_dict()
+                            for x in (phi, TWO_PI - phi))
+            for key in worst:
+                worst[key] = max(worst[key],
+                                 abs(here[key] - mirror[key]) / max(1.0, abs(here[key])))
+        return worst
+
+    def test_c2b_pair_is_symmetric(self, deviations):
+        assert deviations["EN_c2b"] <= 1e-12
+        assert deviations["DG_c2b"] <= 1e-12
+
+    def test_ab_entanglement_is_not(self, deviations):
+        assert deviations["EN_ab"] > 1e-2
 
 
 class TestNonFiniteInput:
