@@ -8,7 +8,7 @@ from optocorr import SystemParams, params_from_config
 from optocorr.errors import ConfigError, ParameterError
 from optocorr.params import (HBAR, K_B, TWO_PI, apply_overrides, drive_amplitude,
                              drive_from_config, hz_to_angular, load_config,
-                             thermal_occupation)
+                             thermal_occupation, with_keys)
 
 OMEGA_M = TWO_PI * 24.0  # rad/us
 
@@ -154,6 +154,11 @@ class TestConfig:
         path.write_text("omega_m_mhz: fast\n")
         with pytest.raises(ConfigError, match="omega_m_mhz"):
             load_config(str(path))
+
+    def test_omega_m_is_not_set_on_a_built_record(self, base_params):
+        # the record's detunings are multiples of its own omega_m
+        with pytest.raises(ConfigError, match="omega_m_mhz"):
+            with_keys(base_params, {"omega_m_mhz": 20.0, "delta1_over_omegam": 1.0})
 
     def test_json_is_accepted(self, tmp_path):
         path = tmp_path / "c.json"

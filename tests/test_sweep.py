@@ -1,15 +1,17 @@
 import concurrent.futures
 import csv
 import dataclasses
+import itertools
 import math
 import re
 
 import pytest
 
-from optocorr import Axis, SweepSpec, figure_preset, run_sweep, to_csv, to_json_lines
-from optocorr.errors import ConfigError, UnstableDriftError
+from optocorr import (Axis, SweepSpec, figure_preset, params_from_config, run_sweep, to_csv,
+                      to_json_lines)
+from optocorr.errors import ConfigError, ParameterError, UnstableDriftError
 import optocorr.sweep as sweep
-from optocorr.sweep import PRESET_IDS, config_hash
+from optocorr.sweep import PRESET_IDS, SWEEPABLE, config_hash
 
 from test_pipeline import spy
 
@@ -265,3 +267,53 @@ class TestFigurePresets:
     def test_grid_override(self, base_params):
         spec = figure_preset("fig3", base_params, counts=(7, 5))
         assert (spec.axis1.count, spec.axis2.count) == (7, 5)
+
+
+# each axis's config keys and each preset's base shift, as README states them
+AXIS_CONFIG_KEYS = {
+    "phi": ("phi_rad",), "delta_at": ("delta_at_over_omegam",),
+    "delta_eff_common": ("delta1_over_omegam", "delta2_over_omegam"),
+    "G1": ("G1_mhz",), "G2": ("G2_mhz",), "Jac": ("Jac_mhz",), "Jab": ("Jab_mhz",),
+    "T": ("T_kelvin",), "f": ("f_mhz",),
+}
+RESONANT = {"delta1_over_omegam": 1.0, "delta2_over_omegam": 1.0, "delta_at_over_omegam": -1.0}
+PRESET_SHIFTS = {"fig2": {}, "fig3": {}, "fig4": RESONANT, "fig5": RESONANT, "fig6": {},
+                 "fig7": {"delta_at_over_omegam": -1.0}, "fig8": {}, "fig9": {},
+                 "fig10": RESONANT}
+# a base off the defaults, so that each key and each multiple of omega_m shows
+SHIFTED = {"omega_m_mhz": 20.0, "phi_rad": 0.7, "T_kelvin": 0.05, "Jab_mhz": 1.5,
+           "delta1_over_omegam": 0.8, "delta2_over_omegam": 1.3, "delta_at_over_omegam": -0.5}
+
+
+def record_or_error(build):
+    try:
+        return build()
+    except ParameterError as exc:
+        return f"ParameterError: {exc}"
+
+
+class TestAxesAreConfigKeys:
+    """A grid point's record is the config's record with the axes' keys set."""
+
+    @pytest.mark.parametrize("value", [0.0, -0.4, 1.3, 2.5])
+    @pytest.mark.parametrize("name", SWEEPABLE)
+    def test_axis_value_is_its_config_keys(self, name, value):
+        spec = SweepSpec(base=params_from_config(SHIFTED), axis1=Axis(name, value, value + 1, 2))
+        got = record_or_error(lambda: sweep._apply_axes(spec.base, spec, (value,)))
+        keys = dict.fromkeys(AXIS_CONFIG_KEYS[name], value)
+        assert got == record_or_error(lambda: params_from_config({**SHIFTED, **keys}))
+
+    def test_two_axes_set_both_keys(self):
+        base = params_from_config(SHIFTED)
+        for name1, name2 in itertools.permutations(SWEEPABLE, 2):
+            spec = SweepSpec(base=base, axis1=Axis(name1, 0.0, 1.0, 2),
+                             axis2=Axis(name2, 0.0, 1.0, 2))
+            keys = {**dict.fromkeys(AXIS_CONFIG_KEYS[name1], 1.3),
+                    **dict.fromkeys(AXIS_CONFIG_KEYS[name2], 0.6)}
+            assert (sweep._apply_axes(base, spec, (1.3, 0.6))
+                    == params_from_config({**SHIFTED, **keys})), (name1, name2)
+
+    @pytest.mark.parametrize("pid", PRESET_IDS)
+    def test_preset_base_is_its_shift_keys(self, pid):
+        base = figure_preset(pid, params_from_config(SHIFTED)).base
+        assert base == params_from_config({**SHIFTED, **PRESET_SHIFTS[pid]})
