@@ -2,11 +2,14 @@
 
 Every name in `optocorr.__all__` resolves and is named in README.md, so a
 new export cannot land without documentation; other names are imported
-from their own modules.  The declared runtime dependencies are what the
+from their own modules.  Likewise every config key is named in README.md,
+and its table gives each system key's default and field as the package
+does.  The declared runtime dependencies are what the
 package imports.
 """
 
 import ast
+import math
 import re
 import sys
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import optocorr
+from optocorr.params import KNOWN_KEYS, SYSTEM_KEYS
 
 PUBLIC = ["Axis", "OMEGA_4", "SweepSpec", "SystemParams", "__version__", "build_diffusion",
           "build_drift", "evaluate_point", "figure_preset", "gaussian_discord",
@@ -38,6 +42,19 @@ def test_every_export_resolves():
 def test_every_export_is_in_the_readme():
     quoted = set(re.findall(r"`([^`\n]+)`", README.read_text()))
     assert [name for name in optocorr.__all__ if name not in quoted] == []
+
+
+def test_every_config_key_is_in_the_readme():
+    quoted = set(re.findall(r"`([^`\n]+)`", README.read_text()))
+    assert sorted(key for key in KNOWN_KEYS if key not in quoted) == []
+
+
+def test_readme_key_table_gives_each_system_keys_default_and_field():
+    rows = {key: (default, field) for key, default, field in
+            re.findall(r"^\| `(\w+)` \| ([^|]+?) \| [^|]+ \| `(\w+)`", README.read_text(), re.M)}
+    expected = {key: ("pi/2" if default == math.pi / 2 else "%g" % default, field)
+                for key, (default, field, _) in SYSTEM_KEYS.items()}
+    assert {key: rows.get(key) for key in SYSTEM_KEYS} == expected
 
 
 def test_dependencies_are_the_third_party_imports():
