@@ -266,8 +266,11 @@ def with_keys(p: SystemParams, values: dict) -> SystemParams:
     """`p` with system keys set in their config units (omega_m multiples of p.omega_m)."""
     if "omega_m_mhz" in values:     # p's detunings would stay multiples of the old omega_m
         raise ConfigError("omega_m_mhz cannot be set on a built record")
-    return p.with_values(**{SYSTEM_KEYS[key][1]: SYSTEM_KEYS[key][2](v, p.omega_m)
-                            for key, v in values.items()})
+    omega_m, updates = p.omega_m, {}
+    for key, v in values.items():
+        _, field, to_internal = SYSTEM_KEYS[key]
+        updates[field] = to_internal(v, omega_m)
+    return p.with_values(**updates)
 
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:

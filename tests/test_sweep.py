@@ -13,6 +13,7 @@ from optocorr.errors import ConfigError, ParameterError, UnstableDriftError
 import optocorr.sweep as sweep
 from optocorr.sweep import PRESET_IDS, SWEEPABLE, config_hash
 
+from test_golden import PRESET_BASES
 from test_pipeline import spy
 
 TWO_PI = 2.0 * math.pi
@@ -281,8 +282,7 @@ PRESET_SHIFTS = {"fig2": {}, "fig3": {}, "fig4": RESONANT, "fig5": RESONANT, "fi
                  "fig7": {"delta_at_over_omegam": -1.0}, "fig8": {}, "fig9": {},
                  "fig10": RESONANT}
 # a base off the defaults, so that each key and each multiple of omega_m shows
-SHIFTED = {"omega_m_mhz": 20.0, "phi_rad": 0.7, "T_kelvin": 0.05, "Jab_mhz": 1.5,
-           "delta1_over_omegam": 0.8, "delta2_over_omegam": 1.3, "delta_at_over_omegam": -0.5}
+SHIFTED = PRESET_BASES["shifted"]
 
 
 def record_or_error(build):
