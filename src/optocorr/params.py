@@ -2,11 +2,11 @@
 
 Unit conventions
 ----------------
-Config files use the experimentalist's "frequency over 2 pi" convention
-(MHz for most rates, Hz for the mechanical damping).  Internally every
-rate, detuning and coupling is stored as an angular frequency in rad/us,
-which keeps drift-matrix entries O(1)-O(100).  Temperature stays in
-kelvin and the thermal occupation uses SI constants.
+Config keys use the "frequency over 2 pi" convention in the unit each key
+names (MHz for most rates, Hz for the mechanical damping, kHz for the
+single-photon couplings, THz for the laser; powers in watt).  Internally
+every rate, detuning and coupling is an angular frequency in rad/us, which
+keeps drift-matrix entries O(1)-O(100); temperature stays in kelvin.
 """
 
 from __future__ import annotations
@@ -180,20 +180,20 @@ SYSTEM_KEYS = {
     "T_kelvin": (0.010, "temperature", lambda v, omega_m: v),
 }
 
-# Optional drive keys, required only by the `steady` subcommand.
+# drive key -> its value's conversion to internal units given omega_m (read only by `steady`).
 DRIVE_KEYS = {
-    "g1_khz",                 # single-photon couplings, kHz
-    "g2_khz",
-    "E1_mhz",                 # drive amplitudes (real), MHz
-    "E2_mhz",
-    "delta1_bare_over_omegam",
-    "delta2_bare_over_omegam",
-    "power1_w",               # alternative to E1_mhz/E2_mhz
-    "power2_w",
-    "omega_l_thz",            # laser frequency, THz
+    "g1_khz": lambda v, omega_m: mhz_to_angular(v * 1.0e-3),
+    "g2_khz": lambda v, omega_m: mhz_to_angular(v * 1.0e-3),
+    "E1_mhz": lambda v, omega_m: mhz_to_angular(v),
+    "E2_mhz": lambda v, omega_m: mhz_to_angular(v),
+    "delta1_bare_over_omegam": lambda v, omega_m: v * omega_m,
+    "delta2_bare_over_omegam": lambda v, omega_m: v * omega_m,
+    "power1_w": lambda v, omega_m: v,
+    "power2_w": lambda v, omega_m: v,
+    "omega_l_thz": lambda v, omega_m: mhz_to_angular(v * 1.0e6),
 }
 
-KNOWN_KEYS = set(SYSTEM_KEYS) | DRIVE_KEYS
+KNOWN_KEYS = set(SYSTEM_KEYS) | set(DRIVE_KEYS)
 
 
 def validate_config(raw: dict) -> dict:
@@ -274,24 +274,26 @@ def with_keys(p: SystemParams, values: dict) -> SystemParams:
 
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:
-    """Resolve the optional drive keys; needed by the `steady` subcommand."""
-    missing = [k for k in ("g1_khz", "g2_khz", "delta1_bare_over_omegam",
-                           "delta2_bare_over_omegam") if k not in cfg]
+    """Resolve the drive keys of the `steady` subcommand: the four required ones and
+    one drive form, amplitudes or powers; a drive key the form does not read is an error."""
+    required = ("g1_khz", "g2_khz", "delta1_bare_over_omegam", "delta2_bare_over_omegam")
+    missing = [k for k in required if k not in cfg]
     if missing:
         raise ConfigError(f"steady-state solve requires config key(s): {', '.join(missing)}")
-    g1 = mhz_to_angular(cfg["g1_khz"] * 1.0e-3)
-    g2 = mhz_to_angular(cfg["g2_khz"] * 1.0e-3)
-    d1 = cfg["delta1_bare_over_omegam"] * params.omega_m
-    d2 = cfg["delta2_bare_over_omegam"] * params.omega_m
-    if "E1_mhz" in cfg and "E2_mhz" in cfg:
-        e1, e2 = mhz_to_angular(cfg["E1_mhz"]), mhz_to_angular(cfg["E2_mhz"])
-    elif "power1_w" in cfg and "power2_w" in cfg and "omega_l_thz" in cfg:
-        # drives from laser powers (watt) at the laser frequency (rad/us)
-        omega_l = mhz_to_angular(cfg["omega_l_thz"] * 1.0e6)
-        e1 = drive_amplitude(cfg["power1_w"], params.kappa1, omega_l)
-        e2 = drive_amplitude(cfg["power2_w"], params.kappa2, omega_l)
+    c = {key: to_internal(cfg[key], params.omega_m)
+         for key, to_internal in DRIVE_KEYS.items() if key in cfg}
+    if "E1_mhz" in c and "E2_mhz" in c:
+        form, e1, e2 = ("E1_mhz", "E2_mhz"), c["E1_mhz"], c["E2_mhz"]
+    elif "power1_w" in c and "power2_w" in c and "omega_l_thz" in c:
+        form = ("power1_w", "power2_w", "omega_l_thz")
+        e1 = drive_amplitude(c["power1_w"], params.kappa1, c["omega_l_thz"])
+        e2 = drive_amplitude(c["power2_w"], params.kappa2, c["omega_l_thz"])
     else:
         raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
                           "power1_w/power2_w/omega_l_thz")
-    return RawDriveParams(g1=g1, g2=g2, drive_e1=e1, drive_e2=e2,
-                          delta1_bare=d1, delta2_bare=d2)
+    unread = [k for k in c if k not in required and k not in form]
+    if unread:
+        raise ConfigError(f"drive key(s) {', '.join(unread)} not read beside {'/'.join(form)}")
+    return RawDriveParams(g1=c["g1_khz"], g2=c["g2_khz"], drive_e1=e1, drive_e2=e2,
+                          delta1_bare=c["delta1_bare_over_omegam"],
+                          delta2_bare=c["delta2_bare_over_omegam"])

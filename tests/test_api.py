@@ -2,10 +2,10 @@
 
 Every name in `optocorr.__all__` resolves and is named in README.md, so a
 new export cannot land without documentation; other names are imported
-from their own modules.  Likewise every config key is named in README.md,
-and its table gives each system key's default and field as the package
-does.  The declared runtime dependencies are what the
-package imports.
+from their own modules.  Likewise every config key is named in README.md:
+its tables give each system key's default and field, and each key's unit,
+as the package's key tables convert it.  The declared runtime dependencies
+are what the package imports.
 """
 
 import ast
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import optocorr
-from optocorr.params import KNOWN_KEYS, SYSTEM_KEYS
+from optocorr.params import DRIVE_KEYS, KNOWN_KEYS, SYSTEM_KEYS, TWO_PI
 
 PUBLIC = ["Axis", "OMEGA_4", "SweepSpec", "SystemParams", "__version__", "build_diffusion",
           "build_drift", "evaluate_point", "figure_preset", "gaussian_discord",
@@ -55,6 +55,35 @@ def test_readme_key_table_gives_each_system_keys_default_and_field():
     expected = {key: ("pi/2" if default == math.pi / 2 else "%g" % default, field)
                 for key, (default, field, _) in SYSTEM_KEYS.items()}
     assert {key: rows.get(key) for key in SYSTEM_KEYS} == expected
+
+
+def readme_key_units():
+    """key -> its unit cell, from every README table whose header has a `unit` column."""
+    units, column = {}, None
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            column = None
+        elif cells[0] == "key":
+            column = cells.index("unit")
+        elif column is not None and not cells[0].startswith("-"):
+            units.update((key, cells[column]) for key in re.findall(r"`(\w+)`", cells[0]))
+    return units
+
+
+# the internal value, in rad/us or as given, of one of each README unit
+UNIT_VALUES = {"MHz": TWO_PI, "Hz": TWO_PI * 1e-6, "kHz": TWO_PI * 1e-3, "THz": TWO_PI * 1e6,
+               "rad": 1.0, "K": 1.0, "W": 1.0}
+
+
+def test_readme_unit_column_is_each_keys_conversion():
+    omega_m = optocorr.params_from_config({}).omega_m
+    conversions = {**{key: entry[2] for key, entry in SYSTEM_KEYS.items()}, **DRIVE_KEYS}
+    units = readme_key_units()
+    assert sorted(units) == sorted(conversions) == sorted(KNOWN_KEYS)
+    for key, to_internal in conversions.items():
+        one = omega_m if units[key] == "`omega_m`" else UNIT_VALUES[units[key]]
+        assert to_internal(1.0, omega_m) == pytest.approx(one, rel=1e-15), key
 
 
 def test_dependencies_are_the_third_party_imports():

@@ -234,6 +234,19 @@ class TestSteady:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv, unread, form", [
+        (DRIVE + ("--set", "power1_w=1e-3"), "power1_w", "E1_mhz/E2_mhz"),
+        (DRIVE + ("--set", "omega_l_thz=300"), "omega_l_thz", "E1_mhz/E2_mhz"),
+        (("--set", "g1_khz=1", "--set", "g2_khz=1", "--set", "delta1_bare_over_omegam=1",
+          "--set", "delta2_bare_over_omegam=1", "--set", "power1_w=1e-3",
+          "--set", "power2_w=1e-3", "--set", "omega_l_thz=300", "--set", "E1_mhz=1e4"),
+         "E1_mhz", "power1_w/power2_w/omega_l_thz"),
+    ], ids=["power1_w", "omega_l_thz", "lone-E1_mhz"])
+    def test_drive_key_the_form_does_not_read_exit_2(self, capsys, argv, unread, form):
+        code, out, err = run_cli(capsys, "steady", *argv)
+        assert (code, out) == (2, "")
+        assert f"drive key(s) {unread} not read beside {form}" in err
+
     def test_record_names_the_phase_of_its_point(self, capsys):
         # the verdict is taken where G1 is real, at phi_rad - arg(alpha1)
         code, out, _ = run_cli(capsys, "steady", *self.DRIVE, "--set", "phi_rad=0.7",

@@ -210,6 +210,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="power1_w/power2_w/omega_l_thz"):
             drive_from_config(keys, p)
 
+    AMPLITUDES = {"E1_mhz": 1e4, "E2_mhz": 2e4}
+    POWERS = {"power1_w": 1e-3, "power2_w": 4e-3, "omega_l_thz": 300.0}
+
+    @pytest.mark.parametrize("form, extra, message", [
+        (AMPLITUDES, POWERS,
+         "drive key(s) power1_w, power2_w, omega_l_thz not read beside E1_mhz/E2_mhz"),
+        (AMPLITUDES, {"power2_w": 4e-3}, "drive key(s) power2_w not read beside E1_mhz/E2_mhz"),
+        (POWERS, {"E1_mhz": 1e4},
+         "drive key(s) E1_mhz not read beside power1_w/power2_w/omega_l_thz"),
+    ], ids=["powers", "lone-power", "lone-amplitude"])
+    def test_drive_key_the_form_does_not_read_is_named(self, base_params, form, extra, message):
+        keys = {"g1_khz": 1.0, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,
+                "delta2_bare_over_omegam": 0.5, **form}
+        drive_from_config(keys, base_params)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            drive_from_config({**keys, **extra}, base_params)
+
     def test_override_bad_value(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["G1_mhz=abc"])
