@@ -38,4 +38,5 @@ class SingularSystemError(OptocorrError):
 
 
 class NumericDomainError(OptocorrError):
-    """A measure received an unphysical matrix (negative discriminant, bad g argument)."""
+    """A numeric stage left its domain: an unphysical or overflowing covariance in a
+    measure, a non-finite drift, a failed eigenvalue iteration or a negative n_th."""

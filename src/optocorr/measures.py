@@ -9,11 +9,11 @@ c1 work through the same API but are not part of the standard report.
 
 Every two-mode measure is a function of the four Seralian invariants of
 its pair (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
-`correlation_report` is a function of the covariance alone: it
-symmetrizes the (c2, a, b) block once and runs one straight-line kernel
-on Python floats per canonical pair; E_N, D_G (Adesso & Datta, PRL 105,
-030501 (2010)) and the pair contangles of the residual all come from that
-one pass, computing only the measure families it is asked for.
+`correlation_report` and `residual_contangle_min` share one kernel on the
+(c2, a, b) block: it symmetrizes the block once and runs one straight-line
+pass on Python floats per canonical pair; E_N, D_G (Adesso & Datta, PRL
+105, 030501 (2010)) and the pair contangles of the residual all come from
+that one pass, computing only the measure families it is asked for.
 """
 
 from __future__ import annotations
@@ -143,12 +143,6 @@ def log_negativity(v4: np.ndarray) -> float:
     return _pair_en(_seralian_invariants(v4))
 
 
-def _triple_invariants(s6: np.ndarray) -> dict:
-    """Seralian invariants of each canonical pair of the symmetric (c2, a, b) block."""
-    m = s6.tolist()
-    return {key: _pair_invariants(m, rows) for key, rows in _PAIR_ROWS.items()}
-
-
 # ---------------------------------------------------------------------------
 # tripartite sector
 # ---------------------------------------------------------------------------
@@ -177,15 +171,13 @@ def _residuals(s6: np.ndarray, e_n: dict) -> dict:
 
 
 def residual_contangle_min(v6: np.ndarray):
-    """Minimum residual contangle of the (c2, a, b) triple.
+    """Minimum residual contangle of the (c2, a, b) triple, by correlation_report's kernel.
 
     Returns (r_min, residuals) where residuals maps each one-vs-two
     partition tag to C_{i|jk} - C_{i|j} - C_{i|k} (raw, unclamped).
     """
-    s6 = 0.5 * (v6 + v6.T)
-    e_n = {key: _pair_en(inv) for key, inv in _triple_invariants(s6).items()}
-    residuals = _residuals(s6, e_n)
-    return min(residuals.values()), residuals
+    raw = _triple_report(v6, ("Rtau",)).r_tau_raw
+    return min(raw.values()), raw
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +200,12 @@ def _measurement_witness(i1, i2, i3, i4) -> float:
     branch_denom = (i2 + 4.0 * i4) * (1.0 + 4.0 * i1) * i3sq
     use_first = False
     if i3sq > 0.0 and branch_denom != 0.0 and abs(4.0 * i1 - 1.0) > G_DOMAIN_TOL:
-        use_first = 4.0 * (i1 * i2 - i4) ** 2 / branch_denom <= 1.0
+        gap = i1 * i2 - i4      # squares are products: `**` raises OverflowError, `*` gives inf
+        use_first = 4.0 * gap * gap / branch_denom <= 1.0
     if use_first:
         num = 2.0 * abs(i3) + math.sqrt(max(4.0 * i3sq + (4.0 * i1 - 1.0) * (4.0 * i4 - i2), 0.0))
-        return (num / (4.0 * i1 - 1.0)) ** 2
+        root = num / (4.0 * i1 - 1.0)
+        return root * root
     s = i1 * i2 + i4 - i3sq
     disc = max(s * s - 4.0 * i1 * i2 * i4, 0.0)
     return (s - math.sqrt(disc)) / (2.0 * i1)
@@ -221,10 +215,10 @@ def _discord(inv) -> float:
     """D_G from the Seralian invariants of a pair; see gaussian_discord."""
     nu_lo, nu_hi = _symplectic_pair(inv, transposed=False)
     w = _measurement_witness(*inv)
-    if w < 0.0:
-        raise NumericDomainError(f"negative measurement determinant {w!r}")
+    if not w >= 0.0:
+        raise NumericDomainError(f"negative or NaN measurement determinant {w!r}")
     val = _g(math.sqrt(inv[0])) - _g(nu_lo) - _g(nu_hi) + _g(math.sqrt(w))
-    if val < -1.0e-10:
+    if not val >= -1.0e-10:
         raise NumericDomainError(f"negative Gaussian discord {val!r} beyond round-off")
     return max(val, 0.0)
 
@@ -283,16 +277,22 @@ def correlation_report(v: np.ndarray, families=MEASURE_FAMILIES) -> CorrelationR
 
     `families` names measure families ("EN", "DG", "Rtau"), as
     measure_families returns them; each is computed for all three pairs.
-    One Seralian pass per canonical pair of the (c2, a, b) block feeds E_N,
-    D_G and, as E_N^2, the pair contangles of the residual; only the
-    residual needs the tripartite PT spectra.
+    The (c2, a, b) block goes through the kernel residual_contangle_min
+    shares: one Seralian pass per canonical pair feeds E_N, D_G and, as E_N^2,
+    the residual's pair contangles; only the residual needs PT spectra.
     """
+    return _triple_report(v[_TRIPLE_ROWS, _TRIPLE_ROWS], families)
+
+
+def _triple_report(v6: np.ndarray, families) -> CorrelationReport:
+    """The requested families' report of a (c2, a, b) covariance block."""
     want_rtau, want_dg = "Rtau" in families, "DG" in families
     want_en = want_rtau or "EN" in families     # the residual subtracts pair E_N^2
-    v6 = v[_TRIPLE_ROWS, _TRIPLE_ROWS]
     s6 = 0.5 * (v6 + v6.T)
+    m = s6.tolist()
     e_n, d_g, raw = {}, {}, {}
-    for key, inv in _triple_invariants(s6).items():
+    for key, rows in _PAIR_ROWS.items():
+        inv = _pair_invariants(m, rows)
         if want_en:
             e_n[key] = _pair_en(inv)
         if want_dg:

@@ -18,8 +18,8 @@ from .params import SystemParams, thermal_occupation
 class PointResult:
     verdict: StabilityVerdict
     n_th: float
-    report: CorrelationReport | None   # None when unstable, errored or stability only
-    covariance: np.ndarray | None
+    report: CorrelationReport | None = None   # None when unstable, errored or stability only
+    covariance: np.ndarray | None = None
     error: str | None = None
 
 
@@ -36,14 +36,11 @@ def evaluate_point(params: SystemParams, measures=None) -> PointResult:
     verdict = assess_stability(a, margin_tol=default_margin_tol(params))
     families = measure_families(measures)
     if not verdict.stable or not families:
-        return PointResult(verdict=verdict, n_th=n_th, report=None,
-                           covariance=None, error=None)
+        return PointResult(verdict=verdict, n_th=n_th)
     d = build_diffusion(params, n_th)
     try:
         cm = solve_lyapunov(a, d, check_stability=False)
         report = correlation_report(cm.matrix, families)
     except OptocorrError as exc:
-        return PointResult(verdict=verdict, n_th=n_th, report=None,
-                           covariance=None, error=f"{type(exc).__name__}: {exc}")
-    return PointResult(verdict=verdict, n_th=n_th, report=report,
-                       covariance=cm.matrix, error=None)
+        return PointResult(verdict=verdict, n_th=n_th, error=f"{type(exc).__name__}: {exc}")
+    return PointResult(verdict=verdict, n_th=n_th, report=report, covariance=cm.matrix)

@@ -107,7 +107,6 @@ class SweepSpec:
 class SweepResult:
     columns: list
     rows: list          # one list per grid point, values or None for missing
-    version: str
     config_hash: str
 
 
@@ -165,8 +164,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             rows = list(chain.from_iterable(pool.map(_evaluate_rows, repeat(spec), chunks)))
     else:
         rows = _evaluate_rows(spec, points)
-    return SweepResult(columns=spec.columns(), rows=rows,
-                       version=__version__, config_hash=config_hash(spec))
+    return SweepResult(columns=spec.columns(), rows=rows, config_hash=config_hash(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +180,12 @@ def _fmt(value) -> str:
         if any(c in value for c in ',"\r\n'):
             return '"' + value.replace('"', '""') + '"'
         return value
-    if isinstance(value, float) and math.isnan(value):
-        return ""
     return "%.12g" % value
 
 
 def to_csv(result: SweepResult) -> str:
     buf = io.StringIO()
-    buf.write(f"# optocorr v{result.version} config={result.config_hash}\n")
+    buf.write(f"# optocorr v{__version__} config={result.config_hash}\n")
     buf.write(",".join(result.columns) + "\n")
     for row in result.rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
@@ -198,7 +194,7 @@ def to_csv(result: SweepResult) -> str:
 
 def to_json_lines(result: SweepResult) -> str:
     buf = io.StringIO()
-    buf.write(json.dumps({"tool": "optocorr", "version": result.version,
+    buf.write(json.dumps({"tool": "optocorr", "version": __version__,
                           "config": result.config_hash,
                           "columns": result.columns}) + "\n")
     for row in result.rows:

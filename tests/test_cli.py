@@ -336,6 +336,15 @@ class TestSweepAndFigure:
         assert (code, out) == (2, "")
         assert "coupling g1_eff = " in err
 
+    def test_temperature_axis_whose_discord_overflows_fills_error_cells(self, capsys):
+        # the covariance is finite; the discord's squares overflowed (an untyped crash before)
+        code, out, err = run_cli(capsys, "sweep", "--axis", "T=1.5e40:1.6e40:3",
+                                 "--measures", "DG_ab")
+        assert code == 0, err
+        columns, *rows = csv.reader(out.splitlines()[1:])
+        assert columns[-1] == "error" and len(rows) == 3
+        assert all(row[-1].startswith("NumericDomainError: ") for row in rows)
+
     def test_duplicate_axis_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--axis", "phi=0:1:3", "--axis2", "phi=0:2:2",
                                  "--measures", "EN_c2a")
@@ -512,6 +521,12 @@ class TestModuleEntry:
     @staticmethod
     def steady_argv(cfg):
         return [arg for key, value in cfg.items() for arg in ("--set", f"{key}={value!r}")]
+
+    def test_discord_overflow_is_one_typed_line(self):
+        proc = self.run_module("measure", "--set", "T_kelvin=1.58e40")
+        assert (proc.returncode, proc.stdout) == (3, b"")
+        assert proc.stderr.startswith(b"optocorr: numeric failure: NumericDomainError: ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
     def test_steady_overflow_is_one_typed_line(self):
         proc = self.run_module("steady", *self.steady_argv(DRIVE_EDGES[1]))

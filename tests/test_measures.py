@@ -5,14 +5,14 @@ import pytest
 
 from optocorr import (evaluate_point, gaussian_discord, log_negativity, params_from_config,
                       residual_contangle_min)
-from optocorr.errors import NumericDomainError
+from optocorr.errors import NumericDomainError, OptocorrError
 import optocorr.measures as measures
 import optocorr.pipeline as pipeline
 from optocorr.lyapunov import CovarianceMatrix
 from optocorr.dynamics import MODE_BLOCKS, OMEGA_4
 from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, TRIPLE_MODES,
                                correlation_report)
-from optocorr.params import TWO_PI
+from optocorr.params import TWO_PI, with_keys
 from optocorr.sweep import _apply_axes, figure_preset
 
 from conftest import extract_submatrix, random_physical_cm, tmsv_cm
@@ -373,6 +373,26 @@ class TestNonFiniteInput:
         result = evaluate_point(base_params)
         assert result.report is None
         assert result.error.startswith("NumericDomainError")
+
+
+class TestFiniteOverflow:
+    """A finite covariance whose measure arithmetic overflows is a
+    NumericDomainError too, never a bare OverflowError."""
+
+    def test_discord_of_a_huge_squeezed_state(self):
+        # I1 I2 ~ 3e155: its square overflows
+        with pytest.raises(NumericDomainError):
+            gaussian_discord(tmsv_cm(45.1))
+
+    def test_temperature_scan_gives_values_or_typed_errors(self, base_params):
+        # 1 K to 1e80 K, 5 points per decade; the discord overflowed from 1.58e40 K
+        for k in range(400):
+            try:
+                result = evaluate_point(with_keys(base_params, {"T_kelvin": 10 ** (k / 5)}))
+            except OptocorrError:
+                continue
+            if result.error is None:
+                assert all(map(math.isfinite, result.report.as_flat_dict().values()))
 
 
 class TestCorrelationReport:
