@@ -115,6 +115,8 @@ def _symplectic_pair(inv, transposed: bool):
     i1, i2, i3, i4 = inv
     sigma = i1 + i2 - 2.0 * i3 if transposed else i1 + i2 + 2.0 * i3
     disc = sigma * sigma - 4.0 * i4
+    if not math.isfinite(disc):
+        raise NumericDomainError(f"overflow: discriminant {disc!r} of finite invariants {inv!r}")
     if not disc >= -DISCRIMINANT_TOL:
         kind = "PT discriminant" if transposed else "discriminant"
         raise NumericDomainError(f"negative {kind} {disc!r}: unphysical input")

@@ -394,6 +394,24 @@ class TestFiniteOverflow:
             if result.error is None:
                 assert all(map(math.isfinite, result.report.as_flat_dict().values()))
 
+    @pytest.mark.parametrize("exponent", [78.6, 78.8])
+    def test_overflowing_discriminant_reads_as_overflow(self, base_params, exponent):
+        # finite invariants, but sigma^2 - 4 I4 overflows; the cell read
+        # "negative squared symplectic eigenvalue -inf" before
+        result = evaluate_point(with_keys(base_params, {"T_kelvin": 10 ** exponent}))
+        assert result.verdict.stable and result.report is None
+        assert result.error.startswith("NumericDomainError: overflow: discriminant inf")
+        assert "negative" not in result.error
+
+    @pytest.mark.parametrize("inv", [(1e200, 1e200, 0.0, 1.0), (1.0, 1.0, 0.0, 1e308),
+                                     (1e200, 1e200, 0.0, 1e308)])
+    def test_symplectic_pair_names_its_overflow(self, inv):
+        # sigma^2 overflows to inf, 4 I4 to inf, or both (inf - inf is nan)
+        for transposed in (False, True):
+            with pytest.raises(NumericDomainError, match="^overflow: discriminant") as exc:
+                measures._symplectic_pair(inv, transposed)
+            assert "negative" not in str(exc.value)
+
 
 class TestCorrelationReport:
     def test_flat_dict_keys_and_clamping(self, base_params):
