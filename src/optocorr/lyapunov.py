@@ -1,10 +1,9 @@
 """Steady-state covariance matrix from the Lyapunov equation A V + V A^T = -D.
 
-V is symmetric, so the unknowns are its entries on and above the diagonal:
-the half-vectorized system (Magnus & Neudecker, SIAM J. Alg. Disc. Meth. 1,
-422 (1980)), 36 unknowns for 8x8 where vec(V) has 64.  Its operator, with
-spectrum {lambda_i + lambda_j, i <= j}, is scattered from A by one bincount
-over a cached index table and solved densely; no Bartels-Stewart.
+V is symmetric, so the unknowns are its 36 entries on and above the diagonal,
+where vec(V) has 64: the half-vectorized system (Magnus & Neudecker, SIAM J.
+Alg. Disc. Meth. 1, 422 (1980)).  Its operator, spectrum {lambda_i + lambda_j,
+i <= j}, is scattered from A by one bincount over a cached table and solved.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ def _vech_index(n: int):
     """Unknowns (i, j), i <= j, by diagonal offset; equation (i, j) gets A[i, k]
     on {k, j} and A[j, k] on {i, k}, flat A entry term[t] in operator slot[t]."""
     rows, cols = np.triu_indices(n)
+    # diagonal first: a vacuum's diagonal solves to exactly 1/2, so its D_G is 0
     order = np.lexsort((rows, cols - rows))
     r, c = rows[order, None], cols[order, None]
     unknown = np.empty((n, n), dtype=np.intp)     # V[k, l] is unknown[k, l]

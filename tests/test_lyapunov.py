@@ -216,9 +216,9 @@ class TestHalfVectorizedOperator:
     def restricted_kronecker_sum(cls, a):
         n = a.shape[0]
         eye = np.eye(n)
-        k = np.kron(eye, a) + np.kron(a, eye)   # vec(V) column-major: V[k, l] at l n + k
+        kron = np.kron(eye, a) + np.kron(a, eye)   # vec(V) column-major: V[k, l] at l n + k
         entries = cls.unknowns(n)
-        eqs = k[[j * n + i for i, j in entries]]
+        eqs = kron[[j * n + i for i, j in entries]]
         return np.stack([eqs[:, l * n + k] if k == l else eqs[:, l * n + k] + eqs[:, k * n + l]
                          for k, l in entries], axis=1)
 
