@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .errors import NumericDomainError
 from .params import SystemParams
 
@@ -86,13 +87,13 @@ def build_diffusion(p: SystemParams, n_th: float) -> np.ndarray:
 
 def assess_stability(a: np.ndarray, margin_tol: float = 0.0) -> StabilityVerdict:
     """Spectral stability test: stable iff max Re(eig) < -margin_tol."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericDomainError("drift matrix contains non-finite entries")
     try:
-        eigs = np.linalg.eigvals(a)
+        eigs = lapack.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError(f"eigenvalue iteration failed: {exc}") from exc
-    max_real = float(np.max(eigs.real))
+    max_real = float(eigs.real.max())
     return StabilityVerdict(stable=max_real < -margin_tol, max_real_part=max_real)
 
 

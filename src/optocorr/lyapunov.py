@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import lapack
 from .dynamics import assess_stability
 from .errors import SingularSystemError, UnstableDriftError
 
@@ -73,7 +74,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
     slot, term, upper, unknown = _vech_index(n)
     op = np.bincount(slot, weights=a.ravel()[term], minlength=upper.size ** 2)
     try:
-        x = np.linalg.solve(op.reshape(upper.size, -1), -d.ravel()[upper])
+        x = lapack.solve(op.reshape(upper.size, -1), -d.ravel()[upper])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"half-vectorized Lyapunov system is singular: {exc}") from exc
     v = x[unknown]

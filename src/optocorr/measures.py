@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .dynamics import MODE_BLOCKS, OMEGA_4
 from .errors import NumericDomainError
 
@@ -159,7 +160,7 @@ def _pt_minima(s6: np.ndarray, p: np.ndarray):
     if not np.isfinite(s6).all():
         raise NumericDomainError("non-finite covariance in tripartite PT spectrum")
     try:
-        eigs = np.linalg.eigvals(1j * OMEGA_3 @ (p @ s6 @ p))
+        eigs = lapack.eigvals(1j * OMEGA_3 @ (p @ s6 @ p))
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError(f"tripartite PT eigenvalue iteration failed: {exc}") from exc
     return np.min(np.abs(eigs), axis=-1)

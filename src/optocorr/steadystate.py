@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .errors import NonConvergenceError
 from .params import RawDriveParams, SystemParams
 from .pipeline import evaluate_point
@@ -168,7 +169,7 @@ def _real_roots(coeffs: list):
         companion = np.eye(len(row), k=-1)
         companion[0] = row
         try:
-            eigs = np.linalg.eigvals(companion).tolist()
+            eigs = lapack.eigvals(companion).tolist()
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"mean-field root enumeration failed: {exc}",
                                       iterations=0) from exc

@@ -1,0 +1,179 @@
+"""The thin LAPACK entry: numpy.linalg's results bit for bit, its failures
+translated by every caller, and no other module calling numpy.linalg."""
+
+import ast
+import pathlib
+import warnings
+
+import numpy as np
+import pytest
+
+import optocorr
+from optocorr import lapack, measures, solve_lyapunov, steadystate
+from optocorr.dynamics import assess_stability
+from optocorr.errors import NonConvergenceError, NumericDomainError, SingularSystemError
+from optocorr.lyapunov import _vech_index
+from optocorr.params import params_from_config
+from optocorr.pipeline import evaluate_point
+from optocorr.sweep import _apply_axes, figure_preset
+
+from conftest import point_matrices
+
+
+def stable_drifts(preset, counts):
+    """(A, D) of the stable points of a preset's grid."""
+    spec = figure_preset(preset, params_from_config({}), counts=counts)
+    systems = []
+    for point in spec.grid():
+        a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
+        if verdict.stable:
+            systems.append((a, d))
+    return systems
+
+
+def eigvals_inputs(monkeypatch, preset, counts):
+    """Every matrix or stack the preset's points pass to `lapack.eigvals`."""
+    inputs, original = [], lapack.eigvals
+
+    def recording(m):
+        inputs.append(m.copy())
+        return original(m)
+
+    monkeypatch.setattr(lapack, "eigvals", recording)
+    spec = figure_preset(preset, params_from_config({}), counts=counts)
+    for point in spec.grid():
+        evaluate_point(_apply_axes(spec.base, spec, point))
+    monkeypatch.undo()
+    return inputs
+
+
+def companions(rng):
+    """Companion matrices as `_real_roots` builds them: random polynomials of
+    degree 1 to 5, plus ones with a double root and with complex roots."""
+    rows = [[-c for c in rng.normal(size=k)] for k in range(1, 6) for _ in range(20)]
+    rows += [[0.0, 3.0, -2.0], [2.0, -1.0, -2.0], [0.0, -1.0], [-2.0, -2.0]]
+    mats = []
+    for row in rows:
+        m = np.eye(len(row), k=-1)
+        m[0] = row
+        mats.append(m)
+    return mats
+
+
+def lyapunov_operator(a):
+    slot, term, upper, _ = _vech_index(a.shape[0])
+    op = np.bincount(slot, weights=a.ravel()[term], minlength=upper.size ** 2)
+    return op.reshape(upper.size, upper.size), upper
+
+
+class TestMatchesNumpyLinalg:
+    """A numpy whose private gufuncs change fails here first, not in the goldens."""
+
+    def test_eigvals_of_fig3_drifts(self):
+        systems = stable_drifts("fig3", (4, 4))
+        assert len(systems) >= 10
+        for a, _ in systems:
+            assert np.array_equal(lapack.eigvals(a), np.linalg.eigvals(a).astype(complex))
+
+    def test_eigvals_of_fig5_pt_stacks(self, monkeypatch):
+        # `_pt_minima`'s (3, 6, 6) complex stacks, one per stable point
+        stacks = [m for m in eigvals_inputs(monkeypatch, "fig5", (21,)) if m.ndim == 3]
+        assert len(stacks) >= 10
+        for m in stacks:
+            assert m.shape == (3, 6, 6) and m.dtype == complex
+            assert np.array_equal(lapack.eigvals(m), np.linalg.eigvals(m))
+
+    def test_eigvals_of_companions(self):
+        for m in companions(np.random.default_rng(23)):
+            assert np.array_equal(lapack.eigvals(m), np.linalg.eigvals(m).astype(complex))
+
+    def test_eigvals_always_complex(self):
+        assert lapack.eigvals(-np.eye(8)).dtype == complex
+
+    def test_solve_of_lyapunov_operators(self):
+        systems = stable_drifts("fig3", (4, 4)) + stable_drifts("fig5", (21,))
+        ops, rhs = [], []
+        for a, d in systems:
+            op, upper = lyapunov_operator(a)
+            b = -d.ravel()[upper]
+            assert op.shape == (36, 36)
+            assert np.array_equal(lapack.solve(op, b), np.linalg.solve(op, b))
+            ops.append(op)
+            rhs.append(b)
+        stacked = lapack.solve(np.stack(ops), np.stack(rhs))
+        assert np.array_equal(stacked, [np.linalg.solve(op, b) for op, b in zip(ops, rhs)])
+
+    def test_singular_solve_raises_numpys_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                lapack.solve(np.zeros((3, 3)), np.ones(3))
+
+
+class TestFailureTranslation:
+    """Each caller turns a LAPACK failure into its own typed error."""
+
+    @pytest.fixture
+    def failing_eigvals(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(lapack, "eigvals", fail)
+
+    def test_stability_verdict(self, failing_eigvals):
+        with pytest.raises(NumericDomainError,
+                           match="^eigenvalue iteration failed: Eigenvalues did not converge"):
+            assess_stability(-np.eye(8))
+
+    def test_tripartite_pt_spectrum(self, failing_eigvals):
+        with pytest.raises(NumericDomainError, match="^tripartite PT eigenvalue iteration failed: "):
+            measures._pt_minima(0.5 * np.eye(6), measures._PARTITION_PT)
+
+    def test_mean_field_roots(self, failing_eigvals):
+        with pytest.raises(NonConvergenceError,
+                           match="^mean-field root enumeration failed: ") as exc:
+            steadystate._real_roots([1.0, 0.0, -3.0, 2.0])
+        assert exc.value.iterations == 0
+
+    def test_singular_lyapunov_system_warns_nothing(self):
+        # eigenvalues +1 and -1 of an 8x8 drift make the 36x36 operator singular
+        a = np.diag([1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError,
+                               match="^half-vectorized Lyapunov system is singular: Singular matrix"):
+                solve_lyapunov(a, np.eye(8), check_stability=False)
+
+
+# numpy.linalg names a module may use; its solvers and decompositions go through lapack
+LINALG_ALLOWED = {"norm", "LinAlgError"}
+
+
+def linalg_uses(tree):
+    """(line, name) of each numpy.linalg name a module reads: `np.linalg.X`,
+    `numpy.linalg.X` or `from numpy.linalg import X`."""
+    uses = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg" and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            uses.extend((node.lineno, alias.name) for alias in node.names)
+    return uses
+
+
+class TestOnlyLapackCallsLinalg:
+    def test_no_module_but_lapack_calls_numpy_linalg(self):
+        package = pathlib.Path(optocorr.__file__).parent
+        offenders = [f"{path.name}:{line} np.linalg.{name}"
+                     for path in sorted(package.glob("*.py")) if path.name != "lapack.py"
+                     for line, name in linalg_uses(ast.parse(path.read_text()))
+                     if name not in LINALG_ALLOWED]
+        assert offenders == []
+
+    def test_scan_sees_each_form(self):
+        source = ("import numpy as np\nfrom numpy.linalg import inv\n"
+                  "x = np.linalg.solve(a, b)\ny = numpy.linalg.eigvals(a)\n"
+                  "z = np.linalg.norm(a)\n")
+        assert sorted(linalg_uses(ast.parse(source))) == [(2, "inv"), (3, "solve"), (4, "eigvals"),
+                                                          (5, "norm")]
