@@ -210,8 +210,11 @@ def _measurement_witness(i1, i2, i3, i4) -> float:
         root = num / (4.0 * i1 - 1.0)
         return root * root
     s = i1 * i2 + i4 - i3sq
-    disc = max(s * s - 4.0 * i1 * i2 * i4, 0.0)
-    return (s - math.sqrt(disc)) / (2.0 * i1)
+    disc = s * s - 4.0 * i1 * i2 * i4
+    if not math.isfinite(disc):
+        raise NumericDomainError(f"overflow: measurement discriminant {disc!r} "
+                                 f"of finite invariants {(i1, i2, i3, i4)!r}")
+    return (s - math.sqrt(max(disc, 0.0))) / (2.0 * i1)
 
 
 def _discord(inv) -> float:

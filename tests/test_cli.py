@@ -121,6 +121,13 @@ class TestMeasure:
         assert (code, out) == (3, "")
         assert "NumericDomainError: non-finite covariance" in err
 
+    def test_overflowing_discord_witness_exit_3(self, capsys):
+        # finite invariants, but s^2 - 4 I1 I2 I4 is inf - inf; it read as a NaN determinant
+        code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e78")
+        assert (code, out) == (3, "")
+        assert "NumericDomainError: overflow: measurement discriminant nan" in err
+        assert "negative" not in err
+
     @pytest.mark.parametrize("key,field", [("G1_mhz", "g1_eff"), ("G2_mhz", "g2_eff"),
                                            ("Jab_mhz", "j_ab")])
     def test_coupling_whose_double_overflows_exit_2(self, capsys, key, field):
