@@ -412,12 +412,12 @@ class TestFiniteOverflow:
                 measures._symplectic_pair(inv, transposed)
             assert "negative" not in str(exc.value)
 
-
     @pytest.mark.parametrize("inv", [(1e160, 1e160, 0.0, 1e100), (1e200, 1e-200, 0.0, 1e300)])
     def test_measurement_witness_names_its_overflow(self, inv):
-        # s^2 and 4 I1 I2 I4 both overflow (inf - inf is nan), or s^2 alone
+        # s and 4 I1 I2 I4 overflow (s^2 - 4 I1 I2 I4 is inf - inf, nan), or s^2 alone
         with pytest.raises(NumericDomainError, match="^overflow: measurement discriminant"):
             measures._measurement_witness(*inv)
+
 
 class TestCorrelationReport:
     def test_flat_dict_keys_and_clamping(self, base_params):
