@@ -22,9 +22,9 @@ def _raise_singular(err, flag):
 
 
 def eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each float or complex square matrix in m, always complex."""
+    """Eigenvalues of each float square matrix in m, always complex."""
     with np.errstate(call=_raise_nonconvergence, **_ERRSTATE):
-        return _umath_linalg.eigvals(m, signature="D->D" if m.dtype.kind == "c" else "d->D")
+        return _umath_linalg.eigvals(m, signature="d->D")
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

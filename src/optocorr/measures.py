@@ -150,17 +150,15 @@ def log_negativity(v4: np.ndarray) -> float:
 # tripartite sector
 # ---------------------------------------------------------------------------
 
-def _pt_minima(s6: np.ndarray, p: np.ndarray):
-    """Minimum |eigenvalue| of i Omega_3 (P S6 P), S6 symmetric, for each PT
-    flip P of the stack p, in one eigenvalue call.  The eigenvalues of
-    i Omega V come in +/- pairs and the symplectic spectrum is their
-    modulus, so the minimum is over absolute values (a signed minimum would
-    be negative).
+def _pt_minima(s6: np.ndarray):
+    """Minimum |eigenvalue| of the real Omega_3 (P S6 P), S6 symmetric, for
+    each partition's PT flip P, in one eigenvalue call.  The eigenvalues of
+    Omega V are +/- i nu, so the symplectic spectrum is their modulus.
     """
     if not np.isfinite(s6).all():
         raise NumericDomainError("non-finite covariance in tripartite PT spectrum")
     try:
-        eigs = lapack.eigvals(1j * OMEGA_3 @ (p @ s6 @ p))
+        eigs = lapack.eigvals(OMEGA_3 @ (_PARTITION_PT @ s6 @ _PARTITION_PT))
     except np.linalg.LinAlgError as exc:
         raise NumericDomainError(f"tripartite PT eigenvalue iteration failed: {exc}") from exc
     return np.min(np.abs(eigs), axis=-1)
@@ -168,7 +166,7 @@ def _pt_minima(s6: np.ndarray, p: np.ndarray):
 
 def _residuals(s6: np.ndarray, e_n: dict) -> dict:
     """C_{i|jk} - C_{i|j} - C_{i|k} per partition, with C_{i|j} = E_N(ij)^2."""
-    nus = _pt_minima(s6, _PARTITION_PT).tolist()
+    nus = _pt_minima(s6).tolist()
     return {tag: _en_from_nu(nu) ** 2 - e_n[first] ** 2 - e_n[second] ** 2
             for (tag, (_, (first, second))), nu in zip(PARTITIONS.items(), nus)}
 

@@ -31,15 +31,18 @@ def stable_drifts(preset, counts):
     return systems
 
 
-def eigvals_inputs(monkeypatch, preset, counts):
-    """Every matrix or stack the preset's points pass to `lapack.eigvals`."""
-    inputs, original = [], lapack.eigvals
-
+def record(inputs, eigvals):
+    """`eigvals` that first appends a copy of its input to `inputs`."""
     def recording(m):
         inputs.append(m.copy())
-        return original(m)
+        return eigvals(m)
+    return recording
 
-    monkeypatch.setattr(lapack, "eigvals", recording)
+
+def eigvals_inputs(monkeypatch, preset, counts):
+    """Every matrix or stack the preset's points pass to `lapack.eigvals`."""
+    inputs = []
+    monkeypatch.setattr(lapack, "eigvals", record(inputs, lapack.eigvals))
     spec = figure_preset(preset, params_from_config({}), counts=counts)
     for point in spec.grid():
         evaluate_point(_apply_axes(spec.base, spec, point))
@@ -76,12 +79,12 @@ class TestMatchesNumpyLinalg:
             assert np.array_equal(lapack.eigvals(a), np.linalg.eigvals(a).astype(complex))
 
     def test_eigvals_of_fig5_pt_stacks(self, monkeypatch):
-        # `_pt_minima`'s (3, 6, 6) complex stacks, one per stable point
+        # `_pt_minima`'s real (3, 6, 6) stacks, one per stable point
         stacks = [m for m in eigvals_inputs(monkeypatch, "fig5", (21,)) if m.ndim == 3]
         assert len(stacks) >= 10
         for m in stacks:
-            assert m.shape == (3, 6, 6) and m.dtype == complex
-            assert np.array_equal(lapack.eigvals(m), np.linalg.eigvals(m))
+            assert m.shape == (3, 6, 6) and m.dtype == float
+            assert np.array_equal(lapack.eigvals(m), np.linalg.eigvals(m).astype(complex))
 
     def test_eigvals_of_companions(self):
         for m in companions(np.random.default_rng(23)):
@@ -102,6 +105,18 @@ class TestMatchesNumpyLinalg:
             rhs.append(b)
         stacked = lapack.solve(np.stack(ops), np.stack(rhs))
         assert np.array_equal(stacked, [np.linalg.solve(op, b) for op, b in zip(ops, rhs)])
+
+    def test_complex_input_is_a_type_error(self):
+        # one signature, d->D: numpy refuses complex -> float under same_kind casting
+        with pytest.raises(TypeError):
+            lapack.eigvals(1j * np.eye(6))
+
+    def test_every_eigvals_input_is_float64(self, monkeypatch, base_params):
+        inputs = eigvals_inputs(monkeypatch, "fig5", (21,))
+        monkeypatch.setattr(lapack, "eigvals", record(inputs, lapack.eigvals))
+        assert evaluate_point(base_params).report.r_tau_min is not None
+        assert {m.shape for m in inputs} == {(8, 8), (3, 6, 6)}
+        assert all(m.dtype == np.float64 for m in inputs)
 
     def test_singular_solve_raises_numpys_error(self):
         with warnings.catch_warnings():
@@ -126,7 +141,7 @@ class TestFailureTranslation:
 
     def test_tripartite_pt_spectrum(self, failing_eigvals):
         with pytest.raises(NumericDomainError, match="^tripartite PT eigenvalue iteration failed: "):
-            measures._pt_minima(0.5 * np.eye(6), measures._PARTITION_PT)
+            measures._pt_minima(0.5 * np.eye(6))
 
     def test_mean_field_roots(self, failing_eigvals):
         with pytest.raises(NonConvergenceError,

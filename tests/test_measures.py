@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ class TestLogNegativity:
 
 class TestTripartiteSpectrum:
     def test_vacuum_eta_is_half(self):
-        nus = measures._pt_minima(0.5 * np.eye(6), measures._PARTITION_PT)
+        nus = measures._pt_minima(0.5 * np.eye(6))
         assert nus.tolist() == pytest.approx([0.5] * 3, rel=1e-12)
 
     def test_pt_matrices_are_involutions(self):
@@ -156,7 +158,7 @@ class TestTripartiteSpectrum:
         rng = np.random.default_rng(29)
         for _ in range(20):
             v6 = random_physical_cm(3, rng)
-            nus = measures._pt_minima(v6, measures._PARTITION_PT)
+            nus = measures._pt_minima(v6)
             for p, nu in zip(measures._PARTITION_PT, nus.tolist()):
                 oracle = symplectic_spectrum_oracle(p @ v6 @ p)[0]
                 assert nu == pytest.approx(oracle, rel=1e-10)
@@ -167,13 +169,13 @@ class TestContangle:
     minimum PT symplectic eigenvalue."""
 
     def test_vacuum_contangle_zero(self):
-        nus = measures._pt_minima(0.5 * np.eye(6), measures._PARTITION_PT)
+        nus = measures._pt_minima(0.5 * np.eye(6))
         assert [measures._en_from_nu(nu) ** 2 for nu in nus.tolist()] == [0.0] * 3
 
     def test_eta_one_over_2e_gives_unity(self):
         # scaled "CM" with every symplectic eigenvalue 1/(2e)
         v6 = (0.5 / math.e) * np.eye(6)
-        nus = measures._pt_minima(v6, measures._PARTITION_PT)
+        nus = measures._pt_minima(v6)
         assert ([measures._en_from_nu(nu) ** 2 for nu in nus.tolist()]
                 == pytest.approx([1.0] * 3, rel=1e-12))
 
@@ -182,7 +184,7 @@ class TestContangle:
         v6 = 0.5 * np.eye(6)
         v6[:4, :4] = tmsv_cm(r)  # (c2, a) entangled, b in vacuum
         pair = log_negativity(tmsv_cm(r)) ** 2
-        c2_ab, a_c2b, _ = measures._pt_minima(v6, measures._PARTITION_PT).tolist()
+        c2_ab, a_c2b, _ = measures._pt_minima(v6).tolist()
         assert measures._en_from_nu(c2_ab) ** 2 == pytest.approx(pair, rel=1e-9)
         assert measures._en_from_nu(a_c2b) ** 2 == pytest.approx(pair, rel=1e-9)
 
@@ -218,6 +220,110 @@ class TestContangle:
                 continue
             checked += 1
             assert all(v >= -1e-9 for v in result.report.r_tau_raw.values())
+
+
+def exact_matmul(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def exact_det(m):
+    """Determinant of a square list-of-lists of Fractions, by exact elimination."""
+    m = [list(row) for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def exact_nu_min(s6, p) -> Decimal:
+    """Smallest symplectic eigenvalue of P S6 P, to 60 digits, for the float S6.
+
+    M = Omega_3 P S6 P holds S6's floats up to sign and place, so tr(M^2),
+    tr(M^4) and det S6 = det M are exact Fractions.  M's eigenvalues are
+    +/- i nu_k, so the nu_k^2 are the roots of mu^3 - e1 mu^2 + e2 mu - e3,
+    with e1 = -tr(M^2)/2, e2 = (e1^2 - tr(M^4)/2)/2 (Newton's identities)
+    and e3 = det S6.  e3/e2 = 1/sum(1/nu_k^2) lies below the smallest root,
+    where the cubic is increasing and concave, so Newton's method climbs to
+    that root from there without overshooting it.
+    """
+    m = [[Fraction(x) for x in row] for row in (OMEGA_3 @ (p @ s6 @ p)).tolist()]
+    m2 = exact_matmul(m, m)
+    tr2 = sum(m[i][j] * m[j][i] for i in range(6) for j in range(6))
+    tr4 = sum(m2[i][j] * m2[j][i] for i in range(6) for j in range(6))
+    e1 = -tr2 / 2
+    e2 = (e1 * e1 - tr4 / 2) / 2
+    e3 = exact_det([[Fraction(x) for x in row] for row in s6.tolist()])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e1, e2, e3 = (Decimal(f.numerator) / f.denominator for f in (e1, e2, e3))
+        mu = e3 / e2
+        for _ in range(200):
+            step = (((mu - e1) * mu + e2) * mu - e3) / ((3 * mu - 2 * e1) * mu + e2)
+            mu -= step
+            if abs(step) <= mu * Decimal("1e-55"):
+                return mu.sqrt()
+    raise AssertionError(f"Newton's method did not reach the smallest root from {e3 / e2}")
+
+
+def relative_error(x: float, exact: Decimal) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(abs(Decimal(x) - exact) / exact)
+
+
+class TestTripartiteOracle:
+    """Each partition's nu_min, as R_tau takes it, against exact_nu_min of
+    the same float covariance block: within 1e-14 relative at the fig5, fig7
+    and `measure` points, and 1e-12 at the worst-conditioned fig3 point."""
+
+    # the worst-conditioned stable point of the default fig3 grid, where a PT
+    # spectrum's nu_max / nu_min reaches 1.9e4
+    FIG3_WORST = 3400
+
+    @staticmethod
+    def worst_error(triples):
+        worst = 0.0
+        for v6 in triples:
+            s6 = 0.5 * (v6 + v6.T)
+            for p, nu in zip(measures._PARTITION_PT, measures._pt_minima(s6).tolist()):
+                worst = max(worst, relative_error(nu, exact_nu_min(s6, p)))
+        return worst
+
+    @pytest.mark.parametrize("preset,counts", [("fig5", (21,)), ("fig7", (12, 3))],
+                             ids=["fig5", "fig7"])
+    def test_preset_grid_within_1e_14(self, base_params, preset, counts):
+        triples = preset_triples(base_params, preset, counts)
+        assert len(triples) >= 20
+        assert self.worst_error(triples) <= 1e-14
+
+    def test_measure_point_within_1e_14(self, base_params):
+        v = evaluate_point(base_params).covariance
+        assert self.worst_error([extract_submatrix(v, TRIPLE_MODES)]) <= 1e-14
+
+    def test_worst_conditioned_fig3_point_within_1e_12(self, base_params):
+        spec = figure_preset("fig3", base_params)
+        v = evaluate_point(_apply_axes(spec.base, spec, spec.grid()[self.FIG3_WORST])).covariance
+        assert self.worst_error([extract_submatrix(v, TRIPLE_MODES)]) <= 1e-12
+
+    def test_oracle_recovers_known_spectra(self):
+        # uncoupled modes: every partition's nu_min is the smallest variance
+        v6 = np.diag([0.7, 0.7, 0.55, 0.55, 3.0, 3.0])
+        for p in measures._PARTITION_PT:
+            assert relative_error(0.55, exact_nu_min(v6, p)) < 1e-50
+        # (c2, a) squeezed, b in vacuum: c2|ab and a|c2b see the pair's e^{-2r}/2
+        v6 = 0.5 * np.eye(6)
+        v6[:4, :4] = tmsv_cm(0.5)
+        for p in measures._PARTITION_PT[:2]:
+            assert relative_error(0.5 / math.e, exact_nu_min(v6, p)) < 1e-14
 
 
 class TestGaussianDiscord:
@@ -335,8 +441,7 @@ class TestNonFiniteInput:
     value, a bare crash or a message about a negative quantity."""
 
     MEASURES_4 = (log_negativity, gaussian_discord)
-    MEASURES_6 = (lambda v: residual_contangle_min(v)[0],
-                  lambda v: measures._pt_minima(v, measures._PARTITION_PT))
+    MEASURES_6 = (lambda v: residual_contangle_min(v)[0], measures._pt_minima)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_every_entry_of_a_pair(self, bad):
@@ -492,9 +597,9 @@ def extract_pair(v6, key):
     return v6[np.ix_(idx, idx)]
 
 
-def fig3_triples(base_params):
-    """(c2, a, b) covariance blocks of the stable fig3 --grid 4x4 points."""
-    spec = figure_preset("fig3", base_params, counts=(4, 4))
+def preset_triples(base_params, preset, counts):
+    """(c2, a, b) covariance blocks of a preset's stable points on the grid `counts`."""
+    spec = figure_preset(preset, base_params, counts=counts)
     covs = [evaluate_point(_apply_axes(spec.base, spec, point)).covariance for point in spec.grid()]
     return [extract_submatrix(v, TRIPLE_MODES) for v in covs if v is not None]
 
@@ -505,16 +610,17 @@ class TestExactFastPaths:
     @staticmethod
     def states(base_params):
         rng = np.random.default_rng(71)
-        return [random_physical_cm(3, rng) for _ in range(30)] + fig3_triples(base_params)
+        return ([random_physical_cm(3, rng) for _ in range(30)]
+                + preset_triples(base_params, "fig3", (4, 4)))
 
     def test_stacked_pt_minima_equal_per_partition_loop(self, base_params):
         states = self.states(base_params)
         assert len(states) > 40
         for v6 in states:
             v6s = 0.5 * (v6 + v6.T)
-            loop = [float(np.min(np.abs(np.linalg.eigvals(1j * OMEGA_3 @ (p @ v6s @ p)))))
+            loop = [float(np.min(np.abs(np.linalg.eigvals(OMEGA_3 @ (p @ v6s @ p)))))
                     for p in measures._PARTITION_PT]
-            assert measures._pt_minima(v6s, measures._PARTITION_PT).tolist() == loop
+            assert measures._pt_minima(v6s).tolist() == loop
             _, raw = residual_contangle_min(v6)
             assert list(raw.values()) == [
                 measures._en_from_nu(nu) ** 2 - log_negativity(extract_pair(v6, first)) ** 2
@@ -525,7 +631,7 @@ class TestExactFastPaths:
         rng = np.random.default_rng(73)
         blocks = [random_physical_cm(2, rng) + rng.normal(scale=1e-3, size=(4, 4))
                   for _ in range(30)]
-        for v6 in fig3_triples(base_params):
+        for v6 in preset_triples(base_params, "fig3", (4, 4)):
             blocks.extend(extract_pair(v6, key) for key in ("c2a", "ab", "c2b"))
         for v4 in blocks:
             s = 0.5 * (v4 + v4.T)
