@@ -31,18 +31,16 @@ def stable_drifts(preset, counts):
     return systems
 
 
-def record(inputs, eigvals):
-    """`eigvals` that first appends a copy of its input to `inputs`."""
+def eigvals_inputs(monkeypatch, preset, counts):
+    """Every matrix or stack the preset's points pass to `lapack.eigvals`,
+    each point evaluated for the full report."""
+    inputs, original = [], lapack.eigvals
+
     def recording(m):
         inputs.append(m.copy())
-        return eigvals(m)
-    return recording
+        return original(m)
 
-
-def eigvals_inputs(monkeypatch, preset, counts):
-    """Every matrix or stack the preset's points pass to `lapack.eigvals`."""
-    inputs = []
-    monkeypatch.setattr(lapack, "eigvals", record(inputs, lapack.eigvals))
+    monkeypatch.setattr(lapack, "eigvals", recording)
     spec = figure_preset(preset, params_from_config({}), counts=counts)
     for point in spec.grid():
         evaluate_point(_apply_axes(spec.base, spec, point))
@@ -111,10 +109,9 @@ class TestMatchesNumpyLinalg:
         with pytest.raises(TypeError):
             lapack.eigvals(1j * np.eye(6))
 
-    def test_every_eigvals_input_is_float64(self, monkeypatch, base_params):
+    def test_every_eigvals_input_is_float64(self, monkeypatch):
+        # the stability spectra and the PT stacks of fig5's full reports
         inputs = eigvals_inputs(monkeypatch, "fig5", (21,))
-        monkeypatch.setattr(lapack, "eigvals", record(inputs, lapack.eigvals))
-        assert evaluate_point(base_params).report.r_tau_min is not None
         assert {m.shape for m in inputs} == {(8, 8), (3, 6, 6)}
         assert all(m.dtype == np.float64 for m in inputs)
 
