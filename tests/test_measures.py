@@ -222,10 +222,6 @@ class TestContangle:
             assert all(v >= -1e-9 for v in result.report.r_tau_raw.values())
 
 
-def exact_matmul(x, y):
-    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
-
-
 def exact_det(m):
     """Determinant of a square list-of-lists of Fractions, by exact elimination."""
     m = [list(row) for row in m]
@@ -256,7 +252,7 @@ def exact_nu_min(s6, p) -> Decimal:
     that root from there without overshooting it.
     """
     m = [[Fraction(x) for x in row] for row in (OMEGA_3 @ (p @ s6 @ p)).tolist()]
-    m2 = exact_matmul(m, m)
+    m2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in m]
     tr2 = sum(m[i][j] * m[j][i] for i in range(6) for j in range(6))
     tr4 = sum(m2[i][j] * m2[j][i] for i in range(6) for j in range(6))
     e1 = -tr2 / 2
