@@ -91,7 +91,7 @@ def assess_stability(a: np.ndarray, margin_tol: float = 0.0) -> StabilityVerdict
         raise NumericDomainError("drift matrix contains non-finite entries")
     try:
         eigs = lapack.eigvals(a)
-    except np.linalg.LinAlgError as exc:
+    except lapack.LinAlgError as exc:
         raise NumericDomainError(f"eigenvalue iteration failed: {exc}") from exc
     max_real = float(eigs.real.max())
     return StabilityVerdict(stable=max_real < -margin_tol, max_real_part=max_real)

@@ -28,16 +28,8 @@ class CovarianceMatrix:
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """||m||_F, numpy's norm bit for bit; finite entries whose squares
-    overflow are scaled by the largest first, so a huge matrix gives its
-    norm and no warning."""
-    r = m.ravel()
-    with np.errstate(over="ignore"):
-        sqnorm = r.dot(r)
-    if math.isfinite(sqnorm) or not np.isfinite(r).all():
-        return math.sqrt(sqnorm)
-    scale = float(np.abs(r).max())
-    return scale * float(np.linalg.norm(r / scale))
+    """||m||_F by math.hypot: within 1 ulp at any scale, inf on overflow, NaN kept."""
+    return math.hypot(*m.ravel().tolist())
 
 
 def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
@@ -75,7 +67,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
     op = np.bincount(slot, weights=a.ravel()[term], minlength=upper.size ** 2)
     try:
         x = lapack.solve(op.reshape(upper.size, -1), -d.ravel()[upper])
-    except np.linalg.LinAlgError as exc:
+    except lapack.LinAlgError as exc:
         raise SingularSystemError(f"half-vectorized Lyapunov system is singular: {exc}") from exc
     v = x[unknown]
     return CovarianceMatrix(matrix=v, residual_norm=lyapunov_residual(a, v, d))

@@ -159,7 +159,7 @@ def _pt_minima(s6: np.ndarray):
         raise NumericDomainError("non-finite covariance in tripartite PT spectrum")
     try:
         eigs = lapack.eigvals(OMEGA_3 @ (_PARTITION_PT @ s6 @ _PARTITION_PT))
-    except np.linalg.LinAlgError as exc:
+    except lapack.LinAlgError as exc:
         raise NumericDomainError(f"tripartite PT eigenvalue iteration failed: {exc}") from exc
     return np.min(np.abs(eigs), axis=-1)
 

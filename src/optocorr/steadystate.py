@@ -170,7 +170,7 @@ def _real_roots(coeffs: list):
         companion[0] = row
         try:
             eigs = lapack.eigvals(companion).tolist()
-        except np.linalg.LinAlgError as exc:
+        except lapack.LinAlgError as exc:
             raise NonConvergenceError(f"mean-field root enumeration failed: {exc}",
                                       iterations=0) from exc
         starts += [z.real for z in eigs if abs(z.imag) <= REAL_ROOT_RTOL * abs(z)]

@@ -1,5 +1,7 @@
+import math
 import statistics
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,35 +115,30 @@ class TestErrorPaths:
 
 
 class TestResidualNorm:
-    """lyapunov_residual and residual_bound are numpy's Frobenius norms bit
-    for bit wherever those norms are finite, and stay finite (or inf)
-    without a warning where a sum of squares overflows."""
+    """lyapunov_residual and residual_bound take their Frobenius norms within
+    1 ulp of the exact norm at any scale, and stay finite (or inf) without a
+    warning where a sum of squares overflows."""
 
     @staticmethod
-    def numpy_norm(a, v, d):
-        return float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
+    def exact_norm(m):
+        """||m||_F correctly rounded: a Fraction sum of squares, square-rooted at 60 digits."""
+        sq = sum(Fraction(x) ** 2 for x in m.ravel().tolist())
+        with localcontext() as ctx:
+            ctx.prec = 60
+            return float((Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt())
 
-    @staticmethod
-    def numpy_bound(a, v, d):
-        return float(RESIDUAL_RTOL * (np.linalg.norm(a, "fro") * np.linalg.norm(v, "fro")
-                                      + np.linalg.norm(d, "fro")))
-
-    def test_equals_numpy_norm_bit_for_bit(self):
-        rng = np.random.default_rng(97)
-        systems = [random_stable_system(8, rng) for _ in range(30)]
-        spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
-        for point in spec.grid():
-            a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
-            if verdict.stable:
-                systems.append((a, d))
+    def test_within_one_ulp_of_exact_norm(self):
+        systems = fig3_systems(np.random.default_rng(97))
         assert len(systems) > 40
         for a, d in systems:
             v = solve_lyapunov(a, d, check_stability=False).matrix
-            for scale in (1.0, 1e-200, 1e150):   # the last one still sums to a finite square
-                assert lyapunov_residual(a, scale * v, scale * d).hex() == \
-                    self.numpy_norm(a, scale * v, scale * d).hex()
-                assert residual_bound(a, scale * v, scale * d).hex() == \
-                    self.numpy_bound(a, scale * v, scale * d).hex()
+            # squares of the 1e-200 entries underflow, of the 1e150 entries overflow
+            for v_s, d_s in ((v, d), (1e-200 * v, 1e-200 * d), (1e150 * v, 1e150 * d)):
+                exact = self.exact_norm(a @ v_s + v_s @ a.T + d_s)
+                assert abs(lyapunov_residual(a, v_s, d_s) - exact) <= math.ulp(exact)
+                bound = RESIDUAL_RTOL * (self.exact_norm(a) * self.exact_norm(v_s)
+                                         + self.exact_norm(d_s))
+                assert abs(residual_bound(a, v_s, d_s) - bound) <= math.ulp(bound)
 
     def test_huge_finite_residual_is_scaled(self):
         # every square overflows; the norm of sixteen entries of 1e200 is 4e200
