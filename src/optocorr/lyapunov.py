@@ -56,11 +56,18 @@ def _vech_index(n: int):
 def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -> CovarianceMatrix:
     """Solve A V + V A^T = -D for the steady-state covariance matrix.
 
+    check_stability raises UnstableDriftError unless every eigenvalue of A has
+    a negative real part: `assess_stability(a)`, margin 0.  `evaluate_point`,
+    and through it `measure`, `matrix --with-cm` and every sweep, instead
+    require max Re lambda < -`default_margin_tol` = -1e-9 omega_m, so a drift
+    in between solves here but is unstable there.
+
     D is symmetric: its upper triangle is read, and the residual uses all of
     it.  V is filled from the unknowns, so it is symmetric bit for bit."""
-    n = a.shape[0]
-    if a.shape != (n, n) or d.shape != (n, n):
-        raise ValueError("A and D must be square matrices of equal size")
+    n = a.shape[0] if a.ndim == 2 else 0
+    if n == 0 or a.shape != (n, n) or d.shape != (n, n):
+        raise ValueError("A and D must be non-empty square matrices of equal size, "
+                         f"got shapes {a.shape} and {d.shape}")
     if check_stability and not assess_stability(a).stable:
         raise UnstableDriftError("drift matrix has a non-negative eigenvalue real part")
     slot, term, upper, unknown = _vech_index(n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lapack
-from .dynamics import MODE_BLOCKS, OMEGA_4
+from .dynamics import DIM, MODE_BLOCKS, OMEGA_4
 from .errors import NumericDomainError
 
 CANONICAL_PAIRS = (("c2", "a"), ("a", "b"), ("c2", "b"))
@@ -100,8 +100,15 @@ def _pair_invariants(m, rows):
     return m00 * m11 - m01 * m01, m22 * m33 - m23 * m23, m02 * m13 - m03 * m12, i4
 
 
+def _require_shape(v: np.ndarray, n: int) -> None:
+    """ValueError unless v is an n x n matrix."""
+    if v.shape != (n, n):
+        raise ValueError(f"covariance matrix must be {n}x{n}, got shape {v.shape}")
+
+
 def _seralian_invariants(v4: np.ndarray):
     """The pair invariants of a 4x4 CM's symmetric part."""
+    _require_shape(v4, 4)
     return _pair_invariants((0.5 * (v4 + v4.T)).tolist(), (0, 1, 2, 3))
 
 
@@ -177,6 +184,7 @@ def residual_contangle_min(v6: np.ndarray):
     Returns (r_min, residuals) where residuals maps each one-vs-two
     partition tag to C_{i|jk} - C_{i|j} - C_{i|k} (raw, unclamped).
     """
+    _require_shape(v6, _TRIPLE_DIM)
     raw = _triple_report(v6, ("Rtau",)).r_tau_raw
     return min(raw.values()), raw
 
@@ -285,6 +293,7 @@ def correlation_report(v: np.ndarray, families=MEASURE_FAMILIES) -> CorrelationR
     shares: one Seralian pass per canonical pair feeds E_N, D_G and, as E_N^2,
     the residual's pair contangles; only the residual needs PT spectra.
     """
+    _require_shape(v, DIM)
     return _triple_report(v[_TRIPLE_ROWS, _TRIPLE_ROWS], families)
 
 

@@ -5,7 +5,8 @@ new export cannot land without documentation; other names are imported
 from their own modules.  Likewise every config key is named in README.md:
 its tables give each system key's default and field, and each key's unit,
 as the package's key tables convert it.  The declared runtime dependencies
-are what the package imports.
+are what the package imports, and the `test` extra is what the tests import
+beyond them.
 """
 
 import ast
@@ -86,17 +87,41 @@ def test_readme_unit_column_is_each_keys_conversion():
         assert to_internal(1.0, omega_m) == pytest.approx(one, rel=1e-15), key
 
 
-def test_dependencies_are_the_third_party_imports():
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        declared = tomllib.load(fh)["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in declared}
+def declared_modules(requirements):
+    """The top-level module each requirement string of pyproject.toml installs."""
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in requirements}
+    return {IMPORT_NAMES.get(name, name) for name in names}
+
+
+def third_party_imports(directory, local):
+    """Top-level modules that the .py files under directory import, less the
+    standard library and the `local` ones."""
     imported = set()
-    for path in Path(optocorr.__file__).parent.rglob("*.py"):
+    for path in directory.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "optocorr"}
-    assert {IMPORT_NAMES.get(name, name) for name in names} == third_party
+    return imported - set(sys.stdlib_module_names) - {"__future__"} - set(local)
+
+
+@pytest.fixture
+def project():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
+def test_dependencies_are_the_third_party_imports(project):
+    package = Path(optocorr.__file__).parent
+    assert declared_modules(project["dependencies"]) == \
+        third_party_imports(package, {"optocorr"})
+
+
+def test_test_extra_is_the_tests_third_party_imports(project):
+    # beyond the runtime dependencies; conftest and the test modules import each other
+    tests = ROOT / "tests"
+    local = {"optocorr"} | {path.stem for path in tests.glob("*.py")}
+    assert declared_modules(project["optional-dependencies"]["test"]) == \
+        third_party_imports(tests, local) - declared_modules(project["dependencies"])

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from optocorr import solve_lyapunov
+from optocorr.dynamics import assess_stability, default_margin_tol
 from optocorr.errors import SingularSystemError, UnstableDriftError
 from optocorr.lyapunov import RESIDUAL_RTOL, _vech_index, lyapunov_residual, residual_bound
 from optocorr.params import params_from_config
@@ -36,9 +37,21 @@ def integrate_covariance(a, d, rel_window=35.0):
 
 
 class TestClosedForms:
+    # Exact, not within round-off: `_vech_index` orders the unknowns diagonal
+    # first, and in that order a vacuum's diagonal solves to 1/2 bit for bit,
+    # so its discord is exactly 0 (acceptance criterion 9).  With the unknowns
+    # in row-major order the decoupled point's diagonal is 1.1e-16 off.
     def test_minus_identity(self):
         cm = solve_lyapunov(-np.eye(8), np.eye(8))
-        assert np.allclose(cm.matrix, 0.5 * np.eye(8), atol=1e-14)
+        assert np.array_equal(cm.matrix, 0.5 * np.eye(8))
+
+    def test_decoupled_zero_temperature_point_is_the_vacuum(self):
+        # criterion 9's point: every coupling off, at zero temperature
+        params = params_from_config({}).with_values(g1_eff=0.0, g2_eff=0.0, j_ac_mag=0.0,
+                                                    j_ab=0.0, temperature=0.0)
+        a, d, verdict, _ = point_matrices(params)
+        assert verdict.stable
+        assert np.array_equal(solve_lyapunov(a, d).matrix, 0.5 * np.eye(8))
 
     def test_damped_rotation_block(self):
         gamma, omega = 0.3, 2.0
@@ -98,6 +111,15 @@ class TestErrorPaths:
         with pytest.raises(UnstableDriftError):
             solve_lyapunov(a, np.eye(8))
 
+    def test_solves_drift_the_point_margin_calls_unstable(self):
+        # check_stability's rule is margin 0; a point's is -1e-9 omega_m, -1.5e-7 rad/us
+        params = params_from_config({})
+        a = np.diag([-1e-8] + [-1.0] * 7)
+        assert -default_margin_tol(params) < assess_stability(a).max_real_part < 0.0
+        assert not assess_stability(a, margin_tol=default_margin_tol(params)).stable
+        cm = solve_lyapunov(a, np.eye(8))
+        assert cm.matrix[0, 0] == pytest.approx(0.5e8, rel=1e-12)
+
     def test_singular_system_detected(self):
         # eigenvalues +1 and -1 make A (+) A singular
         a = np.diag([1.0, -1.0])
@@ -107,6 +129,17 @@ class TestErrorPaths:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(3), np.eye(4))
+
+    @pytest.mark.parametrize("a, d", [
+        pytest.param(np.array(-1.0), np.array(1.0), id="scalars"),
+        pytest.param(np.zeros((0, 0)), np.zeros((0, 0)), id="empty"),
+        pytest.param(np.array(-1.0), np.eye(8), id="scalar-drift"),
+        pytest.param(-np.eye(8), np.array(1.0), id="scalar-diffusion"),
+    ])
+    def test_input_must_be_non_empty_square(self, a, d):
+        with pytest.raises(ValueError, match=r"^A and D must be non-empty square matrices "
+                                             r"of equal size, got shapes \("):
+            solve_lyapunov(a, d)
 
     def test_residual_helper(self):
         a = -np.eye(4)

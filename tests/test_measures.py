@@ -520,6 +520,40 @@ class TestFiniteOverflow:
             measures._measurement_witness(*inv)
 
 
+def wrong_shapes(n):
+    """Inputs of every tested shape but n x n: vacuum CMs of the other sizes,
+    a vector, a scalar and a stack of two n x n matrices."""
+    cases = [0.5 * np.eye(k) for k in (3, 4, 6, 8, 10) if k != n]
+    cases += [np.full(n, 0.5), np.array(0.5), np.full((2, n, n), 0.5)]
+    return [pytest.param(v, id="x".join(map(str, v.shape)) or "scalar") for v in cases]
+
+
+class TestWrongShape:
+    """A measure of an input that is not the expected n x n covariance is a
+    ValueError naming that shape: not a value read from a leading block, and
+    not an IndexError from deep in the kernel."""
+
+    @pytest.mark.parametrize("v", wrong_shapes(4))
+    def test_log_negativity(self, v):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 4x4, got shape "):
+            log_negativity(v)
+
+    @pytest.mark.parametrize("v", wrong_shapes(4))
+    def test_gaussian_discord(self, v):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 4x4, got shape "):
+            gaussian_discord(v)
+
+    @pytest.mark.parametrize("v", wrong_shapes(6))
+    def test_residual_contangle_min(self, v):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 6x6, got shape "):
+            residual_contangle_min(v)
+
+    @pytest.mark.parametrize("v", wrong_shapes(8))
+    def test_correlation_report(self, v):
+        with pytest.raises(ValueError, match=r"^covariance matrix must be 8x8, got shape "):
+            correlation_report(v)
+
+
 class TestCorrelationReport:
     def test_flat_dict_keys_and_clamping(self, base_params):
         result = evaluate_point(base_params)
