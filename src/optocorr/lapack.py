@@ -4,7 +4,7 @@ On a point's 5x5 to 36x36 inputs, `np.linalg`'s per-call checks cost about
 as much as LAPACK.  These entries call the same gufuncs with the same
 signatures and error state, so the results are numpy's bit for bit and a
 LAPACK failure raises numpy's `LinAlgError`, with no warning.  Callers catch
-it as `lapack.LinAlgError`, so no other module names `numpy.linalg`.  Callers
+it as `lapack.LinAlgError`, so no other module names `numpy.linalg`, and
 check finiteness and shape.  Both take stacks of matrices.
 """
 

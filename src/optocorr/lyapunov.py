@@ -28,7 +28,8 @@ class CovarianceMatrix:
 
 
 def _frobenius(m: np.ndarray) -> float:
-    """||m||_F by math.hypot: within 1 ulp at any scale, inf on overflow, NaN kept."""
+    """||m||_F by math.hypot: within 1 ulp at any scale; inf on overflow or
+    for an inf entry, else NaN for a NaN entry."""
     return math.hypot(*m.ravel().tolist())
 
 
