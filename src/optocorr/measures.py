@@ -112,22 +112,17 @@ def _seralian_invariants(v4: np.ndarray):
     return _pair_invariants((0.5 * (v4 + v4.T)).tolist(), (0, 1, 2, 3))
 
 
-def _symplectic_pair(inv, transposed: bool):
-    """Symplectic eigenvalues (nu_-, nu_+) from the Seralian invariants.
-
-    Partial transposition flips the sign of the inter-mode block
-    determinant, so the transposed Seralian enters with -2 det(psi3).
-    """
+def _symplectic_pair(inv):
+    """Symplectic eigenvalues (nu_-, nu_+) from the Seralian invariants."""
     if not all(map(math.isfinite, inv)):
         raise NumericDomainError(f"non-finite covariance (or overflow): invariants {inv!r}")
     i1, i2, i3, i4 = inv
-    sigma = i1 + i2 - 2.0 * i3 if transposed else i1 + i2 + 2.0 * i3
+    sigma = i1 + i2 + 2.0 * i3
     disc = sigma * sigma - 4.0 * i4
     if not math.isfinite(disc):
         raise NumericDomainError(f"overflow: discriminant {disc!r} of finite invariants {inv!r}")
     if not disc >= -DISCRIMINANT_TOL:
-        kind = "PT discriminant" if transposed else "discriminant"
-        raise NumericDomainError(f"negative {kind} {disc!r}: unphysical input")
+        raise NumericDomainError(f"negative discriminant {disc!r}: unphysical input")
     root = math.sqrt(max(disc, 0.0))
     inner = 0.5 * (sigma - root)
     if not inner >= -DISCRIMINANT_TOL:
@@ -144,8 +139,10 @@ def _en_from_nu(nu: float) -> float:
 
 
 def _pair_en(inv) -> float:
-    """E_N of a pair from its Seralian invariants."""
-    return _en_from_nu(_symplectic_pair(inv, transposed=True)[0])
+    """E_N of a pair from its Seralian invariants.  Partial transposition
+    flips the sign of I3 = det psi3, the inter-mode block's determinant."""
+    i1, i2, i3, i4 = inv
+    return _en_from_nu(_symplectic_pair((i1, i2, -i3, i4))[0])
 
 
 def log_negativity(v4: np.ndarray) -> float:
@@ -225,7 +222,7 @@ def _measurement_witness(i1, i2, i3, i4) -> float:
 
 def _discord(inv) -> float:
     """D_G from the Seralian invariants of a pair; see gaussian_discord."""
-    nu_lo, nu_hi = _symplectic_pair(inv, transposed=False)
+    nu_lo, nu_hi = _symplectic_pair(inv)
     w = _measurement_witness(*inv)
     if not w >= 0.0:
         raise NumericDomainError(f"negative or NaN measurement determinant {w!r}")

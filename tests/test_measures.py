@@ -67,7 +67,8 @@ def reference_invariants(v4):
 
 def pt_symplectic_min(v4: np.ndarray) -> float:
     """Minimum symplectic eigenvalue of the partially transposed 4x4 CM."""
-    return measures._symplectic_pair(measures._seralian_invariants(v4), transposed=True)[0]
+    i1, i2, i3, i4 = measures._seralian_invariants(v4)
+    return measures._symplectic_pair((i1, i2, -i3, i4))[0]
 
 
 class TestDeterminants:
@@ -370,7 +371,7 @@ class TestGaussianDiscord:
         rng = np.random.default_rng(43)
         for _ in range(20):
             v = random_physical_cm(2, rng)
-            lo, hi = measures._symplectic_pair(measures._seralian_invariants(v), transposed=False)
+            lo, hi = measures._symplectic_pair(measures._seralian_invariants(v))
             oracle = symplectic_spectrum_oracle(v)
             assert lo == pytest.approx(oracle[0], rel=1e-9)
             assert hi == pytest.approx(oracle[-1], rel=1e-9)
@@ -507,10 +508,11 @@ class TestFiniteOverflow:
     @pytest.mark.parametrize("inv", [(1e200, 1e200, 0.0, 1.0), (1.0, 1.0, 0.0, 1e308),
                                      (1e200, 1e200, 0.0, 1e308)])
     def test_symplectic_pair_names_its_overflow(self, inv):
-        # sigma^2 overflows to inf, 4 I4 to inf, or both (inf - inf is nan)
-        for transposed in (False, True):
+        # sigma^2 overflows to inf, 4 I4 to inf, or both (inf - inf is nan);
+        # E_N takes the pair of the partial transpose through the same kernel
+        for kernel in (measures._symplectic_pair, measures._pair_en):
             with pytest.raises(NumericDomainError, match="^overflow: discriminant") as exc:
-                measures._symplectic_pair(inv, transposed)
+                kernel(inv)
             assert "negative" not in str(exc.value)
 
     @pytest.mark.parametrize("inv", [(1e160, 1e160, 0.0, 1e100), (1e200, 1e-200, 0.0, 1e300)])
