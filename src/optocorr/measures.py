@@ -36,6 +36,7 @@ MEASURE_FAMILIES = ("EN", "DG", "Rtau")
 # tolerances pinned by the verification contract
 DISCRIMINANT_TOL = 1.0e-12
 G_DOMAIN_TOL = 1.0e-12
+DISCORD_TOL = 1.0e-10       # a discord down to -DISCORD_TOL is round-off, clamped to 0
 MONOGAMY_CLAMP = 1.0e-9
 
 # closed-form determinants carry ~1e-16 relative round-off, so log-negativity
@@ -179,7 +180,10 @@ def residual_contangle_min(v6: np.ndarray):
     """Minimum residual contangle of the (c2, a, b) triple, by correlation_report's kernel.
 
     Returns (r_min, residuals) where residuals maps each one-vs-two
-    partition tag to C_{i|jk} - C_{i|j} - C_{i|k} (raw, unclamped).
+    partition tag to C_{i|jk} - C_{i|j} - C_{i|k} (raw, unclamped), and r_min
+    is their raw minimum.  A report's r_tau_min (Rtau_min) is the minimum
+    after MONOGAMY_CLAMP clamping, so the two differ when that minimum is
+    within the clamp below zero.
     """
     _require_shape(v6, _TRIPLE_DIM)
     raw = _triple_report(v6, ("Rtau",)).r_tau_raw
@@ -223,11 +227,14 @@ def _measurement_witness(i1, i2, i3, i4) -> float:
 def _discord(inv) -> float:
     """D_G from the Seralian invariants of a pair; see gaussian_discord."""
     nu_lo, nu_hi = _symplectic_pair(inv)
+    if not inv[0] > 0.0:    # the witness divides by I1, and g takes sqrt(I1)
+        raise NumericDomainError(f"non-positive first-mode determinant I1 {inv[0]!r}: "
+                                 "unphysical input")
     w = _measurement_witness(*inv)
     if not w >= 0.0:
         raise NumericDomainError(f"negative or NaN measurement determinant {w!r}")
     val = _g(math.sqrt(inv[0])) - _g(nu_lo) - _g(nu_hi) + _g(math.sqrt(w))
-    if not val >= -1.0e-10:
+    if not val >= -DISCORD_TOL:
         raise NumericDomainError(f"negative Gaussian discord {val!r} beyond round-off")
     return max(val, 0.0)
 
@@ -236,7 +243,8 @@ def gaussian_discord(v4: np.ndarray) -> float:
     """Gaussian quantum discord of a 4x4 CM (measurement on the second mode).
 
     D_G = g(sqrt(I1)) - g(nu_-) - g(nu_+) + g(sqrt(W)); round-off down to
-    -1e-10 is clamped to zero, a lower value raises NumericDomainError.
+    -DISCORD_TOL is clamped to zero, a lower value raises NumericDomainError,
+    and so does I1 <= 0.
     """
     return _discord(_seralian_invariants(v4))
 

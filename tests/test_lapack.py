@@ -115,6 +115,15 @@ class TestMatchesNumpyLinalg:
         assert {m.shape for m in inputs} == {(8, 8), (3, 6, 6)}
         assert all(m.dtype == np.float64 for m in inputs)
 
+    @pytest.mark.parametrize("m", [np.full((3, 3), np.nan), np.full((2, 8, 8), np.nan)],
+                             ids=["3x3", "stack"])
+    def test_nonconvergence_raises_numpys_error(self, m, capfd):
+        # LAPACK's XERBLA reports the NaN input on fd 1; capfd keeps it out of the log
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                lapack.eigvals(m)
+
     def test_singular_solve_raises_numpys_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

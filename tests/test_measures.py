@@ -377,6 +377,52 @@ class TestGaussianDiscord:
             assert hi == pytest.approx(oracle[-1], rel=1e-9)
 
 
+class TestUnphysicalPair:
+    """Each typed error of the pair kernel and the discord, reached by an
+    explicit unphysical 4x4 covariance."""
+
+    @pytest.mark.parametrize("measure,v,message", [
+        # the discriminant of the partial transpose
+        (log_negativity, [[1, 0, 2, 0], [0, 1, 0, 2], [2, 0, 2, 0], [0, 2, 0, 2]],
+         r"^negative discriminant -7\.0: unphysical input$"),
+        (gaussian_discord, [[1, 0, 2, 0], [0, 1, 0, -2], [2, 0, 2, 0], [0, -2, 0, 2]],
+         r"^negative discriminant -7\.0: unphysical input$"),
+        (gaussian_discord, [[1.5, .25, 1.25, 1.25], [.25, 1.5, -.5, 1], [1.25, -.5, 1, -.25],
+                            [1.25, 1, -.25, -1.5]],
+         r"^negative or NaN measurement determinant -3\.01"),
+    ], ids=["pt-discriminant", "discriminant", "witness"])
+    def test_typed_error(self, measure, v, message):
+        with pytest.raises(NumericDomainError, match=message):
+            measure(np.array(v, dtype=float))
+
+    @pytest.mark.parametrize("v,i1", [
+        ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], r"0\.0"),
+        ([[-1, .75, .75, -.25], [.75, -.5, 0, .75], [.75, 0, .5, .5], [-.25, .75, .5, -.5]],
+         r"-0\.0625"),
+    ], ids=["zero", "negative"])
+    def test_non_positive_first_mode_determinant(self, v, i1):
+        # the witness divides by 2 I1 and g takes sqrt(I1): a ZeroDivisionError
+        # and a math domain error before I1 was checked
+        message = rf"^non-positive first-mode determinant I1 {i1}: unphysical input$"
+        with pytest.raises(NumericDomainError, match=message):
+            gaussian_discord(np.array(v, dtype=float))
+
+    def test_sweep_point_records_a_non_positive_determinant(self, base_params, monkeypatch):
+        good = evaluate_point(base_params).covariance
+
+        def decoupled_c2_solve(a, d, check_stability=True):
+            v = good.copy()
+            rows = list(MODE_BLOCKS["c2"])
+            v[rows, :] = v[:, rows] = 0.0     # I1 = 0 for the c2a pair, measured first
+            return CovarianceMatrix(matrix=v, residual_norm=0.0)
+
+        monkeypatch.setattr(pipeline, "solve_lyapunov", decoupled_c2_solve)
+        result = evaluate_point(base_params, ("DG_c2a",))
+        assert result.report is None
+        assert result.error == ("NumericDomainError: non-positive first-mode determinant I1 0.0: "
+                                "unphysical input")
+
+
 class TestInvariances:
     @staticmethod
     def local_rotation(theta1, theta2):
