@@ -401,8 +401,7 @@ class TestUnphysicalPair:
          r"-0\.0625"),
     ], ids=["zero", "negative"])
     def test_non_positive_first_mode_determinant(self, v, i1):
-        # the witness divides by 2 I1 and g takes sqrt(I1): a ZeroDivisionError
-        # and a math domain error before I1 was checked
+        # the witness divides by 2 I1 and g takes sqrt(I1), so neither may run
         message = rf"^non-positive first-mode determinant I1 {i1}: unphysical input$"
         with pytest.raises(NumericDomainError, match=message):
             gaussian_discord(np.array(v, dtype=float))
