@@ -12,7 +12,6 @@ keeps drift-matrix entries O(1)-O(100); temperature stays in kelvin.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import reprlib
 import sys
@@ -217,17 +216,15 @@ def validate_config(raw: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Load a JSON (or else YAML) config file and pass it through the gate."""
+    """Load a YAML config file, JSON included, and pass it through the gate.
+
+    Tabs are read as spaces, so a tab-indented file loads; a JSON string
+    cannot hold a raw tab, so this changes only whitespace between tokens."""
     import yaml     # only a config file needs the parser
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
-            try:
-                raw = json.loads(text)
-            except ValueError:
-                fh.seek(0)      # so that a YAML error names the file
-                raw = yaml.safe_load(fh)
+            raw = yaml.safe_load(fh.read().expandtabs())
         except (ValueError, yaml.YAMLError) as exc:
             reason = " ".join(str(exc).split())
             if "integer string conversion" in reason:   # Python's int digit limit

@@ -110,10 +110,10 @@ class SweepResult:
     config_hash: str
 
 
-def _apply_axes(base: SystemParams, spec: SweepSpec, point):
+def _apply_axes(spec: SweepSpec, point):
     """The grid point's record, built and validated once."""
-    return with_keys(base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
-                            for key in _AXIS_KEYS[axis.name]})
+    return with_keys(spec.base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
+                                 for key in _AXIS_KEYS[axis.name]})
 
 
 def _evaluate_rows(spec: SweepSpec, points) -> list:
@@ -121,7 +121,7 @@ def _evaluate_rows(spec: SweepSpec, points) -> list:
     wanted = spec.measure_columns
     rows = []
     for point in points:
-        result = evaluate_point(_apply_axes(spec.base, spec, point), spec.measures)
+        result = evaluate_point(_apply_axes(spec, point), spec.measures)
         stable = result.verdict.stable
         if not stable and spec.unstable_policy == "error":
             axes = spec.axis1.name + ("/" + spec.axis2.name if spec.axis2 else "")

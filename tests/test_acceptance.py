@@ -30,7 +30,7 @@ def emit(num, ok, detail=""):
 
 def grid_params(spec):
     for point in spec.grid():
-        yield point, _apply_axes(spec.base, spec, point)
+        yield point, _apply_axes(spec, point)
 
 
 def extremizer_distance(xs, vals, targets, kind):

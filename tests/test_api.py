@@ -24,8 +24,9 @@ import pytest
 import optocorr
 from optocorr.dynamics import assess_stability
 from optocorr.lyapunov import residual_bound, solve_lyapunov
-from optocorr.params import DRIVE_KEYS, KNOWN_KEYS, SYSTEM_KEYS, TWO_PI
-from optocorr.steadystate import SteadyState
+from optocorr import SystemParams, evaluate_point, figure_preset, params_from_config
+from optocorr.params import DRIVE_KEYS, KNOWN_KEYS, SYSTEM_KEYS, TWO_PI, drive_from_config
+from optocorr.steadystate import SteadyState, apply_steady_state, solve_steady_state
 from optocorr.sweep import MEASURE_KEYS
 
 PUBLIC = ["Axis", "OMEGA_4", "SweepSpec", "SystemParams", "__version__", "build_diffusion",
@@ -237,3 +238,24 @@ def test_what_the_benchmark_reads_at_run_time():
     # the probes' payloads read a verdict's `stable` and a steady state's `iterations`
     assert assess_stability(-np.eye(8)).stable is True
     assert "iterations" in {field.name for field in dataclasses.fields(SteadyState)}
+
+    # the ast scan cannot see attributes read off returned objects: the grid
+    # workloads build a smoke spec, and perfbench/check.py compares the
+    # columns and rebuilds each row's record from spec.base by
+    # dataclasses.replace, keyed by each axis's name
+    for pid in ("fig2", "fig3"):
+        spec = figure_preset(pid, params_from_config({}), counts=(6, 6))
+        assert len(spec.grid()) == 36
+        assert spec.columns()[:2] == [spec.axis1.name, spec.axis2.name]
+        assert isinstance(spec.base, SystemParams)
+        assert dataclasses.replace(spec.base, omega_m=spec.base.omega_m) == spec.base
+    # the drive op: config -> mean field -> linearized record -> point, then
+    # the point's verdict, error and flat report
+    cfg = {"g1_khz": 1.0, "g2_khz": 1.5, "E1_mhz": 3.0e4, "E2_mhz": 5.0e4,
+           "delta1_bare_over_omegam": 1.0, "delta2_bare_over_omegam": 1.0}
+    params = params_from_config(cfg)
+    point = apply_steady_state(params, solve_steady_state(drive_from_config(cfg, params), params))
+    assert isinstance(point, SystemParams)
+    result = evaluate_point(point)
+    assert result.verdict.stable is True and result.error is None
+    assert set(MEASURE_KEYS) - {"stability"} <= set(result.report.as_flat_dict())

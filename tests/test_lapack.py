@@ -25,7 +25,7 @@ def stable_drifts(preset, counts):
     spec = figure_preset(preset, params_from_config({}), counts=counts)
     systems = []
     for point in spec.grid():
-        a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
+        a, d, verdict, _ = point_matrices(_apply_axes(spec, point))
         if verdict.stable:
             systems.append((a, d))
     return systems
@@ -43,7 +43,7 @@ def eigvals_inputs(monkeypatch, preset, counts):
     monkeypatch.setattr(lapack, "eigvals", recording)
     spec = figure_preset(preset, params_from_config({}), counts=counts)
     for point in spec.grid():
-        evaluate_point(_apply_axes(spec.base, spec, point))
+        evaluate_point(_apply_axes(spec, point))
     monkeypatch.undo()
     return inputs
 

@@ -225,7 +225,7 @@ def fig3_systems(rng, count=30):
     systems = [random_stable_system(8, rng) for _ in range(count)]
     spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
     for point in spec.grid():
-        a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
+        a, d, verdict, _ = point_matrices(_apply_axes(spec, point))
         if verdict.stable:
             systems.append((a, d))
     return systems
@@ -372,7 +372,7 @@ def oracle_systems():
         points.append((spec, spec.grid()[index]))
     systems = {}
     for spec, point in points:
-        a, d, verdict, _ = point_matrices(_apply_axes(spec.base, spec, point))
+        a, d, verdict, _ = point_matrices(_apply_axes(spec, point))
         if verdict.stable:
             systems.setdefault(a.tobytes() + d.tobytes(), (a, d))
     return list(systems.values())

@@ -1,3 +1,4 @@
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -17,7 +18,8 @@ from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, TRIPLE_MODE
 from optocorr.params import TWO_PI, with_keys
 from optocorr.sweep import _apply_axes, figure_preset
 
-from conftest import extract_submatrix, random_physical_cm, tmsv_cm
+from conftest import extract_submatrix, point_matrices, random_physical_cm, tmsv_cm
+from test_lyapunov import decimal_lyapunov
 
 
 def symplectic_spectrum_oracle(v):
@@ -308,7 +310,7 @@ class TestTripartiteOracle:
 
     def test_worst_conditioned_fig3_point_within_1e_12(self, base_params):
         spec = figure_preset("fig3", base_params)
-        v = evaluate_point(_apply_axes(spec.base, spec, spec.grid()[self.FIG3_WORST])).covariance
+        v = evaluate_point(_apply_axes(spec, spec.grid()[self.FIG3_WORST])).covariance
         assert self.worst_error([extract_submatrix(v, TRIPLE_MODES)]) <= 1e-12
 
     def test_oracle_recovers_known_spectra(self):
@@ -321,6 +323,156 @@ class TestTripartiteOracle:
         v6[:4, :4] = tmsv_cm(0.5)
         for p in measures._PARTITION_PT[:2]:
             assert relative_error(0.5 / math.e, exact_nu_min(v6, p)) < 1e-14
+
+
+def sqrt0(x: Decimal) -> Decimal:
+    """Square root of a discriminant that vanishes for pure states, where the
+    working precision can leave it a few units below 0."""
+    return max(x, Decimal(0)).sqrt()
+
+
+def exact_g(x: Decimal) -> Decimal:
+    half = Decimal("0.5")
+    lo = (x - half) * (x - half).ln() if x > half else Decimal(0)
+    return (x + half) * (x + half).ln() - lo
+
+
+def exact_witnesses(i1, i2, i3, i4):
+    """Both branches of the measurement determinant W, and whether the first
+    is the optimal one (the condition measures._measurement_witness tests)."""
+    first = ((2 * abs(i3) + sqrt0(4 * i3 * i3 + (4 * i1 - 1) * (4 * i4 - i2)))
+             / (4 * i1 - 1)) ** 2
+    s = i1 * i2 + i4 - i3 * i3
+    second = (s - sqrt0(s * s - 4 * i1 * i2 * i4)) / (2 * i1)
+    gap = i1 * i2 - i4
+    return first, second, 4 * gap * gap <= (i2 + 4 * i4) * (1 + 4 * i1) * i3 * i3
+
+
+def exact_pair_measures(v, pair):
+    """(E_N, D_G) of a pair of the 8x8 covariance v (lists of Decimals), at the
+    context's precision, from its Seralian invariants."""
+    idx = MODE_BLOCKS[pair[0]] + MODE_BLOCKS[pair[1]]
+    m = [[v[i][j] for j in idx] for i in idx]
+    i1 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    i2 = m[2][2] * m[3][3] - m[2][3] * m[3][2]
+    i3 = m[0][2] * m[1][3] - m[0][3] * m[1][2]
+    det = exact_det([[Fraction(x) for x in row] for row in m])
+    i4 = Decimal(det.numerator) / det.denominator
+
+    def nus(i3):
+        sigma = i1 + i2 + 2 * i3
+        root = sqrt0(sigma * sigma - 4 * i4)
+        return ((sigma - root) / 2).sqrt(), ((sigma + root) / 2).sqrt()
+
+    e_n = max(Decimal(0), -(2 * nus(-i3)[0]).ln())
+    first, second, use_first = exact_witnesses(i1, i2, i3, i4)
+    nu_lo, nu_hi = nus(i3)
+    d_g = (exact_g(i1.sqrt()) - exact_g(nu_lo) - exact_g(nu_hi)
+           + exact_g((first if use_first else second).sqrt()))
+    return e_n, d_g
+
+
+# the small grids the oracle samples: the golden-file grids of the presets
+# that emit E_N (fig3, fig5) or D_G (fig8, fig9, fig10)
+PAIR_ORACLE_GRIDS = (("fig3", (12, 12)), ("fig5", (21,)), ("fig8", (8, 6)), ("fig9", (10, 3)),
+                     ("fig10", (21,)))
+PAIR_ORACLE_PER_GRID = 8
+
+
+@functools.cache
+def pair_oracle_points():
+    """(covariance, float report, {column: 50-digit value}) at 8 evenly spaced
+    stable points of each oracle grid, plus the `measure` point."""
+    base = params_from_config({})
+    records = [base]
+    for pid, counts in PAIR_ORACLE_GRIDS:
+        spec = figure_preset(pid, base, counts=counts)
+        stable = [p for p in map(functools.partial(_apply_axes, spec), spec.grid())
+                  if point_matrices(p)[2].stable]
+        n = len(stable)
+        records += [stable[round(i * (n - 1) / (PAIR_ORACLE_PER_GRID - 1))]
+                    for i in range(PAIR_ORACLE_PER_GRID)]
+    points = []
+    for params in records:
+        a, d, _, _ = point_matrices(params)
+        result = evaluate_point(params)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            v = decimal_lyapunov(a, d)
+            exact = {}
+            for pair in CANONICAL_PAIRS:
+                exact["EN_" + "".join(pair)], exact["DG_" + "".join(pair)] = \
+                    exact_pair_measures(v, pair)
+        points.append((result.covariance, result.report, exact))
+    return points
+
+
+class TestPairMeasureOracle:
+    """Each canonical pair's E_N and D_G cell against the same measure at 50
+    digits, computed from decimal_lyapunov's V, at 40 sampled stable points of
+    the small fig3, fig5, fig8, fig9 and fig10 grids and at the `measure` point.
+
+    Each family's budget is its worst relative error over these points on
+    this build, rounded up to the next half decade (a factor of sqrt(10)).
+    Both worst cells are at fig3's last sampled point, (0, 2):
+    - E_N 2.97e-12 (EN_c2a = 1.3e-3: E_N = -ln 2 nu near 0 turns nu's
+      relative error into a larger one of E_N), so 10**-11.5;
+    - D_G 2.40e-9 (DG_c2a, from the cancellation in the witness
+      discriminant), so 10**-8.5.
+    Over all 240 stable points of the five grids the worst are 4.9e-12 and
+    2.4e-9.  A separable pair's exact E_N is 0, and its cell must read 0.
+    """
+
+    BUDGETS = {"EN": 10 ** -11.5, "DG": 10 ** -8.5}
+
+    @staticmethod
+    def worst_errors(reports):
+        worst = dict.fromkeys(TestPairMeasureOracle.BUDGETS, 0.0)
+        for report, (_, _, exact) in zip(reports, pair_oracle_points()):
+            for key, value in report.as_flat_dict().items():
+                family = key.split("_")[0]
+                if family in worst:
+                    # a separable pair's exact E_N is 0, and its cell must read 0
+                    error = (relative_error(value, exact[key]) if exact[key]
+                             else 0.0 if value == 0.0 else math.inf)
+                    worst[family] = max(worst[family], error)
+        return worst
+
+    def test_cells_within_budget(self):
+        points = pair_oracle_points()
+        assert len(points) == 1 + PAIR_ORACLE_PER_GRID * len(PAIR_ORACLE_GRIDS)
+        worst = self.worst_errors([report for _, report, _ in points])
+        assert all(worst[family] <= budget for family, budget in self.BUDGETS.items()), worst
+
+    def test_float32_covariance_fails_both_budgets(self):
+        reports = [correlation_report(cov.astype(np.float32).astype(np.float64))
+                   for cov, _, _ in pair_oracle_points()]
+        worst = self.worst_errors(reports)
+        assert all(worst[family] > budget for family, budget in self.BUDGETS.items()), worst
+
+    @pytest.mark.parametrize("r", [0.25, 1.0])
+    def test_oracle_recovers_two_mode_squeezed_vacuum(self, r):
+        # a pure state: E_N = 2r, both witness branches give W = 1/4, so
+        # D_G = g(cosh(2r)/2), the entanglement entropy.  The second branch
+        # takes the root of a discriminant that vanishes here, so it keeps
+        # half the 50 digits
+        with localcontext() as ctx:
+            ctx.prec = 50
+            up, down = (2 * Decimal(r)).exp(), (-2 * Decimal(r)).exp()
+            ch, sh = (up + down) / 4, (up - down) / 4
+            # (c2, a) squeezed with correlations sh Z, c1 and b in vacuum
+            v = [[Decimal("0.5") if i == j else Decimal(0) for j in range(8)] for i in range(8)]
+            for k in range(2, 6):
+                v[k][k] = ch
+            for k, corr in ((2, sh), (3, -sh)):
+                v[k][k + 2] = v[k + 2][k] = corr
+            e_n, d_g = exact_pair_measures(v, ("c2", "a"))
+            inv = (ch * ch, ch * ch, -sh * sh, Decimal(1) / 16)
+            first, second, _ = exact_witnesses(*inv)
+            assert abs(e_n - 2 * Decimal(r)) < Decimal("1e-45")
+            assert abs(first - Decimal("0.25")) < Decimal("1e-45")
+            assert abs(second - Decimal("0.25")) < Decimal("1e-23")
+            assert abs(d_g - exact_g(ch)) < Decimal("1e-20")
 
 
 class TestGaussianDiscord:
@@ -647,7 +799,7 @@ class TestSharedInvariants:
         spec = figure_preset(preset, base_params, counts=counts)
         checked = 0
         for point in spec.grid():
-            result = evaluate_point(_apply_axes(spec.base, spec, point))
+            result = evaluate_point(_apply_axes(spec, point))
             if result.report is not None:
                 self.assert_report_matches_standalone(result.covariance, result.report)
                 checked += 1
@@ -677,7 +829,7 @@ def extract_pair(v6, key):
 def preset_triples(base_params, preset, counts):
     """(c2, a, b) covariance blocks of a preset's stable points on the grid `counts`."""
     spec = figure_preset(preset, base_params, counts=counts)
-    covs = [evaluate_point(_apply_axes(spec.base, spec, point)).covariance for point in spec.grid()]
+    covs = [evaluate_point(_apply_axes(spec, point)).covariance for point in spec.grid()]
     return [extract_submatrix(v, TRIPLE_MODES) for v in covs if v is not None]
 
 
@@ -747,7 +899,7 @@ class TestPairKernel:
         spec = figure_preset(preset, base_params, counts=counts)
         checked = 0
         for point in spec.grid():
-            v = evaluate_point(_apply_axes(spec.base, spec, point)).covariance
+            v = evaluate_point(_apply_axes(spec, point)).covariance
             if v is not None:
                 self.assert_triple_matches_reference(extract_submatrix(v, TRIPLE_MODES))
                 checked += 1

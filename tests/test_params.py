@@ -196,6 +196,12 @@ class TestConfig:
         path.write_text('{\n\t"T_kelvin": 0.02\n}\n')
         assert load_config(str(path)) == {"T_kelvin": 0.02}
 
+    def test_tab_indented_yaml_is_read(self, tmp_path):
+        # tabs are read as spaces; PyYAML alone stops at the first tab
+        path = tmp_path / "c.yaml"
+        path.write_text("G1_mhz:\n\t3.0\nT_kelvin:\t0.02\n")
+        assert load_config(str(path)) == {"G1_mhz": 3.0, "T_kelvin": 0.02}
+
     def test_power_drives(self, base_params):
         # each cavity's drive takes its own kappa; omega_l_thz is in THz
         p = base_params.with_values(kappa2=2.0 * base_params.kappa1)

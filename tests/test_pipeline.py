@@ -25,7 +25,7 @@ from conftest import extract_submatrix, point_matrices
 
 def grid_params(base_params, preset, counts):
     spec = figure_preset(preset, base_params, counts=counts)
-    return [_apply_axes(spec.base, spec, point) for point in spec.grid()]
+    return [_apply_axes(spec, point) for point in spec.grid()]
 
 
 def spy(monkeypatch, module, name):

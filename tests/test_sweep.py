@@ -299,7 +299,7 @@ class TestAxesAreConfigKeys:
     @pytest.mark.parametrize("name", SWEEPABLE)
     def test_axis_value_is_its_config_keys(self, name, value):
         spec = SweepSpec(base=params_from_config(SHIFTED), axis1=Axis(name, value, value + 1, 2))
-        got = record_or_error(lambda: sweep._apply_axes(spec.base, spec, (value,)))
+        got = record_or_error(lambda: sweep._apply_axes(spec, (value,)))
         keys = dict.fromkeys(AXIS_CONFIG_KEYS[name], value)
         assert got == record_or_error(lambda: params_from_config({**SHIFTED, **keys}))
 
@@ -310,7 +310,7 @@ class TestAxesAreConfigKeys:
                              axis2=Axis(name2, 0.0, 1.0, 2))
             keys = {**dict.fromkeys(AXIS_CONFIG_KEYS[name1], 1.3),
                     **dict.fromkeys(AXIS_CONFIG_KEYS[name2], 0.6)}
-            assert (sweep._apply_axes(base, spec, (1.3, 0.6))
+            assert (sweep._apply_axes(spec, (1.3, 0.6))
                     == params_from_config({**SHIFTED, **keys})), (name1, name2)
 
     @pytest.mark.parametrize("pid", PRESET_IDS)
