@@ -34,8 +34,10 @@ def _frobenius(m: np.ndarray) -> float:
 
 
 def lyapunov_residual(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:
-    """||A V + V A^T + D||_F, by `_frobenius`."""
-    return _frobenius(a @ v + v @ a.T + d)
+    """||A V + V A^T + D||_F, by `_frobenius`: inf or NaN, with no warning,
+    where the sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frobenius(a @ v + v @ a.T + d)
 
 
 @lru_cache(maxsize=None)

@@ -153,17 +153,16 @@ def _real_roots(coeffs: list):
         raise NonConvergenceError("mean-field polynomial overflowed; "
                                   "drives too strong for a finite steady state", iterations=0)
     poly = list(coeffs)
-    while poly and poly[0] == 0.0:
-        poly.pop(0)
     starts = []
     while poly and poly[-1] == 0.0:     # a zero constant term: a root at 0
         poly.pop()
         starts = [0.0]
     while len(poly) > 1:
-        row = [-a / poly[0] for a in poly[1:]]
-        if all(map(math.isfinite, row)):
-            break
-        # a lead so small that a ratio overflows only moves roots past |x| ~ 1e61
+        if poly[0] != 0.0:
+            row = [-a / poly[0] for a in poly[1:]]
+            if all(map(math.isfinite, row)):
+                break
+        # a zero lead, or one so small that a ratio overflows (its lost roots lie past |x| ~ 1e61)
         poly.pop(0)
     if len(poly) > 1:
         companion = np.eye(len(row), k=-1)

@@ -526,8 +526,12 @@ class TestModuleEntry:
         assert proc.stdout == golden.read_bytes()
 
     @staticmethod
-    def steady_argv(cfg):
-        return [arg for key, value in cfg.items() for arg in ("--set", f"{key}={value!r}")]
+    def set_argv(items):
+        return [arg for item in items for arg in ("--set", item)]
+
+    @classmethod
+    def steady_argv(cls, cfg):
+        return cls.set_argv(f"{key}={value!r}" for key, value in cfg.items())
 
     def test_discord_overflow_is_one_typed_line(self):
         proc = self.run_module("measure", "--set", "T_kelvin=1.58e40")
@@ -546,6 +550,34 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stderr) == (0, b"")
         record = json.loads(proc.stdout)
         assert record["beta_re"] == record["alpha1_re"] == 0.0
+        assert record["real_roots"] == 1
+
+    # g2's terms underflow: the polynomial's lead overflows the companion row and
+    # the coefficient under it is -0.0 (once a ZeroDivisionError traceback, exit 1)
+    UNDERFLOWED_LEAD = {"g1_khz": 1.0, "g2_khz": 1e-155, "E1_mhz": 1e4, "E2_mhz": 0.0,
+                        "delta1_bare_over_omegam": 0.0, "delta2_bare_over_omegam": 0.0,
+                        "Jac_mhz": 0.0}
+    # undriven, with every coefficient of the polynomial underflowed (once exit 3,
+    # "none of the 0 real roots")
+    ALL_UNDERFLOW = {"kappa1_mhz": 1e-300, "kappa2_mhz": 1e-300, "g1_khz": 1.0, "g2_khz": 0.0,
+                     "E1_mhz": 0.0, "E2_mhz": 0.0, "delta1_bare_over_omegam": 0.0,
+                     "delta2_bare_over_omegam": 0.0, "Jac_mhz": 0.0}
+
+    def test_steady_underflowed_lead_gives_the_g2_zero_amplitudes(self):
+        runs = [self.run_module("steady", *self.steady_argv(cfg), "--format", "json")
+                for cfg in (self.UNDERFLOWED_LEAD, {**self.UNDERFLOWED_LEAD, "g2_khz": 0.0})]
+        assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, b"")] * 2
+        got, ref = (json.loads(proc.stdout) for proc in runs)
+        amplitudes = [key for key in ref if key.startswith(("alpha", "xi", "beta"))]
+        assert len(amplitudes) == 8
+        assert [got[key] for key in amplitudes] == [ref[key] for key in amplitudes]
+        assert got["real_roots"] == ref["real_roots"] == 1
+
+    def test_steady_all_underflow_undriven_is_the_zero_state(self):
+        proc = self.run_module("steady", *self.steady_argv(self.ALL_UNDERFLOW), "--format", "json")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        record = json.loads(proc.stdout)
+        assert record["beta_re"] == record["alpha1_re"] == record["xi_re"] == 0.0
         assert record["real_roots"] == 1
 
     def test_steady_formerly_nonconverging_reports_unstable(self):
@@ -567,15 +599,31 @@ class TestModuleEntry:
         assert proc.returncode == 2
         assert b"duplicate measure" in proc.stderr and proc.stdout == b""
 
+    NON_FINITE_COVARIANCE = b"numeric failure: NumericDomainError: non-finite covariance"
+    # finite A and D, but A V overflows in the residual
+    RESIDUAL_OVERFLOW = ("T_kelvin=1e230", "delta1_over_omegam=1e236")
+
     @pytest.mark.parametrize("override,code,kind", [
-        ("T_kelvin=1e300", 3, b"numeric failure: NumericDomainError: non-finite covariance"),
-        ("G1_mhz=2.4e307", 2, b"config error: coupling g1_eff = ")])
+        pytest.param(("T_kelvin=1e300",), 3, NON_FINITE_COVARIANCE,
+                     id="T_kelvin=1e300-3-numeric failure: NumericDomainError: "
+                        "non-finite covariance"),
+        pytest.param(("G1_mhz=2.4e307",), 2, b"config error: coupling g1_eff = ",
+                     id="G1_mhz=2.4e307-2-config error: coupling g1_eff = "),
+        pytest.param(RESIDUAL_OVERFLOW, 3, NON_FINITE_COVARIANCE,
+                     id="T_kelvin=1e230,delta1_over_omegam=1e236-3-numeric failure: "
+                        "NumericDomainError: non-finite covariance")])
     def test_overflow_is_one_typed_line(self, override, code, kind):
         # before, numpy's overflow warning escaped under -W error as a traceback
-        proc = self.run_module("measure", "--set", override)
+        proc = self.run_module("measure", *self.set_argv(override))
         assert (proc.returncode, proc.stdout) == (code, b"")
         assert proc.stderr.startswith(b"optocorr: " + kind)
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+    def test_matrix_with_residual_overflow_prints_without_warning(self):
+        # the solve's residual overflows to inf or NaN; the matrices still print
+        proc = self.run_module("matrix", "--with-cm", *self.set_argv(self.RESIDUAL_OVERFLOW))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(b"# A\n")
 
     @pytest.mark.parametrize("case", sorted(CRASHING_CONFIGS))
     def test_config_that_crashed_is_one_typed_line(self, tmp_path, case):

@@ -185,16 +185,25 @@ class TestCoupledSolve:
 
     def test_negligible_leading_coefficient_is_dropped(self, base_params):
         # finite coefficients, but a lead so small that the companion would overflow:
-        # the roots that remain are those of g1 = 0
-        raw = make_raw(g1=1e-150, g2=TWO_PI * 1e-3, e1=1e4, e2=1e4, base=base_params)
-        coeffs = quintic(raw, base_params)
-        assert coeffs[0] != 0.0 and all(map(math.isfinite, coeffs))
-        assert not all(math.isfinite(a / coeffs[0]) for a in coeffs[1:])
-        ss = solve_steady_state(raw, base_params)
-        ref = solve_steady_state(make_raw(g2=TWO_PI * 1e-3, e1=1e4, e2=1e4, base=base_params),
-                                 base_params)
-        assert ss.beta == pytest.approx(ref.beta, rel=1e-12)
-        assert ss.real_roots == ref.real_roots
+        # the roots that remain are those of the drive with that coupling zeroed
+        no_jac = base_params.with_values(j_ac_mag=0.0)
+        cases = [
+            (base_params, dict(g1=1e-150, g2=TWO_PI * 1e-3, e1=1e4, e2=1e4), "g1", False),
+            # the coefficient below the lead underflows to -0.0 and must go too;
+            # once, the companion row divided by it
+            (no_jac, dict(g1=TWO_PI * 1e-3, g2=TWO_PI * 1e-158, e1=TWO_PI * 1e4,
+                          d1=0.0, d2=0.0), "g2", True),
+        ]
+        for base, kw, tiny, zero_below in cases:
+            raw = make_raw(**kw, base=base)
+            coeffs = quintic(raw, base)
+            assert coeffs[0] != 0.0 and all(map(math.isfinite, coeffs))
+            assert not all(math.isfinite(a / coeffs[0]) for a in coeffs[1:])
+            assert (coeffs[1] == 0.0) == zero_below
+            ss = solve_steady_state(raw, base)
+            ref = solve_steady_state(make_raw(**{**kw, tiny: 0.0}, base=base), base)
+            assert ss.beta == pytest.approx(ref.beta, rel=1e-12)
+            assert ss.real_roots == ref.real_roots
 
     @pytest.mark.parametrize("g1", [1e-155, 1e-200])
     def test_root_whose_state_overflows_is_rejected(self, base_params, g1):
@@ -504,6 +513,14 @@ class TestRealRoots:
     def test_complex_pair_is_not(self):
         assert steadystate._real_roots([1.0, 0.0, 1.0]) == ({}, 0)
 
+    def test_zero_lead_under_a_negligible_one_is_dropped(self):
+        # the 1e-310 lead's ratio overflows; the 0.0 under it would then divide
+        assert steadystate._real_roots([1e-310, 0.0, 1.0, 1.0]) == ({-1.0: 1.0}, 2)
+
+    def test_zero_polynomial_has_the_root_zero(self):
+        # every x is a root; x = 0, the decoupled point, is the one enumerated
+        assert steadystate._real_roots([-0.0, -0.0, -0.0, -0.0, 0.0, -0.0]) == ({0.0: 0.0}, 2)
+
 
 class TestDegreeDrop:
     @pytest.mark.parametrize("zero", ["g1", "g2"])
@@ -527,3 +544,13 @@ class TestDegreeDrop:
         assert coeffs[:2] == [0.0, 0.0] and coeffs[-1] == 0.0 and coeffs[2] != 0.0
         ss = solve_steady_state(raw, base)
         assert ss.beta == 0.0 and ss.residual_norm == 0.0
+
+    def test_undriven_with_every_coefficient_underflowed(self, base_params):
+        # kappa1 = kappa2 = 2 pi 1e-300: every coefficient of the cubic underflows
+        base = base_params.with_values(kappa1=TWO_PI * 1e-300, kappa2=TWO_PI * 1e-300,
+                                       j_ac_mag=0.0)
+        raw = make_raw(g1=TWO_PI * 1e-3, d1=0.0, d2=0.0, base=base)
+        assert not any(quintic(raw, base))
+        ss = solve_steady_state(raw, base)
+        assert (ss.alpha1, ss.alpha2, ss.xi, ss.beta) == (0.0, 0.0, 0.0, 0.0)
+        assert ss.real_roots == 1
