@@ -7,9 +7,10 @@ Quadrature basis order, fixed once for the whole package:
 i.e. cavity 1, cavity 2, atomic ensemble, mechanical oscillator, each
 contributing an (amplitude, phase) quadrature pair.
 
-The model is written once, as the Hamiltonian matrix H and the damping
+The model is the Hamiltonian matrix H of (1/2) r^T H r and the damping
 vector Gamma: A = Omega H - diag(Gamma) (Serafini, Quantum Continuous
-Variables, CRC 2017, ch. 5).
+Variables, CRC 2017, ch. 5), written once, entry by entry; H = Omega^T
+(A + Gamma) is what `test_drift_is_omega_times_paper_hamiltonian` checks.
 """
 
 from __future__ import annotations
@@ -44,45 +45,39 @@ class StabilityVerdict:
     max_real_part: float
 
 
-def _hamiltonian(p: SystemParams) -> np.ndarray:
-    """Symmetric matrix H of the quadratic Hamiltonian (1/2) r^T H r.
-
-    Detunings (delta1_eff, delta2_eff, delta_at, omega_m) on the diagonal;
-    each coupling placed once above it and mirrored: the c1-a beam splitter
-    J_ac (e^{i phi} c1^dag a + h.c.) = J_ac [cos(phi) (x1 q_at + y1 p_at)
-    - sin(phi) (x1 p_at - y1 q_at)], and 2 G1 x1 q, 2 G2 x2 q, 2 J_ab q_at q.
-    """
-    jc = p.j_ac_mag * math.cos(p.phi)
-    js = p.j_ac_mag * math.sin(p.phi)
-    u = np.zeros((DIM, DIM))
-    u[0:2, 4:6] = ((jc, -js), (js, jc))
-    u[0, 6] = 2.0 * p.g1_eff
-    u[2, 6] = 2.0 * p.g2_eff
-    u[4, 6] = 2.0 * p.j_ab
-    h = u + u.T
-    h.flat[::DIM + 1] = (p.delta1_eff, p.delta1_eff, p.delta2_eff, p.delta2_eff,
-                         p.delta_at, p.delta_at, p.omega_m, p.omega_m)
-    return h
+def _damping_rates(p: SystemParams) -> tuple:
+    """Amplitude damping rate of each mode: kappa1, kappa2, f, gamma_m."""
+    return p.kappa1, p.kappa2, p.f, p.gamma_m
 
 
-def _damping(p: SystemParams) -> np.ndarray:
-    """Amplitude damping rate of each quadrature: kappa1, kappa2, f, gamma_m."""
-    return np.array([p.kappa1, p.kappa1, p.kappa2, p.kappa2,
-                     p.f, p.f, p.gamma_m, p.gamma_m])
+# flat index (8 row + column) of each drift entry, in the order build_drift lists them
+_DRIFT_FLAT = np.array((0, 1, 4, 5, 8, 9, 12, 13, 14, 18, 19, 26, 27, 30,
+                        32, 33, 36, 37, 40, 41, 44, 45, 46, 54, 55, 56, 58, 60, 62, 63))
 
 
 def build_drift(p: SystemParams) -> np.ndarray:
-    """8x8 drift matrix A = Omega H - Gamma of the quadrature fluctuations."""
-    return OMEGA_4 @ _hamiltonian(p) - np.diag(_damping(p))
+    """8x8 drift matrix A = Omega H - Gamma, written entry by entry: row 2k of
+    Omega H is row 2k+1 of H and row 2k+1 is minus row 2k.  Adding 0.0 turns
+    each -0.0 into the +0.0 the product gives, so A is that product bit for bit."""
+    k1, k2, f, gm = _damping_rates(p)
+    d1, d2, dat, wm = p.delta1_eff, p.delta2_eff, p.delta_at, p.omega_m
+    jc, js = p.j_ac_mag * math.cos(p.phi), p.j_ac_mag * math.sin(p.phi)
+    g1, g2, jab = 2.0 * p.g1_eff, 2.0 * p.g2_eff, 2.0 * p.j_ab
+    a = np.zeros(DIM * DIM)
+    a[_DRIFT_FLAT] = (-k1, d1, js, jc, -d1, -k1, -jc, js, -g1,        # c1
+                      -k2, d2, -d2, -k2, -g2,                          # c2
+                      -js, jc, -f, dat, -jc, -js, -dat, -f, -jab,      # atoms
+                      -gm, wm, -g1, -g2, -jab, -wm, -gm)               # mechanics
+    return a.reshape(DIM, DIM) + 0.0
 
 
 def build_diffusion(p: SystemParams, n_th: float) -> np.ndarray:
     """Diagonal diffusion: the drift's damping rates, mechanics scaled by 2 n_th + 1."""
-    if n_th < 0.0:
-        raise NumericDomainError(f"n_th must be non-negative, got {n_th!r}")
-    gamma = _damping(p)
-    gamma[6:] *= 2.0 * n_th + 1.0
-    return np.diag(gamma)
+    if not 0.0 <= n_th < math.inf:     # NaN too
+        raise NumericDomainError(f"n_th must be {'finite' if n_th > 0.0 else 'non-negative'}, "
+                                 f"got {n_th!r}")
+    k1, k2, f, gm = _damping_rates(p)
+    return np.diag([k1, k1, k2, k2, f, f] + [gm * (2.0 * n_th + 1.0)] * 2)
 
 
 def assess_stability(a: np.ndarray, margin_tol: float = 0.0) -> StabilityVerdict:

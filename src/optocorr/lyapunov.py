@@ -9,8 +9,8 @@ i <= j}, is scattered from A by one bincount over a cached table and solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,7 +24,13 @@ RESIDUAL_RTOL = 1.0e-10
 @dataclass(frozen=True)
 class CovarianceMatrix:
     matrix: np.ndarray        # 8x8, exactly symmetric
-    residual_norm: float      # ||A V + V A^T + D||_F
+    drift: np.ndarray = field(repr=False, compare=False)       # the A and D solved for
+    diffusion: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def residual_norm(self) -> float:
+        """||A V + V A^T + D||_F by `lyapunov_residual`, computed on first read."""
+        return lyapunov_residual(self.drift, self.matrix, self.diffusion)
 
 
 def _frobenius(m: np.ndarray) -> float:
@@ -65,8 +71,8 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
     require max Re lambda < -`default_margin_tol` = -1e-9 omega_m, so a drift
     in between solves here but is unstable there.
 
-    D is symmetric: its upper triangle is read, and the residual uses all of
-    it.  V is filled from the unknowns, so it is symmetric bit for bit."""
+    D is symmetric: its upper triangle is read; `residual_norm`, computed on first
+    read, uses all of it.  V is filled from the unknowns: symmetric bit for bit."""
     n = a.shape[0] if a.ndim == 2 else 0
     if n == 0 or a.shape != (n, n) or d.shape != (n, n):
         raise ValueError("A and D must be non-empty square matrices of equal size, "
@@ -79,8 +85,7 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray, check_stability: bool = True) -
         x = lapack.solve(op.reshape(upper.size, -1), -d.ravel()[upper])
     except lapack.LinAlgError as exc:
         raise SingularSystemError(f"half-vectorized Lyapunov system is singular: {exc}") from exc
-    v = x[unknown]
-    return CovarianceMatrix(matrix=v, residual_norm=lyapunov_residual(a, v, d))
+    return CovarianceMatrix(matrix=x[unknown], drift=a, diffusion=d)
 
 
 def residual_bound(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> float:

@@ -115,11 +115,11 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     limit returns exactly 0 (no division by zero), also for a subnormal
     temperature whose k_B T underflows to 0.  A temperature so high that
     the occupation overflows a float (above about 2e305 K at 24 MHz) is a
-    ParameterError.
+    ParameterError, and so is a negative or NaN temperature.
     """
     if not omega_m > 0.0:
         raise ParameterError("omega_m must be positive")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise ParameterError("temperature must be non-negative")
     k_t = K_B * temperature
     if k_t == 0.0:

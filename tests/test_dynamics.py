@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from optocorr import OMEGA_4, build_diffusion, build_drift, params_from_config
 from optocorr.dynamics import MODE_BLOCKS, assess_stability, default_margin_tol
 from optocorr.errors import NumericDomainError
 from optocorr.params import TWO_PI, thermal_occupation
+from optocorr.sweep import PRESET_IDS, _apply_axes, figure_preset
 
 
 def hand_drift_matrix(phi=math.pi / 2, g1=2.0, g2=4.0, jac=12.0, jab=1.0):
@@ -40,6 +42,28 @@ def hand_drift_matrix(phi=math.pi / 2, g1=2.0, g2=4.0, jac=12.0, jab=1.0):
 def damping_rates(p):
     """Amplitude damping rate of each quadrature, in basis order."""
     return np.array([p.kappa1, p.kappa1, p.kappa2, p.kappa2, p.f, p.f, p.gamma_m, p.gamma_m])
+
+
+def frozen_product_drift(p):
+    """A as `OMEGA_4 @ H - diag(Gamma)`, with H built as the package built it
+    before it wrote A entry by entry: the bitwise reference, signed zeros
+    included.  Frozen here; do not rewrite it to follow `build_drift`."""
+    jc = p.j_ac_mag * math.cos(p.phi)
+    js = p.j_ac_mag * math.sin(p.phi)
+    u = np.zeros((8, 8))
+    u[0:2, 4:6] = ((jc, -js), (js, jc))
+    u[0, 6] = 2.0 * p.g1_eff
+    u[2, 6] = 2.0 * p.g2_eff
+    u[4, 6] = 2.0 * p.j_ab
+    h = u + u.T
+    h.flat[::9] = (p.delta1_eff, p.delta1_eff, p.delta2_eff, p.delta2_eff,
+                   p.delta_at, p.delta_at, p.omega_m, p.omega_m)
+    return OMEGA_4 @ h - np.diag(damping_rates(p))
+
+
+# the grid counts of the golden figure files
+SMALL_GRIDS = {"fig2": (13, 11), "fig3": (12, 12), "fig4": (8, 6), "fig5": (21,), "fig6": (8, 6),
+               "fig7": (12, 3), "fig8": (8, 6), "fig9": (10, 3), "fig10": (21,)}
 
 
 def paper_hamiltonian_matrix(p):
@@ -174,6 +198,25 @@ class TestBuildDrift:
         assert v0.max_real_part == pytest.approx(v1.max_real_part, rel=1e-9)
 
 
+class TestDriftIsTheProductBitForBit:
+    # tobytes, since np.array_equal cannot see the sign of a zero
+    @pytest.mark.parametrize("preset", PRESET_IDS)
+    def test_small_preset_grids(self, base_params, preset):
+        spec = figure_preset(preset, base_params, SMALL_GRIDS[preset])
+        for point in spec.grid():
+            p = _apply_axes(spec, point)
+            assert build_drift(p).tobytes() == frozen_product_drift(p).tobytes(), point
+
+    @pytest.mark.parametrize("phi", [0.0, -0.0, math.pi])
+    def test_signed_zero_detunings_and_couplings(self, base_params, phi):
+        for d1, d2, dat, g1, g2, jac, jab in itertools.product(
+                (0.0, -0.0, 1.5), (0.0, -0.0), (0.0, -0.0, -1.5),
+                (0.0, -0.0, 2.5), (0.0, -0.0), (0.0, -0.0, 7.0), (0.0, -0.0, 0.5)):
+            p = base_params.with_values(phi=phi, delta1_eff=d1, delta2_eff=d2, delta_at=dat,
+                                        g1_eff=g1, g2_eff=g2, j_ac_mag=jac, j_ab=jab)
+            assert build_drift(p).tobytes() == frozen_product_drift(p).tobytes(), p
+
+
 class TestBuildDiffusion:
     def test_entries(self, base_params):
         n_th = 8.19
@@ -202,6 +245,14 @@ class TestBuildDiffusion:
     def test_negative_nth_rejected(self, base_params):
         with pytest.raises(NumericDomainError):
             build_diffusion(base_params, -0.1)
+
+    @pytest.mark.parametrize("n_th,message", [
+        (-0.1, "non-negative, got -0.1"), (-math.inf, "non-negative, got -inf"),
+        (math.nan, "non-negative, got nan"), (math.inf, "finite, got inf")])
+    def test_negative_or_non_finite_nth_rejected(self, base_params, n_th, message):
+        # NaN passes a bare `n_th < 0.0` test, and gave a NaN diffusion; inf an infinite one
+        with pytest.raises(NumericDomainError, match=f"^n_th must be {message}$"):
+            build_diffusion(base_params, n_th)
 
 
 class TestAssessStability:

@@ -199,3 +199,31 @@ class TestOnlyLapackCallsLinalg:
                   "z = np.linalg.norm(a)\n")
         assert sorted(linalg_uses(ast.parse(source))) == [(2, "inv"), (3, "solve"), (4, "eigvals"),
                                                           (5, "norm")]
+
+
+def unread_helpers(trees):
+    """Underscore-prefixed module-level functions and classes of the parsed
+    modules that no module reads outside the helper's own definition."""
+    helpers, read = set(), set()
+    for tree in trees:
+        for stmt in tree.body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_"):
+                helpers.add(own)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    read.add(node.attr)
+    return sorted(helpers - read)
+
+
+class TestNoUnreadHelpers:
+    def test_every_private_helper_has_a_reader_in_the_package(self):
+        package = pathlib.Path(optocorr.__file__).parent
+        assert unread_helpers([ast.parse(path.read_text()) for path in package.glob("*.py")]) == []
+
+    def test_scan_sees_an_unread_helper(self):
+        source = ("def _used():\n    return 1\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\n"
+                  "class _Unused:\n    pass\n\nx = mod._attr_used()\n\ndef _attr_used():\n    return _used()\n")
+        assert unread_helpers([ast.parse(source)]) == ["_Unused", "_recursive"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from optocorr import solve_lyapunov
+from optocorr import evaluate_point, lyapunov, solve_lyapunov
 from optocorr.dynamics import assess_stability, default_margin_tol
 from optocorr.errors import SingularSystemError, UnstableDriftError
 from optocorr.lyapunov import RESIDUAL_RTOL, _vech_index, lyapunov_residual, residual_bound
@@ -211,6 +211,43 @@ class TestResidualNorm:
         expected = RESIDUAL_RTOL * (scaled(a) * scaled(v) + scaled(d))
         assert 1e285 < residual_bound(a, v, d) < np.inf
         assert residual_bound(a, v, d) == pytest.approx(expected, rel=1e-15)
+
+
+class TestResidualOnRead:
+    """`residual_norm` is computed when it is first read, with the value the
+    solve used to compute eagerly; a point whose residual nobody reads never
+    computes it."""
+
+    @pytest.fixture
+    def residual_calls(self, monkeypatch):
+        calls = []
+
+        def spy(a, v, d):
+            calls.append(a)
+            return lyapunov_residual(a, v, d)
+
+        monkeypatch.setattr(lyapunov, "lyapunov_residual", spy)
+        return calls
+
+    def test_solve_does_not_compute_it(self, residual_calls):
+        a, d, _, _ = point_matrices(params_from_config({}))
+        cm = solve_lyapunov(a, d)
+        assert residual_calls == []
+        first = cm.residual_norm
+        assert cm.residual_norm is first and len(residual_calls) == 1
+
+    def test_first_read_is_the_residual_bit_for_bit(self):
+        systems = [point_matrices(params_from_config({}))[:2],
+                   *fig3_systems(np.random.default_rng(5), count=10)]
+        for a, d in systems:
+            cm = solve_lyapunov(a, d, check_stability=False)
+            assert cm.residual_norm.hex() == lyapunov_residual(a, cm.matrix, d).hex()
+
+    def test_grid_evaluation_never_computes_it(self, residual_calls):
+        spec = figure_preset("fig3", params_from_config({}), (6, 6))
+        results = [evaluate_point(_apply_axes(spec, point), spec.measures) for point in spec.grid()]
+        assert sum(result.report is not None for result in results) > 20
+        assert residual_calls == []
 
 
 def kron_route(a, d):

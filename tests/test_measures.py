@@ -565,7 +565,7 @@ class TestUnphysicalPair:
             v = good.copy()
             rows = list(MODE_BLOCKS["c2"])
             v[rows, :] = v[:, rows] = 0.0     # I1 = 0 for the c2a pair, measured first
-            return CovarianceMatrix(matrix=v, residual_norm=0.0)
+            return CovarianceMatrix(matrix=v, drift=a, diffusion=d)
 
         monkeypatch.setattr(pipeline, "solve_lyapunov", decoupled_c2_solve)
         result = evaluate_point(base_params, ("DG_c2a",))
@@ -666,7 +666,7 @@ class TestNonFiniteInput:
         def inf_solve(a, d, check_stability=True):
             v = good.copy()
             v[4, 6] = v[6, 4] = math.inf   # q_at-q: inside the (c2, a, b) block
-            return CovarianceMatrix(matrix=v, residual_norm=0.0)
+            return CovarianceMatrix(matrix=v, drift=a, diffusion=d)
 
         monkeypatch.setattr(pipeline, "solve_lyapunov", inf_solve)
         result = evaluate_point(base_params)

@@ -67,6 +67,12 @@ class TestThermalOccupation:
         with pytest.raises(ParameterError):
             thermal_occupation(OMEGA_M, -1.0)
 
+    @pytest.mark.parametrize("temperature", [-1.0, -math.inf, math.nan])
+    def test_negative_or_nan_temperature_rejected(self, temperature):
+        # NaN passes a bare `temperature < 0.0` test, and gave a NaN occupation
+        with pytest.raises(ParameterError, match="^temperature must be non-negative$"):
+            thermal_occupation(150.0, temperature)
+
 
 class TestDriveAmplitude:
     KAPPA = TWO_PI * 2.0             # rad/us
