@@ -77,7 +77,10 @@ def build_diffusion(p: SystemParams, n_th: float) -> np.ndarray:
         raise NumericDomainError(f"n_th must be {'finite' if n_th > 0.0 else 'non-negative'}, "
                                  f"got {n_th!r}")
     k1, k2, f, gm = _damping_rates(p)
-    return np.diag([k1, k1, k2, k2, f, f] + [gm * (2.0 * n_th + 1.0)] * 2)
+    mechanics = gm * (2.0 * n_th + 1.0)
+    if mechanics == math.inf:
+        raise NumericDomainError(f"diffusion gamma_m(2 n_th + 1) overflows at n_th {n_th!r}")
+    return np.diag([k1, k1, k2, k2, f, f] + [mechanics] * 2)
 
 
 def assess_stability(a: np.ndarray, margin_tol: float = 0.0) -> StabilityVerdict:

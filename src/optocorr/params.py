@@ -114,8 +114,8 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     omega_m in rad/us, temperature in kelvin.  The zero-temperature
     limit returns exactly 0 (no division by zero), also for a subnormal
     temperature whose k_B T underflows to 0.  A temperature so high that
-    the occupation overflows a float (above about 2e305 K at 24 MHz) is a
-    ParameterError, and so is a negative or NaN temperature.
+    the diffusion's 2 n_th + 1 overflows a float (above about 1.04e305 K
+    at 24 MHz) is a ParameterError, and so is a negative or NaN temperature.
     """
     if not omega_m > 0.0:
         raise ParameterError("omega_m must be positive")
@@ -131,7 +131,7 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
         return 0.0
     except ZeroDivisionError:  # x underflowed to 0
         n_th = math.inf
-    if n_th == math.inf:
+    if not math.isfinite(2.0 * n_th + 1.0):
         raise ParameterError(f"temperature {temperature!r} K is too high for a finite "
                              "thermal occupation")
     return n_th
@@ -268,6 +268,17 @@ def with_keys(p: SystemParams, values: dict) -> SystemParams:
         _, field, to_internal = SYSTEM_KEYS[key]
         updates[field] = to_internal(v, omega_m)
     return p.with_values(**updates)
+
+
+def merged(p: SystemParams, *checked: dict) -> SystemParams:
+    """`p` with fields of records that passed `SystemParams`' checks, not checked
+    again: each check bounds one field, so the merged record passes them all."""
+    fields = vars(p).copy()
+    for update in checked:
+        fields.update(update)
+    record = object.__new__(SystemParams)
+    vars(record).update(fields)     # once: a fresh record's dict is slow to overwrite
+    return record
 
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:

@@ -37,8 +37,8 @@ def evaluate_point(params: SystemParams, measures=None) -> PointResult:
     families = measure_families(measures)
     if not verdict.stable or not families:
         return PointResult(verdict=verdict, n_th=n_th)
-    d = build_diffusion(params, n_th)
     try:
+        d = build_diffusion(params, n_th)
         cm = solve_lyapunov(a, d, check_stability=False)
         report = correlation_report(cm.matrix, families)
     except OptocorrError as exc:

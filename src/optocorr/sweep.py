@@ -4,10 +4,10 @@ Grids are linear and inclusive of both endpoints.  Every grid point is
 evaluated on its own, and only as far as the spec's measures need: a
 stability-only or unstable point stops after the drift, the thermal
 occupation and the drift spectrum, and an `EN_*` point skips the
-discord and the tripartite spectra.  Each point's parameter
-record is built and validated once, and the unstable policy is applied
-as the point is evaluated.  Output ordering is deterministic (axis1
-outer, axis2 inner) regardless of worker count.
+discord and the tripartite spectra.  Each axis value is converted and
+checked once, a point's record is the base plus its values' checked
+fields, and the unstable policy is applied as the point is evaluated.
+Rows are in grid order (axis1 outer, axis2 inner) for any worker count.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import math
 import numbers
 from dataclasses import dataclass, asdict
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 
 from . import __version__
-from .errors import ConfigError, UnstableDriftError
+from .errors import ConfigError, ParameterError, UnstableDriftError
 from .measures import DG_MEASURES, EN_MEASURES, MEASURE_KEYS
-from .params import SystemParams, with_keys
+from .params import SYSTEM_KEYS, SystemParams, merged, with_keys
 from .pipeline import evaluate_point
 
 UNSTABLE_POLICIES = ("missing", "skip", "error")
@@ -96,11 +96,7 @@ class SweepSpec:
 
     def grid(self):
         """Grid points in emitted order: axis1 outer, axis2 inner."""
-        v1 = self.axis1.values()
-        if self.axis2 is None:
-            return [(x,) for x in v1]
-        v2 = self.axis2.values()
-        return [(x, y) for x in v1 for y in v2]
+        return list(product(*(axis.values() for axis in (self.axis1, self.axis2) if axis)))
 
 
 @dataclass(frozen=True)
@@ -111,17 +107,34 @@ class SweepResult:
 
 
 def _apply_axes(spec: SweepSpec, point):
-    """The grid point's record, built and validated once."""
+    """The record of any point on the spec's axes, built and validated whole."""
     return with_keys(spec.base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
                                  for key in _AXIS_KEYS[axis.name]})
 
 
-def _evaluate_rows(spec: SweepSpec, points) -> list:
-    """Evaluate points in order, applying the spec's unstable policy to each."""
+def _axis_table(spec: SweepSpec, axis: Axis) -> list:
+    """Each value of `axis` in grid order, with the fields its keys set on the
+    base, converted and checked once; None for the fields where that fails."""
+    names = [SYSTEM_KEYS[key][1] for key in _AXIS_KEYS[axis.name]]
+    table = []
+    for value in axis.values():
+        try:
+            record = with_keys(spec.base, dict.fromkeys(_AXIS_KEYS[axis.name], value))
+            table.append((value, {name: getattr(record, name) for name in names}))
+        except ParameterError:
+            table.append((value, None))
+    return table
+
+
+def _evaluate_rows(spec: SweepSpec, grid) -> list:
+    """Evaluate grid points given as their axis-table entries, in order, applying the
+    unstable policy to each; a value that failed its check raises in `_apply_axes`."""
     wanted = spec.measure_columns
     rows = []
-    for point in points:
-        result = evaluate_point(_apply_axes(spec, point), spec.measures)
+    for entries in grid:
+        point, checked = zip(*entries)
+        params = _apply_axes(spec, point) if None in checked else merged(spec.base, *checked)
+        result = evaluate_point(params, spec.measures)
         stable = result.verdict.stable
         if not stable and spec.unstable_policy == "error":
             axes = spec.axis1.name + ("/" + spec.axis2.name if spec.axis2 else "")
@@ -153,17 +166,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    points = spec.grid()
+    grid = list(product(*(_axis_table(spec, axis) for axis in (spec.axis1, spec.axis2) if axis)))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
         # one task per 64 points, so the spec is pickled once per chunk
-        chunks = [points[i:i + 64] for i in range(0, len(points), 64)]
+        chunks = [grid[i:i + 64] for i in range(0, len(grid), 64)]
         # a fork pool starts all its workers at once, so start no more than there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             rows = list(chain.from_iterable(pool.map(_evaluate_rows, repeat(spec), chunks)))
     else:
-        rows = _evaluate_rows(spec, points)
+        rows = _evaluate_rows(spec, grid)
     return SweepResult(columns=spec.columns(), rows=rows, config_hash=config_hash(spec))
 
 
@@ -188,7 +201,7 @@ def to_csv(result: SweepResult) -> str:
     buf.write(f"# optocorr v{__version__} config={result.config_hash}\n")
     buf.write(",".join(result.columns) + "\n")
     for row in result.rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(map(_fmt, row)) + "\n")
     return buf.getvalue()
 
 

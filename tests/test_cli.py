@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,7 +106,8 @@ class TestMeasure:
         assert json.loads(out)["n_th"] == 0.0
 
     def test_temperature_beyond_finite_occupation_exit_2(self, capsys):
-        # n_th overflows above about 2e305 K; the covariance is not to blame
+        # n_th overflows above about 2e305 K, 2 n_th + 1 above about 1.04e305 K;
+        # the covariance is not to blame
         code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e308")
         assert (code, out) == (2, "")
         assert "temperature 1e+308 K" in err and "covariance" not in err
@@ -114,6 +116,12 @@ class TestMeasure:
                                  "--set", "T_kelvin=1e300")
         assert (code, out) == (2, "")
         assert "temperature 1e+300 K" in err
+
+    def test_temperature_whose_diffusion_factor_overflows_exit_2(self, capsys):
+        # n_th = 1.74e308 is finite, 2 n_th + 1 is not; the covariance took the blame (exit 3)
+        code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=2e305")
+        assert (code, out) == (2, "")
+        assert "temperature 2e+305 K" in err and "covariance" not in err
 
     def test_huge_finite_occupation_exit_3(self, capsys):
         # n_th ~ 8.7e302 is finite, the covariance it drives is not
@@ -336,6 +344,13 @@ class TestSweepAndFigure:
                                  "--measures", "EN_c2a")
         assert (code, out) == (2, "")
         assert "temperature 5e+307 K" in err
+
+    def test_temperature_axis_whose_diffusion_factor_overflows_exit_2(self, capsys):
+        # these points filled error cells that blamed the covariance
+        code, out, err = run_cli(capsys, "sweep", "--axis", "T=1e305:1.1e305:3",
+                                 "--measures", "EN_c2a")
+        assert (code, out) == (2, "")
+        assert re.search(r"temperature 1\.0[45]\d*e\+305 K is too high", err), err
 
     def test_coupling_axis_whose_double_overflows_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--axis", "G1=1:2.4e307:3",

@@ -255,6 +255,15 @@ class TestBuildDiffusion:
             build_diffusion(base_params, n_th)
 
 
+    @pytest.mark.parametrize("gamma_m,n_th", [(None, 1.7363849280078806e308), (1e10, 1e300)])
+    def test_overflowing_mechanical_entry_rejected(self, base_params, gamma_m, n_th):
+        # a finite n_th whose gamma_m (2 n_th + 1) overflows gave an infinite diffusion
+        p = base_params if gamma_m is None else base_params.with_values(gamma_m=gamma_m)
+        with pytest.raises(NumericDomainError,
+                           match=r"^diffusion gamma_m\(2 n_th \+ 1\) overflows at n_th "):
+            build_diffusion(p, n_th)
+
+
 class TestAssessStability:
     def test_minus_identity(self):
         v = assess_stability(-np.eye(8))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -7,7 +8,7 @@ import pytest
 from optocorr import SystemParams, params_from_config
 from optocorr.errors import ConfigError, ParameterError
 from optocorr.params import (HBAR, K_B, TWO_PI, apply_overrides, drive_amplitude,
-                             drive_from_config, hz_to_angular, load_config,
+                             drive_from_config, hz_to_angular, load_config, merged,
                              thermal_occupation, with_keys)
 
 OMEGA_M = TWO_PI * 24.0  # rad/us
@@ -58,8 +59,15 @@ class TestThermalOccupation:
         # x itself underflows to 0 at a vanishing frequency
         with pytest.raises(ParameterError, match="temperature"):
             thermal_occupation(1e-300, 1e300)
-        # just below the edge the occupation is finite and kept
-        assert thermal_occupation(OMEGA_M, 2e305) == pytest.approx(1.7364e308, rel=1e-4)
+        # just below the edge the occupation and the diffusion's 2 n_th + 1 are finite
+        assert thermal_occupation(OMEGA_M, 1e305) == pytest.approx(8.6819e307, rel=1e-4)
+
+    @pytest.mark.parametrize("t", [1.05e305, 1.1e305, 2e305])
+    def test_occupation_whose_diffusion_factor_overflows_names_the_temperature(self, t):
+        # n_th is finite up to about 2e305 K, but the diffusion's 2 n_th + 1
+        # overflows above about 1.04e305 K, and the covariance took the blame
+        with pytest.raises(ParameterError, match=re.escape(f"temperature {t!r} K is too high")):
+            thermal_occupation(OMEGA_M, t)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
@@ -142,6 +150,20 @@ class TestSystemParams:
         assert getattr(base_params.with_values(**{field: half}), field) == half
         # the beam splitter J_ac enters H once
         assert base_params.with_values(j_ac_mag=1e308).j_ac_mag == 1e308
+
+    def test_merged_record_is_the_checked_record(self, base_params):
+        checked = base_params.with_values(phi=0.3, j_ab=2.0, temperature=0.5)
+        fields = [{"phi": 0.3}, {"j_ab": 2.0, "temperature": 0.5}]
+        record = merged(base_params, *fields)
+        assert record == checked and hash(record) == hash(checked)
+        assert repr(record) == repr(checked) and list(vars(record)) == list(vars(checked))
+        assert merged(base_params) == base_params
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_merged_record_checks_what_is_set_on_it(self, base_params, field):
+        record = merged(base_params, {"phi": 0.3})
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got inf$"):
+            record.with_values(**{field: math.inf})
 
     def test_phi_stored_raw_reported_normalized(self, base_params):
         p = base_params.with_values(phi=-math.pi)

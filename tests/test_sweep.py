@@ -19,6 +19,35 @@ from test_pipeline import spy
 TWO_PI = 2.0 * math.pi
 
 
+def small_preset(pid, base):
+    """The preset on a 143-point grid: two full chunks of 64 and a partial one."""
+    counts = (13, 11) if figure_preset(pid, base).axis2 else (143,)
+    return figure_preset(pid, base, counts=counts)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Run `run_sweep`'s process pool in this process; the list records each
+    pool's max_workers."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
 class TestAxis:
     def test_inclusive_linear_values(self):
         ax = Axis("phi", 0.0, 1.0, 5)
@@ -86,33 +115,20 @@ class TestRunSweep:
                          measures=("EN_c2a",))
         assert to_csv(run_sweep(spec, workers=2)) == to_csv(run_sweep(spec, workers=1))
 
-    def test_parallel_chunks_keep_row_order(self, base_params):
-        # 143 points: two full chunks of 64 and a partial one, unstable points included
-        spec = figure_preset("fig2", base_params, counts=(13, 11))
+    @pytest.mark.parametrize("pid", PRESET_IDS)
+    def test_parallel_chunks_keep_row_order(self, base_params, pid):
+        # the workers read the axis tables run_sweep built; unstable rows in four presets
+        spec = small_preset(pid, base_params)
         serial = run_sweep(spec, workers=1)
-        assert sum(r[2] is False for r in serial.rows) > 0
+        stable = [row[spec.columns().index("stable")] for row in serial.rows]
+        assert len(stable) == 143
+        assert (False in stable) == (pid in ("fig2", "fig3", "fig4", "fig7"))
         assert to_csv(run_sweep(spec, workers=2)) == to_csv(serial)
 
-    def test_pool_is_no_larger_than_the_chunk_count(self, base_params, monkeypatch):
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_pool_is_no_larger_than_the_chunk_count(self, base_params, serial_pool):
         spec = figure_preset("fig2", base_params, counts=(3, 3))
         rows = run_sweep(spec, workers=64).rows
-        assert started == [1]
+        assert serial_pool == [1]
         assert rows == run_sweep(spec, workers=1).rows
 
     def test_axis_columns_monotone(self, base_params):
@@ -181,6 +197,69 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="duplicate measure.*: DG_ab, EN_c2a"):
             SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 2),
                       measures=("EN_c2a", "DG_ab", "EN_c2a", "DG_ab", "EN_ab"))
+
+
+class TestAxisTables:
+    """Each axis value is converted and checked once; a grid point's record is
+    the base with its axis values' checked fields."""
+
+    @staticmethod
+    def sweep_records(spec, monkeypatch):
+        """The records a sweep evaluates, checked against `_apply_axes`'s bit for bit."""
+        calls = spy(monkeypatch, sweep, "evaluate_point")
+        run_sweep(spec)
+        records = [args[0] for args in calls]
+        wanted = [sweep._apply_axes(spec, point) for point in spec.grid()]
+        assert records == wanted
+        for got, want in zip(records, wanted):
+            assert hash(got) == hash(want)
+            assert ([getattr(got, f.name).hex() for f in dataclasses.fields(want)]
+                     == [getattr(want, f.name).hex() for f in dataclasses.fields(want)])
+        return records
+
+    @pytest.mark.parametrize("pid", PRESET_IDS)
+    def test_records_are_the_whole_record_build(self, base_params, monkeypatch, pid):
+        records = self.sweep_records(small_preset(pid, base_params), monkeypatch)
+        # a value set on such a record is checked as on any other
+        with pytest.raises(ParameterError, match="^temperature must be non-negative"):
+            records[-1].with_values(temperature=-1.0)
+
+    def test_signed_zero_keeps_its_sign(self, base_params, monkeypatch):
+        # an axis from -0.0 downwards starts at -0.0, which equals 0.0 as a key
+        spec = SweepSpec(base=base_params, axis1=Axis("delta_at", -0.0, -1.0, 2),
+                         axis2=Axis("phi", -0.0, -1.0, 2), measures=("stability",))
+        first = self.sweep_records(spec, monkeypatch)[0]
+        assert math.copysign(1.0, first.delta_at) == math.copysign(1.0, first.phi) == -1.0
+
+    @pytest.mark.parametrize("workers", [1, 64])
+    def test_each_axis_value_is_checked_once(self, base_params, monkeypatch, serial_pool,
+                                             workers):
+        spec = figure_preset("fig2", base_params, counts=(13, 11))
+        calls = spy(monkeypatch, sweep, "with_keys")
+        assert len(run_sweep(spec, workers=workers).rows) == 143
+        assert [args[1] for args in calls] == (
+            [{"G1_mhz": value} for value in spec.axis1.values()]
+            + [{"G2_mhz": value} for value in spec.axis2.values()])
+        assert serial_pool == ([] if workers == 1 else [3])
+
+    @staticmethod
+    def g1_spec(start, stop):
+        """G1 from start to stop (outer, 3 values) at G2 = 0.1 MHz, where G1 = 0.1 MHz
+        is unstable and a negative G1 invalid; one 64-point chunk per G1 value."""
+        return SweepSpec(base=params_from_config({"G2_mhz": 0.1}),
+                         axis1=Axis("G1", start, stop, 3), axis2=Axis("T", 0.001, 0.4, 64),
+                         measures=("EN_c2a",), unstable_policy="error")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invalid_value_before_an_unstable_point_raises_its_error(self, workers):
+        with pytest.raises(ParameterError, match="^g1_eff must be non-negative, got -0.628"):
+            run_sweep(self.g1_spec(-0.1, 0.1), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unstable_point_before_an_invalid_value_stops_the_sweep(self, workers):
+        with pytest.raises(UnstableDriftError,
+                           match=re.escape("unstable grid point at G1/T = (0.1, 0.001)")):
+            run_sweep(self.g1_spec(0.1, -0.1), workers=workers)
 
 
 class TestProvenance:
