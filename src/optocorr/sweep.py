@@ -164,14 +164,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     unstable point in grid order (with workers, from the earliest chunk
     that holds one).
     """
+    if not isinstance(workers, numbers.Integral):
+        raise ConfigError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     grid = list(product(*(_axis_table(spec, axis) for axis in (spec.axis1, spec.axis2) if axis)))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
 
-        # one task per 64 points, so the spec is pickled once per chunk
-        chunks = [grid[i:i + 64] for i in range(0, len(grid), 64)]
+        # each task costs the parent a pickle round trip and starts on a cold point, so
+        # a worker gets at most 8 contiguous tasks; 64 points or more keep small grids
+        # spread as before and start no more processes than ceil(n / 64)
+        size = max(64, math.ceil(len(grid) / (8 * workers)))
+        chunks = [grid[i:i + size] for i in range(0, len(grid), size)]
         # a fork pool starts all its workers at once, so start no more than there are chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             rows = list(chain.from_iterable(pool.map(_evaluate_rows, repeat(spec), chunks)))

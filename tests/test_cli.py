@@ -413,6 +413,16 @@ class TestSweepAndFigure:
         assert code == 2
         assert "workers" in err and out == ""
 
+    def test_unstable_error_with_workers_above_64_point_tasks(self, capsys):
+        # 69-point tasks; the first unstable point is 363, in the sixth task, and
+        # later tasks hold unstable points too
+        argv = ("figure", "fig3", "--grid", "33x33", "--unstable", "error")
+        results = [run_cli(capsys, *argv, *workers) for workers in ((), ("--workers", "2"))]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 3 and out == ""
+        assert "unstable grid point at delta_at/delta_eff_common = (-1.3125, 0.0)" in err
+
     def test_csv_error_cell_reads_back_with_csv_reader(self, capsys):
         # the error text holds commas, so its cell is quoted
         argv = ("sweep", "--axis", "T=1e299:1e300:3", "--measures", "EN_c2a,DG_ab")

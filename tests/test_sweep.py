@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import types
 
 import pytest
 
@@ -27,13 +28,13 @@ def small_preset(pid, base):
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Run `run_sweep`'s process pool in this process; the list records each
-    pool's max_workers."""
-    started = []
+    """Run `run_sweep`'s process pool in this process; `pools` records each
+    pool's max_workers and `tasks` each task's point count."""
+    log = types.SimpleNamespace(pools=[], tasks=[])
 
     class SerialPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            log.pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -41,11 +42,13 @@ def serial_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, specs, chunks):
+            chunks = list(chunks)
+            log.tasks.extend(map(len, chunks))
+            return map(fn, specs, chunks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return started
+    return log
 
 
 class TestAxis:
@@ -128,8 +131,28 @@ class TestRunSweep:
     def test_pool_is_no_larger_than_the_chunk_count(self, base_params, serial_pool):
         spec = figure_preset("fig2", base_params, counts=(3, 3))
         rows = run_sweep(spec, workers=64).rows
-        assert serial_pool == [1]
+        assert serial_pool.pools == [1]
         assert rows == run_sweep(spec, workers=1).rows
+
+    @pytest.mark.parametrize("counts,workers,tasks", [
+        ((13, 11), 2, [64, 64, 15]),    # small grids keep their 64-point tasks
+        ((40, 40), 2, [100] * 16),      # 8 tasks per worker
+        ((30, 30), 64, [64] * 14 + [4]),
+    ], ids=["143-points", "1600-points", "900-points-64-workers"])
+    def test_tasks_are_at_most_8_per_worker_and_at_least_64_points(
+            self, base_params, serial_pool, counts, workers, tasks):
+        spec = figure_preset("fig2", base_params, counts=counts)
+        rows = run_sweep(spec, workers=workers).rows
+        assert serial_pool.tasks == tasks
+        # never more processes than one per 64 points
+        assert serial_pool.pools == [min(workers, math.ceil(len(rows) / 64))]
+        assert rows == run_sweep(spec, workers=1).rows
+
+    @pytest.mark.parametrize("pid", ["fig2", "fig3"])
+    def test_parallel_tasks_above_64_points_keep_row_order(self, base_params, pid):
+        # 1089 points at 2 workers go out as 16 tasks of 69 points (the last of 54)
+        spec = figure_preset(pid, base_params, counts=(33, 33))
+        assert to_csv(run_sweep(spec, workers=2)) == to_csv(run_sweep(spec, workers=1))
 
     def test_axis_columns_monotone(self, base_params):
         spec = SweepSpec(base=base_params, axis1=Axis("delta_at", -2.0, 0.0, 5),
@@ -188,6 +211,14 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="workers"):
             run_sweep(spec, workers=workers)
 
+    @pytest.mark.parametrize("counts", [(3, 3), (20, 20)])
+    @pytest.mark.parametrize("workers", [2.5, 2.0])
+    def test_non_integral_workers_rejected(self, base_params, counts, workers):
+        # 2.5 used to run a 9-point grid and fail inside the pool on 400 points
+        spec = figure_preset("fig2", base_params, counts=counts)
+        with pytest.raises(ConfigError, match=f"^workers must be an integer, got {workers}$"):
+            run_sweep(spec, workers=workers)
+
     def test_unknown_measure_rejected(self, base_params):
         with pytest.raises(ConfigError):
             SweepSpec(base=base_params, axis1=Axis("phi", 0.0, 1.0, 2),
@@ -240,7 +271,7 @@ class TestAxisTables:
         assert [args[1] for args in calls] == (
             [{"G1_mhz": value} for value in spec.axis1.values()]
             + [{"G2_mhz": value} for value in spec.axis2.values()])
-        assert serial_pool == ([] if workers == 1 else [3])
+        assert serial_pool.pools == ([] if workers == 1 else [3])
 
     @staticmethod
     def g1_spec(start, stop):
