@@ -15,7 +15,7 @@ import cmath
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, replace, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, ParameterError
 
@@ -64,23 +64,42 @@ class SystemParams:
     temperature: float
 
     def __post_init__(self):
-        for name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be strictly positive, got {getattr(self, name)!r}")
-        for name in ("g1_eff", "g2_eff", "j_ac_mag", "j_ab", "temperature"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        for fld in fields(self):
-            v = getattr(self, fld.name)
-            if not math.isfinite(v):
-                raise ParameterError(f"{fld.name} must be finite, got {v!r}")
-        for name in ("g1_eff", "g2_eff", "j_ab"):    # the Hamiltonian holds these doubled
-            if not math.isfinite(2.0 * getattr(self, name)):
-                raise ParameterError(f"coupling {name} = {getattr(self, name)!r} rad/us is too "
-                                     "large: the Hamiltonian holds it doubled")
+        _check(vars(self))
 
-    def with_values(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
+    def with_values(self, **changes) -> "SystemParams":
+        """This record with `changes` set, checking only those: each check bounds one field
+        and the others passed, so the first failure is the one a whole record would raise."""
+        record = object.__new__(type(self))
+        vars(record).update(vars(self), **changes)
+        if len(vars(record)) > len(vars(self)):
+            unknown = ", ".join(sorted(vars(record).keys() - vars(self).keys()))
+            raise TypeError(f"SystemParams has no field(s) {unknown}")
+        _check(changes)
+        return record
+
+
+# SystemParams' checks in whole-record order, as (field, test its value passes, message)
+_CHECKS = (
+    [(name, lambda v: v > 0.0, "{name} must be strictly positive, got {v!r}")
+     for name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2")]
+    + [(name, lambda v: not v < 0.0, "{name} must be non-negative, got {v!r}")
+       for name in ("g1_eff", "g2_eff", "j_ac_mag", "j_ab", "temperature")]
+    + [(fld.name, math.isfinite, "{name} must be finite, got {v!r}")
+       for fld in fields(SystemParams)]
+    + [(name, lambda v: math.isfinite(2.0 * v),
+        "coupling {name} = {v!r} rad/us is too large: the Hamiltonian holds it doubled")
+       for name in ("g1_eff", "g2_eff", "j_ab")])
+# field -> its checks, as (position in _CHECKS, test): each check bounds one field
+_CHECKS_OF = {fld.name: [(i, passes) for i, (name, passes, _) in enumerate(_CHECKS)
+                         if name == fld.name] for fld in fields(SystemParams)}
+
+
+def _check(values: dict) -> None:
+    """Raise the first of `_CHECKS` that a field in `values` fails."""
+    failed = [i for name, v in values.items() for i, passes in _CHECKS_OF[name] if not passes(v)]
+    if failed:
+        name, _, message = _CHECKS[min(failed)]
+        raise ParameterError(message.format(name=name, v=values[name]))
 
 
 @dataclass(frozen=True)
@@ -140,10 +159,10 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
 def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
     """Drive amplitude E = sqrt(2 P kappa / (hbar omega_l)) in rad/us.
 
-    power in watt, kappa and omega_l in rad/us.  power == 0 is the
-    trivial undriven limit; negative inputs are rejected.
+    power in watt, kappa and omega_l in rad/us.  power == 0 is the trivial
+    undriven limit; a negative or NaN power, or one too high for a finite E, is rejected.
     """
-    if power < 0.0:
+    if not power >= 0.0:
         raise ParameterError("power must be non-negative")
     if not kappa > 0.0 or not omega_l > 0.0:
         raise ParameterError("kappa and omega_l must be positive")
@@ -152,6 +171,8 @@ def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
     kappa_si = kappa * RAD_PER_US_TO_RAD_PER_S
     omega_l_si = omega_l * RAD_PER_US_TO_RAD_PER_S
     e_si = math.sqrt(2.0 * power * kappa_si / (HBAR * omega_l_si))
+    if not math.isfinite(e_si):
+        raise ParameterError(f"power {power!r} W is too high for a finite drive amplitude")
     return e_si / RAD_PER_US_TO_RAD_PER_S
 
 
@@ -259,26 +280,17 @@ def params_from_config(cfg: dict) -> SystemParams:
                            for key, (_, field, to_internal) in SYSTEM_KEYS.items()})
 
 
-def with_keys(p: SystemParams, values: dict) -> SystemParams:
-    """`p` with system keys set in their config units (omega_m multiples of p.omega_m)."""
+def key_fields(p: SystemParams, values: dict) -> dict:
+    """The fields that system keys in their config units set on `p`, in internal
+    units (omega_m multiples of p.omega_m)."""
     if "omega_m_mhz" in values:     # p's detunings would stay multiples of the old omega_m
         raise ConfigError("omega_m_mhz cannot be set on a built record")
-    omega_m, updates = p.omega_m, {}
-    for key, v in values.items():
-        _, field, to_internal = SYSTEM_KEYS[key]
-        updates[field] = to_internal(v, omega_m)
-    return p.with_values(**updates)
+    return {SYSTEM_KEYS[key][1]: SYSTEM_KEYS[key][2](v, p.omega_m) for key, v in values.items()}
 
 
-def merged(p: SystemParams, *checked: dict) -> SystemParams:
-    """`p` with fields of records that passed `SystemParams`' checks, not checked
-    again: each check bounds one field, so the merged record passes them all."""
-    fields = vars(p).copy()
-    for update in checked:
-        fields.update(update)
-    record = object.__new__(SystemParams)
-    vars(record).update(fields)     # once: a fresh record's dict is slow to overwrite
-    return record
+def with_keys(p: SystemParams, values: dict) -> SystemParams:
+    """`p` with system keys set in their config units."""
+    return p.with_values(**key_fields(p, values))
 
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:

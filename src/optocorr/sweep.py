@@ -4,9 +4,9 @@ Grids are linear and inclusive of both endpoints.  Every grid point is
 evaluated on its own, and only as far as the spec's measures need: a
 stability-only or unstable point stops after the drift, the thermal
 occupation and the drift spectrum, and an `EN_*` point skips the
-discord and the tripartite spectra.  Each axis value is converted and
-checked once, a point's record is the base plus its values' checked
-fields, and the unstable policy is applied as the point is evaluated.
+discord and the tripartite spectra.  Each axis value is converted once,
+a point's record is the base with its axes' fields set (and only those
+checked), and the unstable policy is applied as the point is evaluated.
 Rows are in grid order (axis1 outer, axis2 inner) for any worker count.
 """
 
@@ -22,9 +22,9 @@ from functools import cached_property
 from itertools import chain, product, repeat
 
 from . import __version__
-from .errors import ConfigError, ParameterError, UnstableDriftError
+from .errors import ConfigError, UnstableDriftError
 from .measures import DG_MEASURES, EN_MEASURES, MEASURE_KEYS
-from .params import SYSTEM_KEYS, SystemParams, merged, with_keys
+from .params import SystemParams, key_fields, with_keys
 from .pipeline import evaluate_point
 
 UNSTABLE_POLICIES = ("missing", "skip", "error")
@@ -106,34 +106,21 @@ class SweepResult:
     config_hash: str
 
 
-def _apply_axes(spec: SweepSpec, point):
-    """The record of any point on the spec's axes, built and validated whole."""
-    return with_keys(spec.base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
-                                 for key in _AXIS_KEYS[axis.name]})
-
-
 def _axis_table(spec: SweepSpec, axis: Axis) -> list:
     """Each value of `axis` in grid order, with the fields its keys set on the
-    base, converted and checked once; None for the fields where that fails."""
-    names = [SYSTEM_KEYS[key][1] for key in _AXIS_KEYS[axis.name]]
-    table = []
-    for value in axis.values():
-        try:
-            record = with_keys(spec.base, dict.fromkeys(_AXIS_KEYS[axis.name], value))
-            table.append((value, {name: getattr(record, name) for name in names}))
-        except ParameterError:
-            table.append((value, None))
-    return table
+    base, converted once; each point checks them as it sets them on the base."""
+    return [(value, key_fields(spec.base, dict.fromkeys(_AXIS_KEYS[axis.name], value)))
+            for value in axis.values()]
 
 
 def _evaluate_rows(spec: SweepSpec, grid) -> list:
     """Evaluate grid points given as their axis-table entries, in order, applying the
-    unstable policy to each; a value that failed its check raises in `_apply_axes`."""
+    unstable policy to each; a value that fails its check raises at its point."""
     wanted = spec.measure_columns
     rows = []
     for entries in grid:
-        point, checked = zip(*entries)
-        params = _apply_axes(spec, point) if None in checked else merged(spec.base, *checked)
+        point, fields = zip(*entries)
+        params = spec.base.with_values(**{**fields[0], **fields[-1]})     # one axis or two
         result = evaluate_point(params, spec.measures)
         stable = result.verdict.stable
         if not stable and spec.unstable_policy == "error":

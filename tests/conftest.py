@@ -5,7 +5,16 @@ from scipy.linalg import expm
 from optocorr import SystemParams, params_from_config
 from optocorr.dynamics import (MODE_BLOCKS, assess_stability, build_diffusion, build_drift,
                                default_margin_tol)
-from optocorr.params import thermal_occupation
+from optocorr.params import thermal_occupation, with_keys
+
+
+# each sweep axis's config keys, as README states them
+AXIS_CONFIG_KEYS = {
+    "phi": ("phi_rad",), "delta_at": ("delta_at_over_omegam",),
+    "delta_eff_common": ("delta1_over_omegam", "delta2_over_omegam"),
+    "G1": ("G1_mhz",), "G2": ("G2_mhz",), "Jac": ("Jac_mhz",), "Jab": ("Jab_mhz",),
+    "T": ("T_kelvin",), "f": ("f_mhz",),
+}
 
 
 @pytest.fixture
@@ -21,6 +30,13 @@ def point_matrices(params: SystemParams):
     n_th = thermal_occupation(params.omega_m, params.temperature)
     verdict = assess_stability(a, margin_tol=default_margin_tol(params))
     return a, build_diffusion(params, n_th), verdict, n_th
+
+
+def apply_axes(spec, point) -> SystemParams:
+    """The record of any point on the spec's axes, built from config keys: the
+    base with every axis's keys set to the point's value."""
+    return with_keys(spec.base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
+                                 for key in AXIS_CONFIG_KEYS[axis.name]})
 
 
 def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:

@@ -14,9 +14,8 @@ from optocorr import (OMEGA_4, evaluate_point, figure_preset, gaussian_discord,
                       solve_lyapunov, run_sweep)
 from optocorr.lyapunov import lyapunov_residual, residual_bound
 from optocorr.params import TWO_PI, params_from_config
-from optocorr.sweep import _apply_axes
 
-from conftest import point_matrices, random_physical_cm, random_stable_system
+from conftest import apply_axes, point_matrices, random_physical_cm, random_stable_system
 from test_lyapunov import integrate_covariance
 from test_measures import pt_symplectic_min
 
@@ -30,7 +29,7 @@ def emit(num, ok, detail=""):
 
 def grid_params(spec):
     for point in spec.grid():
-        yield point, _apply_axes(spec, point)
+        yield point, apply_axes(spec, point)
 
 
 def extremizer_distance(xs, vals, targets, kind):

@@ -249,6 +249,20 @@ class TestSteady:
         assert (code, out) == (2, "")
         assert "must be finite" in err
 
+    POWERS = ("--set", "g1_khz=1", "--set", "g2_khz=1", "--set", "delta1_bare_over_omegam=1",
+              "--set", "delta2_bare_over_omegam=1", "--set", "power1_w=1e-3",
+              "--set", "power2_w=1e-3", "--set", "omega_l_thz=300")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("power1_w=nan", "power must be non-negative"),
+        ("power2_w=inf", "power inf W is too high for a finite drive amplitude"),
+        ("power1_w=1e308", "power 1e+308 W is too high for a finite drive amplitude"),
+    ], ids=["nan", "inf", "1e308"])
+    def test_drive_power_without_a_finite_amplitude_exit_2(self, capsys, bad, message):
+        # these named drive_e1 or drive_e2, fields the user never set
+        code, out, err = run_cli(capsys, "steady", *self.POWERS, "--set", bad)
+        assert (code, out, err) == (2, "", f"optocorr: config error: {message}\n")
+
     @pytest.mark.parametrize("argv, unread, form", [
         (DRIVE + ("--set", "power1_w=1e-3"), "power1_w", "E1_mhz/E2_mhz"),
         (DRIVE + ("--set", "omega_l_thz=300"), "omega_l_thz", "E1_mhz/E2_mhz"),

@@ -9,7 +9,9 @@ from optocorr import OMEGA_4, build_diffusion, build_drift, params_from_config
 from optocorr.dynamics import MODE_BLOCKS, assess_stability, default_margin_tol
 from optocorr.errors import NumericDomainError
 from optocorr.params import TWO_PI, thermal_occupation
-from optocorr.sweep import PRESET_IDS, _apply_axes, figure_preset
+from optocorr.sweep import PRESET_IDS, figure_preset
+
+from conftest import apply_axes
 
 
 def hand_drift_matrix(phi=math.pi / 2, g1=2.0, g2=4.0, jac=12.0, jab=1.0):
@@ -204,7 +206,7 @@ class TestDriftIsTheProductBitForBit:
     def test_small_preset_grids(self, base_params, preset):
         spec = figure_preset(preset, base_params, SMALL_GRIDS[preset])
         for point in spec.grid():
-            p = _apply_axes(spec, point)
+            p = apply_axes(spec, point)
             assert build_drift(p).tobytes() == frozen_product_drift(p).tobytes(), point
 
     @pytest.mark.parametrize("phi", [0.0, -0.0, math.pi])

@@ -15,9 +15,9 @@ from optocorr.errors import NonConvergenceError, NumericDomainError, SingularSys
 from optocorr.lyapunov import _vech_index
 from optocorr.params import params_from_config
 from optocorr.pipeline import evaluate_point
-from optocorr.sweep import _apply_axes, figure_preset
+from optocorr.sweep import figure_preset
 
-from conftest import point_matrices
+from conftest import apply_axes, point_matrices
 
 
 def stable_drifts(preset, counts):
@@ -25,7 +25,7 @@ def stable_drifts(preset, counts):
     spec = figure_preset(preset, params_from_config({}), counts=counts)
     systems = []
     for point in spec.grid():
-        a, d, verdict, _ = point_matrices(_apply_axes(spec, point))
+        a, d, verdict, _ = point_matrices(apply_axes(spec, point))
         if verdict.stable:
             systems.append((a, d))
     return systems
@@ -43,7 +43,7 @@ def eigvals_inputs(monkeypatch, preset, counts):
     monkeypatch.setattr(lapack, "eigvals", recording)
     spec = figure_preset(preset, params_from_config({}), counts=counts)
     for point in spec.grid():
-        evaluate_point(_apply_axes(spec, point))
+        evaluate_point(apply_axes(spec, point))
     monkeypatch.undo()
     return inputs
 
@@ -218,6 +218,24 @@ def unread_helpers(trees):
     return sorted(helpers - read)
 
 
+def unread_imports(tree):
+    """Names that a module's top-level imports bind and the module never reads,
+    but those its `__all__` lists; `from __future__` binds no name."""
+    bound, exported = set(), set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in stmt.names)
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in stmt.names)
+        elif isinstance(stmt, ast.Assign) and any(isinstance(target, ast.Name)
+                                                  and target.id == "__all__"
+                                                  for target in stmt.targets):
+            exported.update(node.value for node in ast.walk(stmt.value)
+                            if isinstance(node, ast.Constant))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read - exported)
+
+
 class TestNoUnreadHelpers:
     def test_every_private_helper_has_a_reader_in_the_package(self):
         package = pathlib.Path(optocorr.__file__).parent
@@ -227,3 +245,16 @@ class TestNoUnreadHelpers:
         source = ("def _used():\n    return 1\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\n"
                   "class _Unused:\n    pass\n\nx = mod._attr_used()\n\ndef _attr_used():\n    return _used()\n")
         assert unread_helpers([ast.parse(source)]) == ["_Unused", "_recursive"]
+
+    def test_every_import_has_a_reader_in_its_module(self):
+        package = pathlib.Path(optocorr.__file__).parent
+        unread = {path.name: unread_imports(ast.parse(path.read_text()))
+                  for path in sorted(package.glob("*.py"))}
+        assert {name: names for name, names in unread.items() if names} == {}
+
+    def test_scan_sees_an_unread_import(self):
+        source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+                  "import a.b\nimport c.d\nfrom .x import used, unused, shown as alias\n"
+                  "__all__ = ['alias']\n\ndef f():\n    import sys\n"
+                  "    return used(np.zeros(1), c.d)\n")
+        assert unread_imports(ast.parse(source)) == ["a", "os", "unused"]

@@ -12,9 +12,9 @@ from optocorr.dynamics import assess_stability, default_margin_tol
 from optocorr.errors import SingularSystemError, UnstableDriftError
 from optocorr.lyapunov import RESIDUAL_RTOL, _vech_index, lyapunov_residual, residual_bound
 from optocorr.params import params_from_config
-from optocorr.sweep import PRESET_IDS, _apply_axes, figure_preset
+from optocorr.sweep import PRESET_IDS, figure_preset
 
-from conftest import point_matrices, random_stable_system
+from conftest import apply_axes, point_matrices, random_stable_system
 
 
 def integrate_covariance(a, d, rel_window=35.0):
@@ -245,7 +245,7 @@ class TestResidualOnRead:
 
     def test_grid_evaluation_never_computes_it(self, residual_calls):
         spec = figure_preset("fig3", params_from_config({}), (6, 6))
-        results = [evaluate_point(_apply_axes(spec, point), spec.measures) for point in spec.grid()]
+        results = [evaluate_point(apply_axes(spec, point), spec.measures) for point in spec.grid()]
         assert sum(result.report is not None for result in results) > 20
         assert residual_calls == []
 
@@ -265,7 +265,7 @@ def fig3_systems(rng, count=30):
     systems = [random_stable_system(8, rng) for _ in range(count)]
     spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
     for point in spec.grid():
-        a, d, verdict, _ = point_matrices(_apply_axes(spec, point))
+        a, d, verdict, _ = point_matrices(apply_axes(spec, point))
         if verdict.stable:
             systems.append((a, d))
     return systems
@@ -412,7 +412,7 @@ def oracle_systems():
         points.append((spec, spec.grid()[index]))
     systems = {}
     for spec, point in points:
-        a, d, verdict, _ = point_matrices(_apply_axes(spec, point))
+        a, d, verdict, _ = point_matrices(apply_axes(spec, point))
         if verdict.stable:
             systems.setdefault(a.tobytes() + d.tobytes(), (a, d))
     return list(systems.values())

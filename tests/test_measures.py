@@ -16,9 +16,9 @@ from optocorr.dynamics import MODE_BLOCKS, OMEGA_4
 from optocorr.measures import (CANONICAL_PAIRS, OMEGA_3, PARTITIONS, TRIPLE_MODES,
                                correlation_report)
 from optocorr.params import TWO_PI, with_keys
-from optocorr.sweep import _apply_axes, figure_preset
+from optocorr.sweep import figure_preset
 
-from conftest import extract_submatrix, point_matrices, random_physical_cm, tmsv_cm
+from conftest import apply_axes, extract_submatrix, point_matrices, random_physical_cm, tmsv_cm
 from test_lyapunov import decimal_lyapunov
 
 
@@ -310,7 +310,7 @@ class TestTripartiteOracle:
 
     def test_worst_conditioned_fig3_point_within_1e_12(self, base_params):
         spec = figure_preset("fig3", base_params)
-        v = evaluate_point(_apply_axes(spec, spec.grid()[self.FIG3_WORST])).covariance
+        v = evaluate_point(apply_axes(spec, spec.grid()[self.FIG3_WORST])).covariance
         assert self.worst_error([extract_submatrix(v, TRIPLE_MODES)]) <= 1e-12
 
     def test_oracle_recovers_known_spectra(self):
@@ -387,7 +387,7 @@ def pair_oracle_points():
     records = [base]
     for pid, counts in PAIR_ORACLE_GRIDS:
         spec = figure_preset(pid, base, counts=counts)
-        stable = [p for p in map(functools.partial(_apply_axes, spec), spec.grid())
+        stable = [p for p in map(functools.partial(apply_axes, spec), spec.grid())
                   if point_matrices(p)[2].stable]
         n = len(stable)
         records += [stable[round(i * (n - 1) / (PAIR_ORACLE_PER_GRID - 1))]
@@ -799,7 +799,7 @@ class TestSharedInvariants:
         spec = figure_preset(preset, base_params, counts=counts)
         checked = 0
         for point in spec.grid():
-            result = evaluate_point(_apply_axes(spec, point))
+            result = evaluate_point(apply_axes(spec, point))
             if result.report is not None:
                 self.assert_report_matches_standalone(result.covariance, result.report)
                 checked += 1
@@ -829,7 +829,7 @@ def extract_pair(v6, key):
 def preset_triples(base_params, preset, counts):
     """(c2, a, b) covariance blocks of a preset's stable points on the grid `counts`."""
     spec = figure_preset(preset, base_params, counts=counts)
-    covs = [evaluate_point(_apply_axes(spec, point)).covariance for point in spec.grid()]
+    covs = [evaluate_point(apply_axes(spec, point)).covariance for point in spec.grid()]
     return [extract_submatrix(v, TRIPLE_MODES) for v in covs if v is not None]
 
 
@@ -899,7 +899,7 @@ class TestPairKernel:
         spec = figure_preset(preset, base_params, counts=counts)
         checked = 0
         for point in spec.grid():
-            v = evaluate_point(_apply_axes(spec, point)).covariance
+            v = evaluate_point(apply_axes(spec, point)).covariance
             if v is not None:
                 self.assert_triple_matches_reference(extract_submatrix(v, TRIPLE_MODES))
                 checked += 1

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import random
 import re
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 from optocorr import SystemParams, params_from_config
 from optocorr.errors import ConfigError, ParameterError
 from optocorr.params import (HBAR, K_B, TWO_PI, apply_overrides, drive_amplitude,
-                             drive_from_config, hz_to_angular, load_config, merged,
+                             drive_from_config, hz_to_angular, key_fields, load_config,
                              thermal_occupation, with_keys)
 
 OMEGA_M = TWO_PI * 24.0  # rad/us
@@ -110,6 +112,17 @@ class TestDriveAmplitude:
         with pytest.raises(ParameterError):
             drive_amplitude(1e-3, self.KAPPA, -1.0)
 
+    def test_nan_power_is_not_non_negative(self):
+        # NaN passes a bare `power < 0.0` test, and gave a NaN amplitude
+        with pytest.raises(ParameterError, match="^power must be non-negative$"):
+            drive_amplitude(math.nan, self.KAPPA, self.OMEGA_L)
+
+    @pytest.mark.parametrize("power", [math.inf, 1e308, 1e300])
+    def test_power_whose_amplitude_overflows(self, power):
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"power {power!r} W is too high for a finite drive")):
+            drive_amplitude(power, self.KAPPA, self.OMEGA_L)
+
 
 class TestUnitConversion:
     def test_hz_scale(self):
@@ -152,22 +165,98 @@ class TestSystemParams:
         assert base_params.with_values(j_ac_mag=1e308).j_ac_mag == 1e308
 
     def test_merged_record_is_the_checked_record(self, base_params):
-        checked = base_params.with_values(phi=0.3, j_ab=2.0, temperature=0.5)
-        fields = [{"phi": 0.3}, {"j_ab": 2.0, "temperature": 0.5}]
-        record = merged(base_params, *fields)
+        # with_values merges the changes into the base's fields, checking only them
+        checked = dataclasses.replace(base_params, phi=0.3, j_ab=2.0, temperature=0.5)
+        record = base_params.with_values(phi=0.3, j_ab=2.0, temperature=0.5)
+        assert type(record) is SystemParams
         assert record == checked and hash(record) == hash(checked)
         assert repr(record) == repr(checked) and list(vars(record)) == list(vars(checked))
-        assert merged(base_params) == base_params
+        assert base_params.with_values() == base_params
 
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
     def test_merged_record_checks_what_is_set_on_it(self, base_params, field):
-        record = merged(base_params, {"phi": 0.3})
+        record = base_params.with_values(phi=0.3)
         with pytest.raises(ParameterError, match=f"^{field} must be finite, got inf$"):
             record.with_values(**{field: math.inf})
+
+    def test_unknown_field_is_a_type_error(self, base_params):
+        with pytest.raises(TypeError, match="SystemParams has no field.* bogus"):
+            base_params.with_values(bogus=1.0)
+        with pytest.raises(TypeError, match="bogus"):
+            base_params.with_values(phi=-1.0, bogus=1.0)
 
     def test_phi_stored_raw_reported_normalized(self, base_params):
         p = base_params.with_values(phi=-math.pi)
         assert p.phi == -math.pi
+
+
+def frozen_checks(values: dict) -> None:
+    """`SystemParams.__post_init__` as four loops over the whole record, as it was
+    before its checks became one table: the reference for what a record raises."""
+    for name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2"):
+        if not values[name] > 0.0:
+            raise ParameterError(f"{name} must be strictly positive, got {values[name]!r}")
+    for name in ("g1_eff", "g2_eff", "j_ac_mag", "j_ab", "temperature"):
+        if values[name] < 0.0:
+            raise ParameterError(f"{name} must be non-negative, got {values[name]!r}")
+    for fld in dataclasses.fields(SystemParams):
+        v = values[fld.name]
+        if not math.isfinite(v):
+            raise ParameterError(f"{fld.name} must be finite, got {v!r}")
+    for name in ("g1_eff", "g2_eff", "j_ab"):
+        if not math.isfinite(2.0 * values[name]):
+            raise ParameterError(f"coupling {name} = {values[name]!r} rad/us is too "
+                                 "large: the Hamiltonian holds it doubled")
+
+
+def raised(build):
+    """What `build` raises, as (type, message), else what it returns."""
+    try:
+        return build()
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+class TestChecksKeepTheirOrder:
+    """A whole record and a record derived by `with_values` raise what the frozen
+    checks raise on the whole record; where none fails, they are the record
+    `dataclasses.replace` builds, bit for bit."""
+
+    FIELDS = [f.name for f in dataclasses.fields(SystemParams)]
+
+    @staticmethod
+    def values_for(name):
+        doubled = (1e308,) if name in ("g1_eff", "g2_eff", "j_ab") else ()
+        return (-1.0, -0.0, math.nan, math.inf, -math.inf) + doubled
+
+    @staticmethod
+    def bits(record):
+        return (repr(record), hash(record), [(k, v.hex()) for k, v in vars(record).items()])
+
+    def check(self, base, changes):
+        values = {**vars(base), **changes}
+        expected = raised(lambda: frozen_checks(values))
+        for build in (lambda: SystemParams(**values), lambda: base.with_values(**changes)):
+            got = raised(build)
+            if expected is None:
+                want = dataclasses.replace(base, **changes)
+                assert got == want and self.bits(got) == self.bits(want), changes
+            else:
+                assert got == (ParameterError, expected[1]), changes
+        return expected is None
+
+    def test_every_ordered_pair_of_fields(self, base_params):
+        passed = 0
+        for first, second in itertools.permutations(self.FIELDS, 2):
+            for v1, v2 in itertools.product(self.values_for(first), self.values_for(second)):
+                passed += self.check(base_params, {first: v1, second: v2})
+        assert passed > 0      # some changes pass, and are compared as records
+
+    def test_seeded_triples_of_fields(self, base_params):
+        rng = random.Random(32)
+        for _ in range(3000):
+            names = rng.sample(self.FIELDS, 3)
+            self.check(base_params, {name: rng.choice(self.values_for(name)) for name in names})
 
 
 class TestConfig:
@@ -187,6 +276,14 @@ class TestConfig:
         # the record's detunings are multiples of its own omega_m
         with pytest.raises(ConfigError, match="omega_m_mhz"):
             with_keys(base_params, {"omega_m_mhz": 20.0, "delta1_over_omegam": 1.0})
+        with pytest.raises(ConfigError, match="omega_m_mhz"):
+            key_fields(base_params, {"omega_m_mhz": 20.0})
+
+    def test_key_fields_are_internal_units(self, base_params):
+        fields = key_fields(base_params, {"G1_mhz": 3.0, "delta1_over_omegam": 0.5})
+        assert fields == {"g1_eff": TWO_PI * 3.0, "delta1_eff": 0.5 * base_params.omega_m}
+        assert (with_keys(base_params, {"G1_mhz": 3.0})
+                == base_params.with_values(g1_eff=TWO_PI * 3.0))
 
     def test_json_is_accepted(self, tmp_path):
         path = tmp_path / "c.json"

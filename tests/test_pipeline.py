@@ -18,14 +18,14 @@ from optocorr.cli import main
 from optocorr.errors import NumericDomainError
 from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, CorrelationReport,
                                correlation_report)
-from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, _apply_axes, figure_preset, run_sweep
+from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, figure_preset, run_sweep
 
-from conftest import extract_submatrix, point_matrices
+from conftest import apply_axes, extract_submatrix, point_matrices
 
 
 def grid_params(base_params, preset, counts):
     spec = figure_preset(preset, base_params, counts=counts)
-    return [_apply_axes(spec, point) for point in spec.grid()]
+    return [apply_axes(spec, point) for point in spec.grid()]
 
 
 def spy(monkeypatch, module, name):

@@ -14,6 +14,7 @@ from optocorr.errors import ConfigError, ParameterError, UnstableDriftError
 import optocorr.sweep as sweep
 from optocorr.sweep import PRESET_IDS, SWEEPABLE, config_hash
 
+from conftest import AXIS_CONFIG_KEYS, apply_axes
 from test_golden import PRESET_BASES
 from test_pipeline import spy
 
@@ -231,21 +232,21 @@ class TestRunSweep:
 
 
 class TestAxisTables:
-    """Each axis value is converted and checked once; a grid point's record is
-    the base with its axis values' checked fields."""
+    """Each axis value is converted to its fields once; a grid point's record is
+    the base with its axis values' fields set, checking only those."""
 
     @staticmethod
     def sweep_records(spec, monkeypatch):
-        """The records a sweep evaluates, checked against `_apply_axes`'s bit for bit."""
+        """The records a sweep evaluates, checked against `apply_axes`'s bit for bit."""
         calls = spy(monkeypatch, sweep, "evaluate_point")
         run_sweep(spec)
         records = [args[0] for args in calls]
-        wanted = [sweep._apply_axes(spec, point) for point in spec.grid()]
+        wanted = [apply_axes(spec, point) for point in spec.grid()]
         assert records == wanted
         for got, want in zip(records, wanted):
-            assert hash(got) == hash(want)
-            assert ([getattr(got, f.name).hex() for f in dataclasses.fields(want)]
-                     == [getattr(want, f.name).hex() for f in dataclasses.fields(want)])
+            assert hash(got) == hash(want) and repr(got) == repr(want)
+            assert ([(name, value.hex()) for name, value in vars(got).items()]
+                    == [(name, value.hex()) for name, value in vars(want).items()])
         return records
 
     @pytest.mark.parametrize("pid", PRESET_IDS)
@@ -263,10 +264,10 @@ class TestAxisTables:
         assert math.copysign(1.0, first.delta_at) == math.copysign(1.0, first.phi) == -1.0
 
     @pytest.mark.parametrize("workers", [1, 64])
-    def test_each_axis_value_is_checked_once(self, base_params, monkeypatch, serial_pool,
-                                             workers):
+    def test_each_axis_value_is_converted_once(self, base_params, monkeypatch, serial_pool,
+                                               workers):
         spec = figure_preset("fig2", base_params, counts=(13, 11))
-        calls = spy(monkeypatch, sweep, "with_keys")
+        calls = spy(monkeypatch, sweep, "key_fields")
         assert len(run_sweep(spec, workers=workers).rows) == 143
         assert [args[1] for args in calls] == (
             [{"G1_mhz": value} for value in spec.axis1.values()]
@@ -380,13 +381,7 @@ class TestFigurePresets:
         assert (spec.axis1.count, spec.axis2.count) == (7, 5)
 
 
-# each axis's config keys and each preset's base shift, as README states them
-AXIS_CONFIG_KEYS = {
-    "phi": ("phi_rad",), "delta_at": ("delta_at_over_omegam",),
-    "delta_eff_common": ("delta1_over_omegam", "delta2_over_omegam"),
-    "G1": ("G1_mhz",), "G2": ("G2_mhz",), "Jac": ("Jac_mhz",), "Jab": ("Jab_mhz",),
-    "T": ("T_kelvin",), "f": ("f_mhz",),
-}
+# each preset's base shift, as README states it
 RESONANT = {"delta1_over_omegam": 1.0, "delta2_over_omegam": 1.0, "delta_at_over_omegam": -1.0}
 PRESET_SHIFTS = {"fig2": {}, "fig3": {}, "fig4": RESONANT, "fig5": RESONANT, "fig6": {},
                  "fig7": {"delta_at_over_omegam": -1.0}, "fig8": {}, "fig9": {},
@@ -409,7 +404,7 @@ class TestAxesAreConfigKeys:
     @pytest.mark.parametrize("name", SWEEPABLE)
     def test_axis_value_is_its_config_keys(self, name, value):
         spec = SweepSpec(base=params_from_config(SHIFTED), axis1=Axis(name, value, value + 1, 2))
-        got = record_or_error(lambda: sweep._apply_axes(spec, (value,)))
+        got = record_or_error(lambda: apply_axes(spec, (value,)))
         keys = dict.fromkeys(AXIS_CONFIG_KEYS[name], value)
         assert got == record_or_error(lambda: params_from_config({**SHIFTED, **keys}))
 
@@ -420,7 +415,7 @@ class TestAxesAreConfigKeys:
                              axis2=Axis(name2, 0.0, 1.0, 2))
             keys = {**dict.fromkeys(AXIS_CONFIG_KEYS[name1], 1.3),
                     **dict.fromkeys(AXIS_CONFIG_KEYS[name2], 0.6)}
-            assert (sweep._apply_axes(spec, (1.3, 0.6))
+            assert (apply_axes(spec, (1.3, 0.6))
                     == params_from_config({**SHIFTED, **keys})), (name1, name2)
 
     @pytest.mark.parametrize("pid", PRESET_IDS)

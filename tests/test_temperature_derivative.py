@@ -16,9 +16,8 @@ import pytest
 from optocorr import evaluate_point, figure_preset, params_from_config, solve_lyapunov
 from optocorr.dynamics import build_diffusion
 from optocorr.params import HBAR, K_B, RAD_PER_US_TO_RAD_PER_S
-from optocorr.sweep import _apply_axes
 
-from conftest import point_matrices
+from conftest import apply_axes, point_matrices
 from test_phase_derivative import PAIRS, pair_measures
 
 SPEC = figure_preset("fig6", params_from_config({}), counts=(6, 6))
@@ -36,7 +35,7 @@ def stable_points():
     """(params, V, V_0, V_1, n_th) at each stable grid point."""
     out = []
     for point in SPEC.grid():
-        p = _apply_axes(SPEC, point)
+        p = apply_axes(SPEC, point)
         a, d, verdict, n_th = point_matrices(p)
         if verdict.stable:
             dd = np.diag([0.0] * 6 + [2.0 * p.gamma_m] * 2)
