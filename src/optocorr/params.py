@@ -159,21 +159,20 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
 def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
     """Drive amplitude E = sqrt(2 P kappa / (hbar omega_l)) in rad/us.
 
-    power in watt, kappa and omega_l in rad/us.  power == 0 is the trivial
-    undriven limit; a negative or NaN power, or one too high for a finite E, is rejected.
+    power in watt (0 and -0 give 0.0), kappa and omega_l in rad/us.  A kappa / (hbar omega_l)
+    in SI units that is not finite and positive, or a negative, NaN or too high power, is an error.
     """
     if not power >= 0.0:
         raise ParameterError("power must be non-negative")
-    if not kappa > 0.0 or not omega_l > 0.0:
-        raise ParameterError("kappa and omega_l must be positive")
-    if power == 0.0:
-        return 0.0
     kappa_si = kappa * RAD_PER_US_TO_RAD_PER_S
-    omega_l_si = omega_l * RAD_PER_US_TO_RAD_PER_S
-    e_si = math.sqrt(2.0 * power * kappa_si / (HBAR * omega_l_si))
+    photon = HBAR * (omega_l * RAD_PER_US_TO_RAD_PER_S)
+    if not (0.0 < photon and 0.0 < kappa_si / photon < math.inf):
+        raise ParameterError(f"kappa {kappa!r} and laser frequency omega_l {omega_l!r} (rad/us) "
+                             "give no finite positive kappa / (hbar omega_l)")
+    e_si = math.sqrt(2.0 * power * kappa_si / photon)
     if not math.isfinite(e_si):
         raise ParameterError(f"power {power!r} W is too high for a finite drive amplitude")
-    return e_si / RAD_PER_US_TO_RAD_PER_S
+    return e_si / RAD_PER_US_TO_RAD_PER_S + 0.0
 
 
 # ---------------------------------------------------------------------------

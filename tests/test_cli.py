@@ -15,9 +15,10 @@ import optocorr
 from optocorr import figure_preset, params_from_config
 from optocorr import cli
 from optocorr.cli import build_parser, main
-from optocorr.sweep import UNSTABLE_POLICIES, SweepSpec, config_hash
+from optocorr.params import DRIVE_KEYS, SYSTEM_KEYS
+from optocorr.sweep import SWEEPABLE, UNSTABLE_POLICIES, SweepSpec, config_hash
 
-from test_golden import DRIVE_EDGES, drive_configs
+from test_golden import DRIVE_EDGES, build_note, drive_configs
 
 
 def run_cli(capsys, *argv):
@@ -262,6 +263,21 @@ class TestSteady:
         # these named drive_e1 or drive_e2, fields the user never set
         code, out, err = run_cli(capsys, "steady", *self.POWERS, "--set", bad)
         assert (code, out, err) == (2, "", f"optocorr: config error: {message}\n")
+
+    @pytest.mark.parametrize("bad", [
+        ("omega_l_thz=inf",), ("omega_l_thz=1e305",), ("omega_l_thz=5e-324",),
+        ("omega_l_thz=1e-320",), ("omega_l_thz=1e-300",), ("kappa1_mhz=1e302",),
+        ("kappa1_mhz=1e302", "power1_w=0"),
+    ], ids=["inf", "1e305", "5e-324", "1e-320", "1e-300", "kappa-1e302", "kappa-1e302-zero"])
+    def test_laser_frequency_without_a_finite_drive_exit_2(self, capsys, bad):
+        # these gave alpha = 0 (exit 0), a ZeroDivisionError traceback (exit 1),
+        # blamed the power, or failed on the mean-field polynomial (exit 3)
+        argv = [arg for item in bad for arg in ("--set", item)]
+        code, out, err = run_cli(capsys, "steady", *self.POWERS, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"optocorr: config error: kappa \S+ and laser frequency omega_l "
+                            r"\S+ \(rad/us\) give no finite positive kappa / \(hbar omega_l\)\n",
+                            err)
 
     @pytest.mark.parametrize("argv, unread, form", [
         (DRIVE + ("--set", "power1_w=1e-3"), "power1_w", "E1_mhz/E2_mhz"),
@@ -534,6 +550,51 @@ class TestOutput:
         assert calls == ["load_config", "params_from_config"]
 
 
+# values at and past the edges of the floats, as the text of a --set or an axis
+EXTREMES = ("0", "-0", "5e-324", "1e-320", "1e-300", "1e300", "1e305", "1e308", "inf", "-inf",
+            "nan", "-1")
+
+# the runs each config key is set on, at each of the EXTREMES
+NET_RUNS = {
+    "measure": ("measure",),
+    "matrix": ("matrix", "--with-cm"),
+    "steady-amplitudes": ("steady", *TestSteady.DRIVE),
+    "steady-powers": ("steady", *TestSteady.POWERS),
+}
+
+
+class TestExtremeValueNet:
+    """Every config key at every extreme value, and every sweep axis over a range
+    out to it, ends in a documented exit code with at most one stderr line."""
+
+    @staticmethod
+    def fault(capsys, argv):
+        """What is wrong with one run of `main`, or None."""
+        try:
+            code = main(list(argv))
+        except (Exception, SystemExit) as exc:    # a traceback from the console script
+            capsys.readouterr()
+            return f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or err.count("\n") > 1 or "Traceback" in err:
+            return f"exit {code}: {err!r}"
+        return None
+
+    def faults(self, capsys, runs):
+        found = {" ".join(argv): self.fault(capsys, argv) for argv in runs}
+        return {run: fault for run, fault in found.items() if fault is not None}
+
+    @pytest.mark.parametrize("run", sorted(NET_RUNS))
+    def test_every_key_at_every_extreme(self, capsys, run):
+        keys = [*SYSTEM_KEYS, *DRIVE_KEYS]
+        assert self.faults(capsys, [(*NET_RUNS[run], "--set", f"{key}={value}")
+                                    for key in keys for value in EXTREMES]) == {}
+
+    def test_every_axis_out_to_every_extreme(self, capsys):
+        assert self.faults(capsys, [("sweep", "--axis", f"{axis}=1:{value}:3")
+                                    for axis in SWEEPABLE for value in EXTREMES]) == {}
+
+
 class TestModuleEntry:
     """`python -m optocorr` runs the same front door as the console script.
 
@@ -552,7 +613,7 @@ class TestModuleEntry:
         proc = self.run_module("measure", "--format", "json")
         assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_measure.json"
-        assert proc.stdout == golden.read_bytes()
+        assert proc.stdout == golden.read_bytes(), build_note()
 
     def test_steady_matches_golden_file(self):
         # a drive with a single, unstable mean-field root
@@ -562,7 +623,7 @@ class TestModuleEntry:
                                "--set", "delta2_bare_over_omegam=0.95", "--format", "json")
         assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_steady.json"
-        assert proc.stdout == golden.read_bytes()
+        assert proc.stdout == golden.read_bytes(), build_note()
 
     @staticmethod
     def set_argv(items):

@@ -13,13 +13,19 @@ one line per config with the solved state, the effective fields of the
 point `apply_steady_state` linearizes about it (floats by float.hex), the
 solve's counts and the stability verdict at that point, or the error's
 type, attributes and message.
+golden_build.json names the build on which every golden passes bit for bit;
+a failing comparison states it beside the build of the run.
 """
 
+import ctypes
+import json
 import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from optocorr import params_from_config
 from optocorr.cli import main
@@ -30,6 +36,34 @@ from optocorr.steadystate import apply_steady_state, solve_steady_state
 from optocorr.sweep import config_hash, figure_preset
 
 DATA = Path(__file__).parent / "data"
+
+
+def running_build() -> dict:
+    """The numpy, scipy and BLAS of this run, and the OpenBLAS core numpy's
+    OpenBLAS chose ("unknown" where the library or its symbol is missing)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = "unknown"
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "openblas_core": core}
+
+
+def build_note() -> str:
+    """A failing golden comparison's message: the goldens' build and this run's."""
+    recorded = json.loads((DATA / "golden_build.json").read_text())
+    return f"goldens pass bitwise on {recorded}; this run is on {running_build()}"
+
+
+def test_build_note_names_both_builds():
+    recorded = json.loads((DATA / "golden_build.json").read_text())
+    running = running_build()
+    assert recorded.keys() == running.keys()
+    assert all(isinstance(v, str) and v for v in (*recorded.values(), *running.values()))
+    assert build_note() == f"goldens pass bitwise on {recorded}; this run is on {running}"
 
 GOLDEN = [
     (("fig5", "--grid", "21"), "golden_fig5_21.csv"),
@@ -50,7 +84,7 @@ def test_figure_rows_match_golden_file(args, name, tmp_path):
     assert main(["figure", *args, "--out", str(out)]) == 0
     header, *rows = out.read_bytes().splitlines(keepends=True)
     assert re.fullmatch(rb"# optocorr v0\.1\.0 config=[0-9a-f]{12}\n", header)
-    assert rows == (DATA / name).read_bytes().splitlines(keepends=True)
+    assert rows == (DATA / name).read_bytes().splitlines(keepends=True), build_note()
 
 
 POINT_GOLDEN = [
@@ -65,7 +99,7 @@ POINT_GOLDEN = [
 def test_point_output_matches_golden_file(args, name, tmp_path):
     out = tmp_path / "out"
     assert main([*args, "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / name).read_bytes()
+    assert out.read_bytes() == (DATA / name).read_bytes(), build_note()
 
 
 PRESET_BASES = {
@@ -94,7 +128,7 @@ def preset_lines():
 
 
 def test_preset_specs_match_golden_file():
-    assert preset_lines() == (DATA / "golden_presets.txt").read_text()
+    assert preset_lines() == (DATA / "golden_presets.txt").read_text(), build_note()
 
 
 # the raw-drive ranges of the benchmark's drive workload
@@ -156,4 +190,4 @@ def test_steady_drives_match_golden_file():
         assert f" {outcome}\n" in text
     # as lists of lines, so that a mismatch names the configs that moved
     golden = (DATA / "golden_steady_drive.txt").read_text()
-    assert text.splitlines(keepends=True) == golden.splitlines(keepends=True)
+    assert text.splitlines(keepends=True) == golden.splitlines(keepends=True), build_note()

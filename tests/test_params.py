@@ -123,6 +123,67 @@ class TestDriveAmplitude:
                            match=re.escape(f"power {power!r} W is too high for a finite drive")):
             drive_amplitude(power, self.KAPPA, self.OMEGA_L)
 
+    def test_zero_power_is_positive_zero(self):
+        for power in (0.0, -0.0):
+            assert drive_amplitude(power, self.KAPPA, self.OMEGA_L).hex() == "0x0.0p+0"
+
+    # (kappa, omega_l) in rad/us whose kappa / (hbar omega_l) is not a finite positive
+    # SI float.  An infinite omega_l, or one whose SI value overflows, gave E = 0; one
+    # whose photon energy underflows to 0 raised ZeroDivisionError; a quotient that
+    # overflows, from a subnormal photon energy or an overflowing SI kappa, blamed the power.
+    BAD_KAPPA_OMEGA_L = {
+        "omega_l-inf": (KAPPA, math.inf), "omega_l-si-overflows": (KAPPA, 1e303),
+        "photon-underflows-3e-317": (KAPPA, 3e-317), "photon-underflows-1e-314": (KAPPA, 1e-314),
+        "photon-subnormal-6e-294": (KAPPA, 6e-294), "kappa-si-overflows": (1e303, OMEGA_L),
+        "omega_l-0": (KAPPA, 0.0), "omega_l-negative": (KAPPA, -1.0),
+        "omega_l-nan": (KAPPA, math.nan), "kappa-0": (0.0, OMEGA_L),
+        "kappa-negative": (-1.0, OMEGA_L), "kappa-nan": (math.nan, OMEGA_L),
+    }
+
+    @pytest.mark.parametrize("power", [0.0, 1e-3])
+    @pytest.mark.parametrize("kappa, omega_l", BAD_KAPPA_OMEGA_L.values(),
+                             ids=BAD_KAPPA_OMEGA_L.keys())
+    def test_kappa_or_laser_frequency_without_a_finite_drive_is_named(self, power, kappa,
+                                                                      omega_l):
+        message = (f"kappa {kappa!r} and laser frequency omega_l {omega_l!r} (rad/us) "
+                   "give no finite positive kappa / (hbar omega_l)")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            drive_amplitude(power, kappa, omega_l)
+
+    def test_power_is_checked_before_kappa_and_laser_frequency(self):
+        with pytest.raises(ParameterError, match="^power must be non-negative$"):
+            drive_amplitude(math.nan, math.nan, math.inf)
+
+    def test_bits_of_the_parent_function(self):
+        rng = random.Random(33)
+        for i in range(20000):
+            if i % 100 < 2:
+                power = (0.0, -0.0)[i % 2]
+            else:
+                power = 10.0 ** rng.uniform(-15.0, 4.0)
+            kappa = TWO_PI * 10.0 ** rng.uniform(-2.0, 3.0)
+            omega_l = TWO_PI * rng.uniform(50.0, 2000.0) * 1e6
+            want = frozen_drive_amplitude(power, kappa, omega_l)
+            assert drive_amplitude(power, kappa, omega_l).hex() == want.hex(), (power, kappa,
+                                                                              omega_l)
+
+
+def frozen_drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
+    """`drive_amplitude` with its zero-power return and sign tests, as it was before
+    one guard bounded kappa / (hbar omega_l): the reference for E's bits."""
+    if not power >= 0.0:
+        raise ParameterError("power must be non-negative")
+    if not kappa > 0.0 or not omega_l > 0.0:
+        raise ParameterError("kappa and omega_l must be positive")
+    if power == 0.0:
+        return 0.0
+    kappa_si = kappa * 1.0e6
+    omega_l_si = omega_l * 1.0e6
+    e_si = math.sqrt(2.0 * power * kappa_si / (HBAR * omega_l_si))
+    if not math.isfinite(e_si):
+        raise ParameterError(f"power {power!r} W is too high for a finite drive amplitude")
+    return e_si / 1.0e6
+
 
 class TestUnitConversion:
     def test_hz_scale(self):
