@@ -65,6 +65,7 @@ def test_build_note_names_both_builds():
     assert all(isinstance(v, str) and v for v in (*recorded.values(), *running.values()))
     assert build_note() == f"goldens pass bitwise on {recorded}; this run is on {running}"
 
+
 GOLDEN = [
     (("fig5", "--grid", "21"), "golden_fig5_21.csv"),
     (("fig9", "--grid", "10x3"), "golden_fig9_10x3.csv"),

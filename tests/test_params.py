@@ -89,7 +89,8 @@ class TestDriveAmplitude:
     OMEGA_L = TWO_PI * 3.0e8         # 300 THz in rad/us
 
     def test_zero_power(self):
-        assert drive_amplitude(0.0, self.KAPPA, self.OMEGA_L) == 0.0
+        for power in (0.0, -0.0):
+            assert drive_amplitude(power, self.KAPPA, self.OMEGA_L).hex() == "0x0.0p+0"
 
     def test_sqrt_scaling(self):
         e1 = drive_amplitude(1e-3, self.KAPPA, self.OMEGA_L)
@@ -122,10 +123,6 @@ class TestDriveAmplitude:
         with pytest.raises(ParameterError,
                            match=re.escape(f"power {power!r} W is too high for a finite drive")):
             drive_amplitude(power, self.KAPPA, self.OMEGA_L)
-
-    def test_zero_power_is_positive_zero(self):
-        for power in (0.0, -0.0):
-            assert drive_amplitude(power, self.KAPPA, self.OMEGA_L).hex() == "0x0.0p+0"
 
     # (kappa, omega_l) in rad/us whose kappa / (hbar omega_l) is not a finite positive
     # SI float.  An infinite omega_l, or one whose SI value overflows, gave E = 0; one
