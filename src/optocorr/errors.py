@@ -30,11 +30,13 @@ class NonConvergenceError(OptocorrError):
 
 
 class UnstableDriftError(OptocorrError):
-    """Lyapunov solve requested for a drift matrix with non-negative spectrum."""
+    """A steady state asked of an unstable point.  `measure`, `matrix --with-cm` and
+    `--unstable error` apply the point rule, max Re lambda >= -1e-9 omega_m;
+    `solve_lyapunov`'s own check, a drift spectrum with max Re lambda >= 0."""
 
 
 class SingularSystemError(OptocorrError):
-    """The vectorized Lyapunov system is rank deficient."""
+    """The half-vectorized Lyapunov system (36 unknowns for an 8x8 drift) is singular."""
 
 
 class NumericDomainError(OptocorrError):

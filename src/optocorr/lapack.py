@@ -1,11 +1,13 @@
 """LAPACK's eigenvalues and linear solve, through numpy's own gufuncs.
 
-On a point's 5x5 to 36x36 inputs, `np.linalg`'s per-call checks cost about
-as much as LAPACK.  These entries call the same gufuncs with the same
-signatures and error state, so the results are numpy's bit for bit and a
-LAPACK failure raises numpy's `LinAlgError`, with no warning.  Callers catch
-it as `lapack.LinAlgError`, so no other module names `numpy.linalg`, and
-check finiteness and shape.  Both take stacks of matrices.
+On a point's inputs (the 8x8 drift, the 36x36 Lyapunov system, the
+(3, 6, 6) stacks of the PT spectra and mean-field companions from 1x1 to
+5x5), `np.linalg`'s per-call checks cost about as much as LAPACK.  These
+entries call the same gufuncs with the same signatures and error state, so
+the results are numpy's bit for bit and a LAPACK failure raises numpy's
+`LinAlgError`, with no warning.  Callers catch it as `lapack.LinAlgError`,
+so no other module names `numpy.linalg`, and check finiteness and shape.
+Both take stacks of matrices.
 """
 
 import numpy as np

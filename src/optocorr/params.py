@@ -271,12 +271,27 @@ def system_config(cfg: dict) -> dict:
     return {key: cfg.get(key, default) for key, (default, _, _) in SYSTEM_KEYS.items()}
 
 
+def _raise_overflow(values: dict, converted: dict) -> None:
+    """Raise for the first key of `converted`, in its order, whose finite config value
+    in `values` is not finite in internal units."""
+    for key, v in converted.items():
+        if math.isfinite(values[key]) and not cmath.isfinite(v):
+            raise ParameterError(f"config key {key} = {values[key]!r} is too large: "
+                                 "it is not finite in rad/us")
+
+
 def params_from_config(cfg: dict) -> SystemParams:
-    """Resolve a validated config mapping into internal angular units."""
+    """Resolve a validated config mapping into internal angular units.  A key whose
+    finite value overflows in them is named before any check of the record."""
     c = system_config(cfg)
     omega_m = SYSTEM_KEYS["omega_m_mhz"][2](c["omega_m_mhz"], None)
-    return SystemParams(**{field: to_internal(c[key], omega_m)
-                           for key, (_, field, to_internal) in SYSTEM_KEYS.items()})
+    values = {field: to_internal(c[key], omega_m)
+              for key, (_, field, to_internal) in SYSTEM_KEYS.items()}
+    try:
+        return SystemParams(**values)
+    except ParameterError:      # a non-finite field fails the record, so look only then
+        _raise_overflow(c, {key: values[field] for key, (_, field, _) in SYSTEM_KEYS.items()})
+        raise
 
 
 def key_fields(p: SystemParams, values: dict) -> dict:
@@ -294,25 +309,32 @@ def with_keys(p: SystemParams, values: dict) -> SystemParams:
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:
     """Resolve the drive keys of the `steady` subcommand: the four required ones and
-    one drive form, amplitudes or powers; a drive key the form does not read is an error."""
+    one drive form, amplitudes or powers; a drive key the form does not read is an error.
+    A key whose finite value overflows in internal units is named before any check of
+    the drive amplitudes or the record."""
     required = ("g1_khz", "g2_khz", "delta1_bare_over_omegam", "delta2_bare_over_omegam")
     missing = [k for k in required if k not in cfg]
     if missing:
         raise ConfigError(f"steady-state solve requires config key(s): {', '.join(missing)}")
     c = {key: to_internal(cfg[key], params.omega_m)
          for key, to_internal in DRIVE_KEYS.items() if key in cfg}
-    if "E1_mhz" in c and "E2_mhz" in c:
-        form, e1, e2 = ("E1_mhz", "E2_mhz"), c["E1_mhz"], c["E2_mhz"]
-    elif "power1_w" in c and "power2_w" in c and "omega_l_thz" in c:
-        form = ("power1_w", "power2_w", "omega_l_thz")
-        e1 = drive_amplitude(c["power1_w"], params.kappa1, c["omega_l_thz"])
-        e2 = drive_amplitude(c["power2_w"], params.kappa2, c["omega_l_thz"])
-    else:
-        raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
-                          "power1_w/power2_w/omega_l_thz")
-    unread = [k for k in c if k not in required and k not in form]
-    if unread:
-        raise ConfigError(f"drive key(s) {', '.join(unread)} not read beside {'/'.join(form)}")
-    return RawDriveParams(g1=c["g1_khz"], g2=c["g2_khz"], drive_e1=e1, drive_e2=e2,
-                          delta1_bare=c["delta1_bare_over_omegam"],
-                          delta2_bare=c["delta2_bare_over_omegam"])
+    try:
+        if "E1_mhz" in c and "E2_mhz" in c:
+            form, e1, e2 = ("E1_mhz", "E2_mhz"), c["E1_mhz"], c["E2_mhz"]
+        elif "power1_w" in c and "power2_w" in c and "omega_l_thz" in c:
+            form = ("power1_w", "power2_w", "omega_l_thz")
+            e1 = drive_amplitude(c["power1_w"], params.kappa1, c["omega_l_thz"])
+            e2 = drive_amplitude(c["power2_w"], params.kappa2, c["omega_l_thz"])
+        else:
+            raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
+                              "power1_w/power2_w/omega_l_thz")
+        unread = [k for k in c if k not in required and k not in form]
+        if unread:
+            raise ConfigError(f"drive key(s) {', '.join(unread)} not read beside "
+                              f"{'/'.join(form)}")
+        return RawDriveParams(g1=c["g1_khz"], g2=c["g2_khz"], drive_e1=e1, drive_e2=e2,
+                              delta1_bare=c["delta1_bare_over_omegam"],
+                              delta2_bare=c["delta2_bare_over_omegam"])
+    except ParameterError:      # a non-finite value fails a check, so look only then
+        _raise_overflow(cfg, c)
+        raise

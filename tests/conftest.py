@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from optocorr import SystemParams, params_from_config
+from optocorr import SystemParams, figure_preset, params_from_config, run_sweep
 from optocorr.dynamics import (MODE_BLOCKS, assess_stability, build_diffusion, build_drift,
                                default_margin_tol)
 from optocorr.params import thermal_occupation, with_keys
@@ -37,6 +39,32 @@ def apply_axes(spec, point) -> SystemParams:
     base with every axis's keys set to the point's value."""
     return with_keys(spec.base, {key: value for axis, value in zip((spec.axis1, spec.axis2), point)
                                  for key in AXIS_CONFIG_KEYS[axis.name]})
+
+
+def grid_params(spec):
+    """(point, record) of each point of the spec's grid, in grid order."""
+    for point in spec.grid():
+        yield point, apply_axes(spec, point)
+
+
+def stable_drifts(preset, counts):
+    """(A, D) of the stable points of a preset's grid at the package defaults."""
+    systems = []
+    for _, params in grid_params(figure_preset(preset, params_from_config({}), counts=counts)):
+        a, d, verdict, _ = point_matrices(params)
+        if verdict.stable:
+            systems.append((a, d))
+    return systems
+
+
+@functools.cache
+def preset_curves(preset):
+    """Each column of a preset's default run at the package defaults, as a float array
+    (NaN for a missing or error cell); one run per preset, shared by its callers."""
+    result = run_sweep(figure_preset(preset, params_from_config({})))
+    rows = np.array([[np.nan if v is None or isinstance(v, str) else float(v) for v in r]
+                     for r in result.rows])
+    return {c: rows[:, i] for i, c in enumerate(result.columns)}
 
 
 def extract_submatrix(v: np.ndarray, modes) -> np.ndarray:

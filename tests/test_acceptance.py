@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from optocorr import (OMEGA_4, evaluate_point, figure_preset, gaussian_discord,
-                      solve_lyapunov, run_sweep)
+from optocorr import OMEGA_4, evaluate_point, figure_preset, gaussian_discord, solve_lyapunov
 from optocorr.lyapunov import lyapunov_residual, residual_bound
-from optocorr.params import TWO_PI, params_from_config
+from optocorr.params import TWO_PI
 
-from conftest import apply_axes, point_matrices, random_physical_cm, random_stable_system
+from conftest import (grid_params, point_matrices, preset_curves, random_physical_cm,
+                      random_stable_system)
 from test_lyapunov import integrate_covariance
 from test_measures import pt_symplectic_min
 
@@ -27,36 +27,11 @@ def emit(num, ok, detail=""):
     return ok
 
 
-def grid_params(spec):
-    for point in spec.grid():
-        yield point, apply_axes(spec, point)
-
-
 def extremizer_distance(xs, vals, targets, kind):
     """Distance from the nearest global extremizer (ties included) to targets."""
     ext = np.max(vals) if kind == "max" else np.min(vals)
     ties = np.where(np.abs(vals - ext) <= 1e-12)[0]
     return min(abs(xs[i] - t) for i in ties for t in targets)
-
-
-@pytest.fixture(scope="module")
-def fig5_curves():
-    spec = figure_preset("fig5", params_from_config({}))
-    result = run_sweep(spec)
-    cols = result.columns
-    rows = np.array([[np.nan if v is None or isinstance(v, str) else float(v)
-                      for v in r] for r in result.rows])
-    return {c: rows[:, i] for i, c in enumerate(cols)}
-
-
-@pytest.fixture(scope="module")
-def fig10_curves():
-    spec = figure_preset("fig10", params_from_config({}))
-    result = run_sweep(spec)
-    cols = result.columns
-    rows = np.array([[np.nan if v is None or isinstance(v, str) else float(v)
-                      for v in r] for r in result.rows])
-    return {c: rows[:, i] for i, c in enumerate(cols)}
 
 
 def test_criterion_1_lyapunov_residuals_on_fig3_grid(base_params):
@@ -132,7 +107,8 @@ def test_criterion_4_reference_entanglement_values(base_params):
     assert flat["EN_ab"] == pytest.approx(0.2415473811105326, rel=1e-6)
 
 
-def test_criterion_5_phase_periodicity_of_entanglement(fig5_curves):
+def test_criterion_5_phase_periodicity_of_entanglement():
+    fig5_curves = preset_curves("fig5")
     phi = fig5_curves["phi"]
     d_c2b_max = extremizer_distance(phi, fig5_curves["EN_c2b"], (0.0, TWO_PI), "max")
     d_c2b_min = extremizer_distance(phi, fig5_curves["EN_c2b"], (math.pi,), "min")
@@ -150,7 +126,8 @@ def test_criterion_5_phase_periodicity_of_entanglement(fig5_curves):
     assert not failures, f"extremizer offsets beyond pi/50: {failures}"
 
 
-def test_criterion_6_phase_law_of_discord(fig10_curves):
+def test_criterion_6_phase_law_of_discord():
+    fig10_curves = preset_curves("fig10")
     phi = fig10_curves["phi"]
     checks = {}
     for name in ("DG_c2a", "DG_ab", "DG_c2b"):
@@ -164,7 +141,8 @@ def test_criterion_6_phase_law_of_discord(fig10_curves):
     assert not failures, f"extremizer offsets beyond pi/50: {failures}"
 
 
-def test_criterion_7_tripartite_phase_and_coupling_trends(base_params, fig5_curves):
+def test_criterion_7_tripartite_phase_and_coupling_trends(base_params):
+    fig5_curves = preset_curves("fig5")
     phi = fig5_curves["phi"]
     rtau = fig5_curves["Rtau_min"]
     at_pi = rtau[np.argmin(np.abs(phi - math.pi))]

@@ -14,26 +14,33 @@ point `apply_steady_state` linearizes about it (floats by float.hex), the
 solve's counts and the stability verdict at that point, or the error's
 type, attributes and message.
 golden_build.json names the build on which every golden passes bit for bit;
-a failing comparison states it beside the build of the run.
+a failing comparison states it beside the build of the run.  Under another
+OpenBLAS kernel the figure grids' bits move, but only within the oracle
+budgets (TestCrossKernel).
 """
 
 import ctypes
 import json
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import optocorr
 from optocorr import params_from_config
 from optocorr.cli import main
 from optocorr.errors import OptocorrError
 from optocorr.params import drive_from_config
 from optocorr.pipeline import evaluate_point
 from optocorr.steadystate import apply_steady_state, solve_steady_state
-from optocorr.sweep import config_hash, figure_preset
+from optocorr.sweep import config_hash, figure_preset, run_sweep
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,6 +93,74 @@ def test_figure_rows_match_golden_file(args, name, tmp_path):
     header, *rows = out.read_bytes().splitlines(keepends=True)
     assert re.fullmatch(rb"# optocorr v0\.1\.0 config=[0-9a-f]{12}\n", header)
     assert rows == (DATA / name).read_bytes().splitlines(keepends=True), build_note()
+
+
+def golden_spec(args):
+    """The sweep spec of a GOLDEN case's `figure` arguments."""
+    preset, _, grid = args
+    return figure_preset(preset, params_from_config({}),
+                         counts=tuple(int(n) for n in grid.split("x")))
+
+
+# twice each family's budget against the 50-digit oracle (test_measures'
+# TestPairMeasureOracle), relative; R_tau takes E_N's
+KERNEL_BUDGETS = {"EN": 2 * 10 ** -11.5, "Rtau": 2 * 10 ** -11.5, "DG": 2 * 10 ** -8.5}
+
+
+def kernel_mismatches(columns, want, got):
+    """The cells of the rows `got` that another BLAS kernel may not give in place of
+    `want`'s: a measure cell further than its family's budget, relative (so an
+    exact zero stays zero), and any other cell that differs at all, by float.hex."""
+    mismatches = []
+    for i, (want_row, got_row) in enumerate(zip(want, got, strict=True)):
+        for column, w, g in zip(columns, want_row, got_row, strict=True):
+            floats = isinstance(w, float) and isinstance(g, float)
+            if (w.hex() == g.hex()) if floats else (w == g):
+                continue
+            budget = KERNEL_BUDGETS.get(column.split("_")[0])
+            if not (budget and floats and abs(g - w) <= budget * abs(w)):
+                mismatches.append((i, column, w, g))
+    return mismatches
+
+
+# run in a child process: its build, and the rows of each GOLDEN grid
+KERNEL_RUN = """
+import pickle, sys
+from optocorr.sweep import run_sweep
+from test_golden import GOLDEN, golden_spec, running_build
+rows = [run_sweep(golden_spec(args)).rows for args, _ in GOLDEN]
+sys.stdout.buffer.write(pickle.dumps((running_build(), rows)))
+"""
+
+
+class TestCrossKernel:
+    """The golden grids under OpenBLAS's Haswell kernels, against this run's:
+    identical verdicts and error cells, and every measure cell within twice
+    its family's oracle budget.  SandyBridge moves E_N cells by up to 1.98e-11,
+    beyond that budget, so only Haswell is pinned."""
+
+    def test_haswell_grids_within_budget(self):
+        paths = [str(Path(optocorr.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", KERNEL_RUN], env=env,
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        build, runs = pickle.loads(proc.stdout)
+        assert build["openblas_core"] == "Haswell", build
+        for (args, _), rows in zip(GOLDEN, runs, strict=True):
+            result = run_sweep(golden_spec(args))
+            assert kernel_mismatches(result.columns, result.rows, rows) == [], args
+
+    def test_perturbed_discord_is_a_mismatch(self):
+        result = run_sweep(golden_spec(("fig8", "--grid", "8x6")))
+        column = result.columns.index("DG_ab")
+        i = next(i for i, row in enumerate(result.rows) if row[column])
+        rows = [list(row) for row in result.rows]
+        assert kernel_mismatches(result.columns, result.rows, rows) == []
+        rows[i][column] *= 1 + 1e-8
+        assert kernel_mismatches(result.columns, result.rows, rows) == [
+            (i, "DG_ab", result.rows[i][column], rows[i][column])]
 
 
 POINT_GOLDEN = [

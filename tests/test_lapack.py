@@ -17,18 +17,7 @@ from optocorr.params import params_from_config
 from optocorr.pipeline import evaluate_point
 from optocorr.sweep import figure_preset
 
-from conftest import apply_axes, point_matrices
-
-
-def stable_drifts(preset, counts):
-    """(A, D) of the stable points of a preset's grid."""
-    spec = figure_preset(preset, params_from_config({}), counts=counts)
-    systems = []
-    for point in spec.grid():
-        a, d, verdict, _ = point_matrices(apply_axes(spec, point))
-        if verdict.stable:
-            systems.append((a, d))
-    return systems
+from conftest import apply_axes, stable_drifts
 
 
 def eigvals_inputs(monkeypatch, preset, counts):

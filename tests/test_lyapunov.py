@@ -14,7 +14,7 @@ from optocorr.lyapunov import RESIDUAL_RTOL, _vech_index, lyapunov_residual, res
 from optocorr.params import params_from_config
 from optocorr.sweep import PRESET_IDS, figure_preset
 
-from conftest import apply_axes, point_matrices, random_stable_system
+from conftest import apply_axes, point_matrices, random_stable_system, stable_drifts
 
 
 def integrate_covariance(a, d, rel_window=35.0):
@@ -262,13 +262,7 @@ def kron_route(a, d):
 
 def fig3_systems(rng, count=30):
     """`count` random stable systems plus the stable points of a 4x4 fig3 grid."""
-    systems = [random_stable_system(8, rng) for _ in range(count)]
-    spec = figure_preset("fig3", params_from_config({}), counts=(4, 4))
-    for point in spec.grid():
-        a, d, verdict, _ = point_matrices(apply_axes(spec, point))
-        if verdict.stable:
-            systems.append((a, d))
-    return systems
+    return [random_stable_system(8, rng) for _ in range(count)] + stable_drifts("fig3", (4, 4))
 
 
 class TestHalfVectorizedOperator:

@@ -20,12 +20,7 @@ from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, Co
                                correlation_report)
 from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, figure_preset, run_sweep
 
-from conftest import apply_axes, extract_submatrix, point_matrices
-
-
-def grid_params(base_params, preset, counts):
-    spec = figure_preset(preset, base_params, counts=counts)
-    return [apply_axes(spec, point) for point in spec.grid()]
+from conftest import extract_submatrix, grid_params, point_matrices
 
 
 def spy(monkeypatch, module, name):
@@ -58,7 +53,7 @@ def standalone_report(params):
 class TestFullReport:
     def test_default_is_the_full_report(self, base_params):
         checked = 0
-        for params in grid_params(base_params, "fig3", (4, 4)):
+        for _, params in grid_params(figure_preset("fig3", base_params, counts=(4, 4))):
             result = evaluate_point(params)
             if not result.verdict.stable:
                 continue
@@ -75,7 +70,7 @@ class TestFullReport:
         (("EN_ab",), {"EN"}), (DG_MEASURES, {"DG"}), (("Rtau_min",), {"EN", "Rtau"}),
         (("DG_c2b", "EN_c2a"), {"DG", "EN"}), (("stability", "DG_ab"), {"DG"})])
     def test_requested_keys_equal_the_full_report(self, base_params, wanted, families):
-        for params in grid_params(base_params, "fig5", (7,)):
+        for _, params in grid_params(figure_preset("fig5", base_params, counts=(7,))):
             full = evaluate_point(params).report.as_flat_dict()
             part = evaluate_point(params, wanted).report.as_flat_dict()
             assert {key.split("_")[0] for key in part} == families
@@ -125,7 +120,8 @@ class TestSkippedStages:
         assert diffusions == [] and solves == [] and reports == []
 
     def test_diffusion_built_once_per_solved_point(self, base_params, monkeypatch):
-        points = grid_params(base_params, "fig3", (4, 4))
+        points = [params for _, params in grid_params(figure_preset("fig3", base_params,
+                                                                   counts=(4, 4)))]
         stable = [params for params in points if point_matrices(params)[2].stable]
         assert 0 < len(stable) < len(points)
         diffusions = spy(monkeypatch, pipeline, "build_diffusion")
