@@ -9,8 +9,8 @@ import pytest
 
 from optocorr import SystemParams, params_from_config
 from optocorr.errors import ConfigError, ParameterError
-from optocorr.params import (HBAR, K_B, TWO_PI, apply_overrides, drive_amplitude,
-                             drive_from_config, hz_to_angular, key_fields, load_config,
+from optocorr.params import (HBAR, K_B, SYSTEM_KEYS, TWO_PI, apply_overrides,
+                             drive_amplitude, drive_from_config, hz_to_angular, key_fields, load_config,
                              thermal_occupation, with_keys)
 
 OMEGA_M = TWO_PI * 24.0  # rad/us
@@ -415,6 +415,39 @@ class TestConfig:
         drive_from_config(keys, base_params)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             drive_from_config({**keys, **extra}, base_params)
+
+    # every system key whose conversion scales its value up: phi_rad and T_kelvin are
+    # taken as set
+    @pytest.mark.parametrize("key", [key for key in SYSTEM_KEYS
+                                     if key not in ("phi_rad", "T_kelvin")])
+    def test_system_key_whose_conversion_overflows_is_named(self, key):
+        with pytest.raises(ParameterError,
+                           match=rf"^config key {key} = 1e\+308 is too large: "
+                                 r"it is not finite in rad/us$"):
+            params_from_config({key: 1e308})
+
+    def test_first_overflowing_key_wins_over_a_record_check(self):
+        # T_kelvin=-1 fails the record, and Jab_mhz comes after kappa2_mhz in the table
+        with pytest.raises(ParameterError, match=r"^config key kappa2_mhz = 1e\+308 "):
+            params_from_config({"T_kelvin": -1.0, "Jab_mhz": 1e308, "kappa2_mhz": 1e308})
+
+    # the g*_khz keys are scaled down before they are scaled up, and power*_w are
+    # taken as set, so no finite value of theirs overflows
+    @pytest.mark.parametrize("form, key, value", [
+        (AMPLITUDES, "E1_mhz", 1e308),
+        (AMPLITUDES, "E2_mhz", 1e308),
+        (AMPLITUDES, "delta1_bare_over_omegam", 1e307),
+        (POWERS, "delta2_bare_over_omegam", 1e307),
+        (POWERS, "omega_l_thz", 1e305),
+    ], ids=["E1", "E2", "delta1_bare", "delta2_bare", "omega_l"])
+    def test_drive_key_whose_conversion_overflows_is_named(self, base_params, form, key,
+                                                           value):
+        keys = {"g1_khz": 1.0, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,
+                "delta2_bare_over_omegam": 0.5, **form}
+        with pytest.raises(ParameterError,
+                           match=rf"^config key {key} = {re.escape(repr(value))} is too "
+                                 r"large: it is not finite in rad/us$"):
+            drive_from_config({**keys, key: value}, base_params)
 
     def test_override_bad_value(self):
         with pytest.raises(ConfigError):
