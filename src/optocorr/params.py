@@ -134,7 +134,8 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
     limit returns exactly 0 (no division by zero), also for a subnormal
     temperature whose k_B T underflows to 0.  A temperature so high that
     the diffusion's 2 n_th + 1 overflows a float (above about 1.04e305 K
-    at 24 MHz) is a ParameterError, and so is a negative or NaN temperature.
+    at 24 MHz) is a ParameterError, and so is a negative or NaN temperature and an
+    omega_m so small that hbar omega_m / k_B T underflows to 0.
     """
     if not omega_m > 0.0:
         raise ParameterError("omega_m must be positive")
@@ -148,8 +149,9 @@ def thermal_occupation(omega_m: float, temperature: float) -> float:
         n_th = 1.0 / math.expm1(x)
     except OverflowError:  # x > ~709.8: n_th < 1e-308, so 2 n_th + 1 == 1
         return 0.0
-    except ZeroDivisionError:  # x underflowed to 0
-        n_th = math.inf
+    except ZeroDivisionError:  # x underflowed to 0, as hbar omega_m does below 2.3e-290 rad/us
+        raise ParameterError(f"omega_m {omega_m!r} rad/us is too small: hbar omega_m / k_B T "
+                             f"underflows to 0 at temperature {temperature!r} K") from None
     if not math.isfinite(2.0 * n_th + 1.0):
         raise ParameterError(f"temperature {temperature!r} K is too high for a finite "
                              "thermal occupation")
@@ -214,6 +216,11 @@ DRIVE_KEYS = {
 
 KNOWN_KEYS = set(SYSTEM_KEYS) | set(DRIVE_KEYS)
 
+# config key -> (the name its value sets: a SystemParams field, or a drive key itself,
+# the value's conversion to internal units given omega_m), in table order
+_CONVERSIONS = {**{key: (field, convert) for key, (_, field, convert) in SYSTEM_KEYS.items()},
+                **{key: (key, convert) for key, convert in DRIVE_KEYS.items()}}
+
 
 def validate_config(raw: dict) -> dict:
     """The one gate for config values, from a file or --set: known keys only,
@@ -271,27 +278,26 @@ def system_config(cfg: dict) -> dict:
     return {key: cfg.get(key, default) for key, (default, _, _) in SYSTEM_KEYS.items()}
 
 
-def _raise_overflow(values: dict, converted: dict) -> None:
-    """Raise for the first key of `converted`, in its order, whose finite config value
-    in `values` is not finite in internal units."""
-    for key, v in converted.items():
-        if math.isfinite(values[key]) and not cmath.isfinite(v):
-            raise ParameterError(f"config key {key} = {values[key]!r} is too large: "
-                                 "it is not finite in rad/us")
+def _internal(values: dict, omega_m: float) -> dict:
+    """Config-unit `values` in internal units given omega_m in rad/us, each under the name
+    it sets.  The first key in table order whose finite value is not finite in them is
+    named, before any check of what it sets."""
+    out = {name: to_internal(v, omega_m)
+           for key, v in values.items() for name, to_internal in (_CONVERSIONS[key],)}
+    # a non-finite value makes the sum non-finite, so look only then (an overflowing sum of
+    # finite values only costs the search)
+    if not math.isfinite(sum(out.values())):
+        for key, (name, _) in _CONVERSIONS.items():
+            if key in values and math.isfinite(values[key]) and not math.isfinite(out[name]):
+                raise ParameterError(f"config key {key} = {values[key]!r} is too large: "
+                                     "it is not finite in rad/us")
+    return out
 
 
 def params_from_config(cfg: dict) -> SystemParams:
-    """Resolve a validated config mapping into internal angular units.  A key whose
-    finite value overflows in them is named before any check of the record."""
+    """Resolve a validated config mapping into internal angular units."""
     c = system_config(cfg)
-    omega_m = SYSTEM_KEYS["omega_m_mhz"][2](c["omega_m_mhz"], None)
-    values = {field: to_internal(c[key], omega_m)
-              for key, (_, field, to_internal) in SYSTEM_KEYS.items()}
-    try:
-        return SystemParams(**values)
-    except ParameterError:      # a non-finite field fails the record, so look only then
-        _raise_overflow(c, {key: values[field] for key, (_, field, _) in SYSTEM_KEYS.items()})
-        raise
+    return SystemParams(**_internal(c, SYSTEM_KEYS["omega_m_mhz"][2](c["omega_m_mhz"], None)))
 
 
 def key_fields(p: SystemParams, values: dict) -> dict:
@@ -299,7 +305,7 @@ def key_fields(p: SystemParams, values: dict) -> dict:
     units (omega_m multiples of p.omega_m)."""
     if "omega_m_mhz" in values:     # p's detunings would stay multiples of the old omega_m
         raise ConfigError("omega_m_mhz cannot be set on a built record")
-    return {SYSTEM_KEYS[key][1]: SYSTEM_KEYS[key][2](v, p.omega_m) for key, v in values.items()}
+    return _internal(values, p.omega_m)
 
 
 def with_keys(p: SystemParams, values: dict) -> SystemParams:
@@ -309,32 +315,24 @@ def with_keys(p: SystemParams, values: dict) -> SystemParams:
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:
     """Resolve the drive keys of the `steady` subcommand: the four required ones and
-    one drive form, amplitudes or powers; a drive key the form does not read is an error.
-    A key whose finite value overflows in internal units is named before any check of
-    the drive amplitudes or the record."""
+    one drive form, amplitudes or powers; a drive key the form does not read is an error."""
     required = ("g1_khz", "g2_khz", "delta1_bare_over_omegam", "delta2_bare_over_omegam")
     missing = [k for k in required if k not in cfg]
     if missing:
         raise ConfigError(f"steady-state solve requires config key(s): {', '.join(missing)}")
-    c = {key: to_internal(cfg[key], params.omega_m)
-         for key, to_internal in DRIVE_KEYS.items() if key in cfg}
-    try:
-        if "E1_mhz" in c and "E2_mhz" in c:
-            form, e1, e2 = ("E1_mhz", "E2_mhz"), c["E1_mhz"], c["E2_mhz"]
-        elif "power1_w" in c and "power2_w" in c and "omega_l_thz" in c:
-            form = ("power1_w", "power2_w", "omega_l_thz")
-            e1 = drive_amplitude(c["power1_w"], params.kappa1, c["omega_l_thz"])
-            e2 = drive_amplitude(c["power2_w"], params.kappa2, c["omega_l_thz"])
-        else:
-            raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
-                              "power1_w/power2_w/omega_l_thz")
-        unread = [k for k in c if k not in required and k not in form]
-        if unread:
-            raise ConfigError(f"drive key(s) {', '.join(unread)} not read beside "
-                              f"{'/'.join(form)}")
-        return RawDriveParams(g1=c["g1_khz"], g2=c["g2_khz"], drive_e1=e1, drive_e2=e2,
-                              delta1_bare=c["delta1_bare_over_omegam"],
-                              delta2_bare=c["delta2_bare_over_omegam"])
-    except ParameterError:      # a non-finite value fails a check, so look only then
-        _raise_overflow(cfg, c)
-        raise
+    c = _internal({key: cfg[key] for key in DRIVE_KEYS if key in cfg}, params.omega_m)
+    if "E1_mhz" in c and "E2_mhz" in c:
+        form, e1, e2 = ("E1_mhz", "E2_mhz"), c["E1_mhz"], c["E2_mhz"]
+    elif "power1_w" in c and "power2_w" in c and "omega_l_thz" in c:
+        form = ("power1_w", "power2_w", "omega_l_thz")
+        e1 = drive_amplitude(c["power1_w"], params.kappa1, c["omega_l_thz"])
+        e2 = drive_amplitude(c["power2_w"], params.kappa2, c["omega_l_thz"])
+    else:
+        raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
+                          "power1_w/power2_w/omega_l_thz")
+    unread = [k for k in c if k not in required and k not in form]
+    if unread:
+        raise ConfigError(f"drive key(s) {', '.join(unread)} not read beside {'/'.join(form)}")
+    return RawDriveParams(g1=c["g1_khz"], g2=c["g2_khz"], drive_e1=e1, drive_e2=e2,
+                          delta1_bare=c["delta1_bare_over_omegam"],
+                          delta2_bare=c["delta2_bare_over_omegam"])

@@ -117,11 +117,19 @@ class TestMeasure:
         code, out, err = run_cli(capsys, "measure", "--set", "T_kelvin=1e308")
         assert (code, out) == (2, "")
         assert "temperature 1e+308 K" in err and "covariance" not in err
-        # hbar omega_m / k_B T underflows to 0 itself (a bare ZeroDivisionError before)
-        code, out, err = run_cli(capsys, "measure", "--set", "omega_m_mhz=1e-300",
-                                 "--set", "T_kelvin=1e300")
-        assert (code, out) == (2, "")
-        assert "temperature 1e+300 K" in err
+
+    @pytest.mark.parametrize("items, omega_m, t", [
+        (("omega_m_mhz=1e-300",), "6.283185307179586e-300", "0.01"),
+        (("omega_m_mhz=5e-324",), "3e-323", "0.01"),
+        (("omega_m_mhz=1e-300", "T_kelvin=1e300"), "6.283185307179586e-300", "1e+300"),
+    ], ids=["1e-300", "5e-324", "1e-300-at-1e300-K"])
+    def test_vanishing_mechanical_frequency_exit_2(self, capsys, items, omega_m, t):
+        # hbar omega_m underflows to 0: this blamed the 10 mK bath, and at 1e300 K it
+        # was a bare ZeroDivisionError before that
+        argv = [arg for item in items for arg in ("--set", item)]
+        assert run_cli(capsys, "measure", *argv) == (
+            2, "", f"optocorr: config error: omega_m {omega_m} rad/us is too small: "
+                   f"hbar omega_m / k_B T underflows to 0 at temperature {t} K\n")
 
     def test_temperature_whose_diffusion_factor_overflows_exit_2(self, capsys):
         # n_th = 1.74e308 is finite, 2 n_th + 1 is not; the covariance took the blame (exit 3)
@@ -150,16 +158,21 @@ class TestMeasure:
         assert (code, out) == (2, "")
         assert f"coupling {field} = " in err and "drift" not in err
 
-    @pytest.mark.parametrize("items, named", [
-        (("kappa1_mhz=1e308",), "kappa1_mhz = 1e+308"),
-        (("delta1_over_omegam=1e307",), "delta1_over_omegam = 1e+307"),
-        (("omega_m_mhz=1e308",), "omega_m_mhz = 1e+308"),
-        (("delta1_over_omegam=1e307", "kappa1_mhz=1e308"), "kappa1_mhz = 1e+308"),
-    ], ids=["kappa1", "delta1", "omega_m", "first-in-table-order"])
-    def test_key_whose_conversion_overflows_exit_2(self, capsys, items, named):
-        # these named the field they set and inf ("kappa1 must be finite, got inf")
-        argv = [arg for item in items for arg in ("--set", item)]
-        assert run_cli(capsys, "measure", *argv) == (2, "", OVERFLOW.format(named))
+    @pytest.mark.parametrize("argv, named", [
+        (("measure", "--set", "kappa1_mhz=1e308"), "kappa1_mhz = 1e+308"),
+        (("measure", "--set", "delta1_over_omegam=1e307"), "delta1_over_omegam = 1e+307"),
+        (("measure", "--set", "omega_m_mhz=1e308"), "omega_m_mhz = 1e+308"),
+        (("measure", "--set", "delta1_over_omegam=1e307", "--set", "kappa1_mhz=1e308"),
+         "kappa1_mhz = 1e+308"),
+        (("sweep", "--axis", "G1=1:1e308:3", "--measures", "EN_c2a"), "G1_mhz = 5e+307"),
+        (("sweep", "--axis", "delta_eff_common=1:1e307:3", "--measures", "EN_c2a"),
+         "delta1_over_omegam = 5e+306"),
+    ], ids=["kappa1", "delta1", "omega_m", "first-in-table-order", "G1-axis",
+            "delta_eff_common-axis"])
+    def test_key_whose_conversion_overflows_exit_2(self, capsys, argv, named):
+        # these named the field they set and inf ("kappa1 must be finite, got inf"); a
+        # sweep axis value is named so too, before any point is evaluated
+        assert run_cli(capsys, *argv) == (2, "", OVERFLOW.format(named))
 
     def test_yaml_list_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "c.yaml"
@@ -631,7 +644,7 @@ class TestModuleEntry:
     does, with the exit code taken from its SystemExit and both file
     descriptors captured as bytes, so a LAPACK message written to fd 1 shows.
     Warnings are errors here as in every test, so a leaked numpy warning fails
-    the run.  Two tests cross the process boundary in a fresh interpreter
+    the run.  Three tests cross the process boundary in a fresh interpreter
     under -W error."""
 
     @pytest.fixture(autouse=True)
@@ -649,15 +662,15 @@ class TestModuleEntry:
         return subprocess.CompletedProcess(argv, code, out, err)
 
     @staticmethod
-    def spawn_module(*argv):
+    def spawn(*args):
         src = str(Path(optocorr.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
-        return subprocess.run([sys.executable, "-W", "error", "-m", "optocorr", *argv],
+        return subprocess.run([sys.executable, "-W", "error", *args],
                               env=env, capture_output=True, timeout=120)
 
     def test_measure_matches_golden_file(self):
-        proc = self.spawn_module("measure", "--format", "json")
+        proc = self.spawn("-m", "optocorr", "measure", "--format", "json")
         assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_measure.json"
         assert proc.stdout == golden.read_bytes(), build_note()
@@ -671,6 +684,13 @@ class TestModuleEntry:
         assert (proc.returncode, proc.stderr) == (0, b"")
         golden = Path(__file__).parent / "data" / "golden_steady.json"
         assert proc.stdout == golden.read_bytes(), build_note()
+
+    def test_parser_loads_no_yaml_scipy_or_process_pool(self):
+        # the start perfbench's setup_s times; a config file loads yaml, --workers the pool
+        proc = self.spawn("-c", "import sys; from optocorr.cli import build_parser; "
+                                "build_parser(); print(sorted({'yaml', 'scipy', "
+                                "'concurrent.futures'} & sys.modules.keys()))")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[]\n", b"")
 
     @staticmethod
     def set_argv(items):
@@ -742,7 +762,8 @@ class TestModuleEntry:
         assert lines[-2:] == ["real_roots=3", "stable=False"]
 
     def test_exit_code_reaches_the_shell(self):
-        proc = self.spawn_module("sweep", "--axis", "phi=0:1:2", "--measures", "EN_c2a,EN_c2a")
+        proc = self.spawn("-m", "optocorr", "sweep", "--axis", "phi=0:1:2",
+                          "--measures", "EN_c2a,EN_c2a")
         assert proc.returncode == 2
         assert b"duplicate measure" in proc.stderr and proc.stdout == b""
 

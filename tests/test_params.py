@@ -58,9 +58,6 @@ class TestThermalOccupation:
         for t in (3e305, 1e308):
             with pytest.raises(ParameterError, match=re.escape(f"temperature {t!r} K")):
                 thermal_occupation(OMEGA_M, t)
-        # x itself underflows to 0 at a vanishing frequency
-        with pytest.raises(ParameterError, match="temperature"):
-            thermal_occupation(1e-300, 1e300)
         # just below the edge the occupation and the diffusion's 2 n_th + 1 are finite
         assert thermal_occupation(OMEGA_M, 1e305) == pytest.approx(8.6819e307, rel=1e-4)
 
@@ -70,6 +67,16 @@ class TestThermalOccupation:
         # overflows above about 1.04e305 K, and the covariance took the blame
         with pytest.raises(ParameterError, match=re.escape(f"temperature {t!r} K is too high")):
             thermal_occupation(OMEGA_M, t)
+
+    @pytest.mark.parametrize("omega_m, t", [(TWO_PI * 1e-300, 0.01), (TWO_PI * 5e-324, 0.01),
+                                            (1e-300, 1e300)], ids=["1e-300", "5e-324", "hot"])
+    def test_vanishing_frequency_is_named(self, omega_m, t):
+        # hbar omega_m underflows to 0, and with it x; this blamed the temperature, also
+        # at 10 mK, where the occupation of about 1/x would be finite
+        message = (f"omega_m {omega_m!r} rad/us is too small: hbar omega_m / k_B T underflows "
+                   f"to 0 at temperature {t!r} K")
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            thermal_occupation(omega_m, t)
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
@@ -432,14 +439,18 @@ class TestConfig:
             params_from_config({"T_kelvin": -1.0, "Jab_mhz": 1e308, "kappa2_mhz": 1e308})
 
     # the g*_khz keys are scaled down before they are scaled up, and power*_w are
-    # taken as set, so no finite value of theirs overflows
+    # taken as set, so no finite value of theirs overflows; the last two cases raised
+    # the drive-form and unread-key ConfigErrors
     @pytest.mark.parametrize("form, key, value", [
         (AMPLITUDES, "E1_mhz", 1e308),
         (AMPLITUDES, "E2_mhz", 1e308),
         (AMPLITUDES, "delta1_bare_over_omegam", 1e307),
         (POWERS, "delta2_bare_over_omegam", 1e307),
         (POWERS, "omega_l_thz", 1e305),
-    ], ids=["E1", "E2", "delta1_bare", "delta2_bare", "omega_l"])
+        ({}, "E1_mhz", 1e308),
+        ({**AMPLITUDES, "power1_w": 1e-3}, "E2_mhz", 1e308),
+    ], ids=["E1", "E2", "delta1_bare", "delta2_bare", "omega_l", "before-the-form",
+            "before-an-unread-key"])
     def test_drive_key_whose_conversion_overflows_is_named(self, base_params, form, key,
                                                            value):
         keys = {"g1_khz": 1.0, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,

@@ -288,6 +288,16 @@ class TestAxisTables:
             run_sweep(self.g1_spec(-0.1, 0.1), workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_value_is_named_before_any_point(self, monkeypatch, serial_pool,
+                                                         workers):
+        # G1 = 5e307 MHz is not finite in rad/us; the unstable G1 = 0.1 point stopped the sweep
+        calls = spy(monkeypatch, sweep, "evaluate_point")
+        with pytest.raises(ParameterError, match=re.escape(
+                "config key G1_mhz = 5e+307 is too large: it is not finite in rad/us")):
+            run_sweep(self.g1_spec(0.1, 1e308), workers=workers)
+        assert calls == [] and serial_pool.pools == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_unstable_point_before_an_invalid_value_stops_the_sweep(self, workers):
         with pytest.raises(UnstableDriftError,
                            match=re.escape("unstable grid point at G1/T = (0.1, 0.001)")):
