@@ -23,6 +23,29 @@ class PointResult:
     error: str | None = None
 
 
+# (record, read-only drift, n_th, verdict) of the last records `stability_verdict` judged,
+# newest first; a tuple that is replaced, whose strong references keep each id from reuse
+_recent = ()
+_RECENT = 4     # at least the quintic's 3 candidate roots
+
+
+def _judged(params: SystemParams) -> tuple:
+    """The drift, n_th and stability verdict of one record."""
+    a = build_drift(params)
+    n_th = thermal_occupation(params.omega_m, params.temperature)
+    return a, n_th, assess_stability(a, margin_tol=default_margin_tol(params))
+
+
+def stability_verdict(params: SystemParams) -> StabilityVerdict:
+    """`evaluate_point`'s verdict on `params`, kept with its drift and n_th for
+    the next evaluation of this same record object."""
+    global _recent
+    a, n_th, verdict = _judged(params)
+    a.setflags(write=False)
+    _recent = ((params, a, n_th, verdict),) + _recent[:_RECENT - 1]
+    return verdict
+
+
 def evaluate_point(params: SystemParams, measures=None) -> PointResult:
     """Pipeline for one point; numeric errors are captured, not raised.
 
@@ -31,9 +54,12 @@ def evaluate_point(params: SystemParams, measures=None) -> PointResult:
     or a request for no measure family ("stability" only, say), stops there
     with no diffusion matrix, covariance or report.
     """
-    a = build_drift(params)
-    n_th = thermal_occupation(params.omega_m, params.temperature)
-    verdict = assess_stability(a, margin_tol=default_margin_tol(params))
+    # the solver asks the verdict of the root it returns; its caller then evaluates that record
+    for params_seen, a, n_th, verdict in _recent:
+        if params_seen is params:
+            break
+    else:
+        a, n_th, verdict = _judged(params)
     families = measure_families(measures)
     if not verdict.stable or not families:
         return PointResult(verdict=verdict, n_th=n_th)

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lapack
 from .errors import NonConvergenceError
 from .params import RawDriveParams, SystemParams
-from .pipeline import evaluate_point
+from .pipeline import stability_verdict
 
 RESIDUAL_RTOL = 1.0e-10
 NEWTON_STEPS = 2
@@ -49,6 +49,10 @@ class SteadyState:
     residual_norm: float
     iterations: int         # Newton steps spent polishing the real roots
     real_roots: int         # certified real roots: the mean-field fixed points
+    # the record the solver linearized about this state and the base it built it from,
+    # which `apply_steady_state` hands on so that `evaluate_point` finds its verdict
+    point: SystemParams | None = field(default=None, compare=False, repr=False)
+    base: SystemParams | None = field(default=None, compare=False, repr=False)
 
 
 def _map_constants(raw: RawDriveParams, base: SystemParams) -> tuple:
@@ -200,9 +204,10 @@ def _linearized(base: SystemParams, state, raw: RawDriveParams) -> SystemParams:
                             phi=base.phi - cmath.phase(alpha1))
 
 
-def _is_stable(state, raw: RawDriveParams, base: SystemParams) -> bool:
-    """`evaluate_point`'s verdict on the linearization about `state`."""
-    return evaluate_point(_linearized(base, state, raw), ("stability",)).verdict.stable
+def _is_stable(point: SystemParams) -> bool:
+    """`evaluate_point`'s verdict on the linearized record `point`, kept for
+    the evaluation of the record the solver returns."""
+    return stability_verdict(point).stable
 
 
 def _fixed_points(raw: RawDriveParams, base: SystemParams):
@@ -244,19 +249,29 @@ def solve_steady_state(raw: RawDriveParams, base: SystemParams) -> SteadyState:
     with two stable ones (bistability) that is an explicit choice of the
     one nearer x = 0.  With none stable the nearest candidate is
     returned, unstable, as `evaluate_point` then reports it; with no
-    candidate, the nearest root.
+    candidate, the nearest root.  Each candidate looked at is linearized
+    once, and the returned one's record is kept for `apply_steady_state`.
     """
     certified, steps = _fixed_points(raw, base)
     candidates = [(state, res) for slope, state, res in certified if slope <= 0.0]
     candidates = candidates or [certified[0][1:]]
-    state, res = candidates[0]
-    if len(candidates) > 1:
-        state, res = next((c for c in candidates if _is_stable(c[0], raw, base)), candidates[0])
+    nearest = None
+    for state, res in candidates:
+        point = _linearized(base, state, raw)
+        nearest = nearest or (state, res, point)
+        if len(candidates) == 1 or _is_stable(point):
+            break
+    else:
+        state, res, point = nearest
     alpha1, alpha2, xi, beta = state
     return SteadyState(alpha1=alpha1, alpha2=alpha2, xi=xi, beta=beta, raw=raw,
-                       residual_norm=res, iterations=steps, real_roots=len(certified))
+                       residual_norm=res, iterations=steps, real_roots=len(certified),
+                       point=point, base=base)
 
 
 def apply_steady_state(base: SystemParams, ss: SteadyState) -> SystemParams:
-    """The parameter record `base` linearized about the solved state."""
+    """The parameter record `base` linearized about the solved state: for the
+    base object it was solved on, the very record the solver built."""
+    if base is ss.base:
+        return ss.point
     return _linearized(base, (ss.alpha1, ss.alpha2, ss.xi, ss.beta), ss.raw)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from optocorr import SystemParams, figure_preset, params_from_config, run_sweep
+from optocorr import SystemParams, figure_preset, lapack, params_from_config, run_sweep
 from optocorr.dynamics import (MODE_BLOCKS, assess_stability, build_diffusion, build_drift,
                                default_margin_tol)
 from optocorr.params import thermal_occupation, with_keys
@@ -32,6 +32,20 @@ def point_matrices(params: SystemParams):
     n_th = thermal_occupation(params.omega_m, params.temperature)
     verdict = assess_stability(a, margin_tol=default_margin_tol(params))
     return a, build_diffusion(params, n_th), verdict, n_th
+
+
+def spy_drift_spectra(monkeypatch) -> list:
+    """The bytes of every 8x8 matrix handed to `lapack.eigvals` from now on, in order."""
+    spectra = []
+    original = lapack.eigvals
+
+    def spy(m):
+        if m.shape == (8, 8):
+            spectra.append(m.tobytes())
+        return original(m)
+
+    monkeypatch.setattr(lapack, "eigvals", spy)
+    return spectra
 
 
 def apply_axes(spec, point) -> SystemParams:

@@ -7,6 +7,8 @@ compute is exactly the full report's numbers (tests/test_golden.py pins
 the bytes of a stability-only preset).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from optocorr.measures import (CANONICAL_PAIRS, MONOGAMY_CLAMP, TRIPLE_MODES, Co
                                correlation_report)
 from optocorr.sweep import DG_MEASURES, MEASURE_KEYS, figure_preset, run_sweep
 
-from conftest import extract_submatrix, grid_params, point_matrices
+from conftest import extract_submatrix, grid_params, point_matrices, spy_drift_spectra
 
 
 def spy(monkeypatch, module, name):
@@ -167,3 +169,68 @@ class TestSkippedStages:
         assert [row[-1] for row in dg_rows] == ["NumericDomainError: discord stage failed"] * 3
         assert all(cell is None for row in dg_rows for cell in row[2:-1])
 
+
+
+def hexed(value):
+    """`value` with every float as float.hex and every array as its bytes,
+    through dataclasses and dicts, so that == is bitwise equality."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return {key: hexed(val) for key, val in value.items()}
+    if dataclasses.is_dataclass(value):
+        return {f.name: hexed(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+class TestVerdictMemo:
+    """`evaluate_point` reuses the drift, n_th and verdict that
+    `stability_verdict` kept for its last few records, found by identity;
+    these pin that it never serves the wrong one."""
+
+    def test_equal_records_are_judged_apart(self, base_params, monkeypatch):
+        one, other = base_params.with_values(phi=0.3), base_params.with_values(phi=0.3)
+        assert one == other and one is not other
+        spectra = spy_drift_spectra(monkeypatch)
+        verdicts = pipeline.stability_verdict(one), pipeline.stability_verdict(other)
+        assert len(spectra) == 2 and spectra[0] == spectra[1]
+        assert hexed(verdicts[0]) == hexed(verdicts[1])
+        assert hexed(evaluate_point(one)) == hexed(evaluate_point(other))
+        assert len(spectra) == 2
+
+    def test_forgotten_record_is_evaluated_afresh(self, base_params, monkeypatch):
+        first = base_params.with_values(phi=0.1)
+        spectra = spy_drift_spectra(monkeypatch)
+        pipeline.stability_verdict(first)
+        result = evaluate_point(first)
+        assert len(spectra) == 1
+        for k in range(pipeline._RECENT):
+            pipeline.stability_verdict(base_params.with_values(phi=0.2 + 0.1 * k))
+        assert len(spectra) == 1 + pipeline._RECENT
+        again = evaluate_point(first)
+        assert len(spectra) == 2 + pipeline._RECENT
+        assert again is not result and hexed(again) == hexed(result)
+
+    def test_full_report_after_a_verdict_matches_a_fresh_copy(self, base_params, monkeypatch):
+        point = base_params.with_values(phi=0.4)
+        verdict = pipeline.stability_verdict(point)
+        spectra = spy_drift_spectra(monkeypatch)
+        remembered = evaluate_point(point)
+        assert spectra == [] and remembered.verdict == verdict
+        fresh = evaluate_point(point.with_values())
+        assert remembered.report is not None and hexed(remembered) == hexed(fresh)
+
+    @pytest.mark.parametrize("measures", [None, ("stability",)])
+    def test_evaluations_are_not_remembered(self, base_params, measures):
+        before = pipeline._recent
+        evaluate_point(base_params.with_values(phi=0.5), measures)
+        assert pipeline._recent is before
+
+    def test_remembered_drift_is_read_only(self, base_params):
+        point = base_params.with_values(phi=0.5)
+        pipeline.stability_verdict(point)
+        drift = next(a for p, a, _, _ in pipeline._recent if p is point)
+        with pytest.raises(ValueError):
+            drift[0, 0] = 0.0

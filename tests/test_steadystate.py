@@ -1,17 +1,23 @@
 import cmath
+import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from optocorr.errors import NonConvergenceError, ParameterError
+from optocorr import cli
+from optocorr.errors import NonConvergenceError, OptocorrError, ParameterError
 from optocorr.dynamics import build_drift, default_margin_tol
-from optocorr.params import TWO_PI, RawDriveParams, drive_from_config, params_from_config
+from optocorr.params import (TWO_PI, RawDriveParams, SystemParams, drive_from_config,
+                             params_from_config)
 from optocorr.pipeline import evaluate_point
 import optocorr.pipeline as pipeline
 import optocorr.steadystate as steadystate
 from optocorr.steadystate import apply_steady_state, solve_steady_state
+
+from conftest import spy_drift_spectra
 
 
 def make_raw(g1=0.0, g2=0.0, e1=0.0, e2=0.0, d1=None, d2=None, base=None):
@@ -304,6 +310,27 @@ class TestEffectiveParams:
         assert updated.phi == p.phi - cmath.phase(ss.alpha1)
         assert updated.omega_m == p.omega_m
 
+    def test_other_base_is_linearized_afresh(self, base_params):
+        # the solver's own record goes only to the base object it was solved on
+        p = base_params.with_values(j_ac_mag=0.0, j_ab=0.0)
+        raw = make_raw(g1=TWO_PI * 5e-3, e1=3000.0, base=p)
+        ss = solve_steady_state(raw, p)
+        assert apply_steady_state(p, ss) is ss.point
+        state = (ss.alpha1, ss.alpha2, ss.xi, ss.beta)
+        for other in (p.with_values(), p.with_values(temperature=2.0 * p.temperature)):
+            point = apply_steady_state(other, ss)
+            expected = steadystate._linearized(other, state, ss.raw)
+            assert point is not ss.point
+            for fld in dataclasses.fields(SystemParams):
+                assert (float.hex(getattr(point, fld.name))
+                        == float.hex(getattr(expected, fld.name))), fld.name
+
+    def test_kept_record_is_outside_equality_and_repr(self, base_params):
+        raw = make_raw(g1=TWO_PI * 5e-3, e1=3000.0, base=base_params)
+        ss, again = (solve_steady_state(raw, base_params) for _ in range(2))
+        assert ss.point is not again.point and ss == again and hash(ss) == hash(again)
+        assert repr(ss) == repr(again) and "point=" not in repr(ss) and "base=" not in repr(ss)
+
 
 def spy_stability(monkeypatch):
     """The verdicts the solver asks for, in order."""
@@ -316,6 +343,11 @@ def spy_stability(monkeypatch):
 
     monkeypatch.setattr(steadystate, "_is_stable", spy)
     return checks
+
+
+def is_stable(state, raw, base):
+    """The solver's verdict on the root `state`, asked of a fresh linearized record."""
+    return steadystate._is_stable(steadystate._linearized(base, state, raw))
 
 
 def drive_cases():
@@ -388,7 +420,7 @@ class TestLinearization:
                 dist = max(gaps.min(axis=1).max(), gaps.min(axis=0).max()) / np.abs(drift).max()
                 assert dist <= 1e-8, (i, dist)
                 verdict = jac.real.max() < -default_margin_tol(point)
-                assert steadystate._is_stable(state, raw, base) == verdict, i
+                assert steadystate._is_stable(point) == verdict, i
                 roots += 1
         assert roots == 848
 
@@ -448,7 +480,7 @@ class TestAgainstDampedOracle:
     def test_bistable_config_takes_the_stable_root_nearest_zero(self, monkeypatch):
         raw, base = bistable_case()
         roots = steadystate._fixed_points(raw, base)[0]
-        stable = [steadystate._is_stable(state, raw, base) for _, state, _ in roots]
+        stable = [is_stable(state, raw, base) for _, state, _ in roots]
         assert stable == [True, False, True]
         checks = spy_stability(monkeypatch)
         ss = solve_steady_state(raw, base)
@@ -462,10 +494,10 @@ class TestAgainstDampedOracle:
         # no margin passes: the solver must see the pipeline's rule, not a copy
         raw, base = bistable_case()
         roots = steadystate._fixed_points(raw, base)[0]
-        stable = [state for _, state, _ in roots if steadystate._is_stable(state, raw, base)]
+        stable = [state for _, state, _ in roots if is_stable(state, raw, base)]
         assert len(stable) == 2
         monkeypatch.setattr(pipeline, "default_margin_tol", lambda params: math.inf)
-        assert [steadystate._is_stable(state, raw, base) for state in stable] == [False, False]
+        assert [is_stable(state, raw, base) for state in stable] == [False, False]
 
     def test_formerly_nonconverging_config_is_unique_and_unstable(self, cases, monkeypatch):
         _, _, raw, base, oracle, _ = cases[300]
@@ -484,6 +516,38 @@ class TestAgainstDampedOracle:
             ss = solve_steady_state(raw, base)
             assert checks == [False, False]   # both candidates (the outer roots) tried
             assert ss.beta == roots[0][1][3] and roots[0][0] < 0.0
+
+
+class TestOneDiagonalizationPerDrift:
+    """A drive op diagonalizes each distinct drift once: the record the solver
+    checked is the record its caller evaluates, over the 303 golden drive configs."""
+
+    def test_solve_apply_evaluate_chain(self, monkeypatch):
+        spectra = spy_drift_spectra(monkeypatch)
+        solver_checked = 0
+        for i, _, raw, base in drive_cases():
+            spectra.clear()
+            try:
+                evaluate_point(apply_steady_state(base, solve_steady_state(raw, base)))
+            except OptocorrError:
+                continue
+            assert len(set(spectra)) == len(spectra), i
+            solver_checked += len(spectra) > 1
+        assert solver_checked > 0   # the spy sees the solver's checks too
+
+    def test_steady_command_chain(self, monkeypatch):
+        from test_golden import drive_configs
+        spectra = spy_drift_spectra(monkeypatch)
+        ran = 0
+        for i, cfg in enumerate(drive_configs()):
+            spectra.clear()
+            try:
+                cli.cmd_steady(SimpleNamespace(format="json"), cfg, params_from_config(cfg))
+            except OptocorrError:
+                continue
+            assert spectra and len(set(spectra)) == len(spectra), i
+            ran += 1
+        assert ran == 302
 
 
 class TestRealRoots:
