@@ -29,6 +29,24 @@ K_B = 1.380649e-23      # J / K
 RAD_PER_US_TO_RAD_PER_S = 1.0e6
 
 
+# The input domain, in internal units (README, "Input domain"): every SystemParams field and
+# drive quantity has magnitude at most MAGNITUDE_MAX, and the strictly positive rates and
+# omega_l are at least RATE_MIN.  MAGNITUDE_MAX**2 / RATE_MIN <= 9.4e273 keeps 2 P kappa /
+# (hbar omega_l) finite, and with it every entry of A, D and the drive.
+MAGNITUDE_MAX = 1.0e90
+RATE_MIN = 1.0e-90
+# the fields a record holds strictly positive, and those it holds non-negative
+_RATES = ("omega_m", "gamma_m", "f", "kappa1", "kappa2")
+_NON_NEGATIVE = ("g1_eff", "g2_eff", "j_ac_mag", "j_ab", "temperature")
+# field or drive key -> its least value inside the domain, where that is not -MAGNITUDE_MAX
+_LEAST = dict.fromkeys(_RATES + ("omega_l_thz",), RATE_MIN)
+
+
+def _domain(name: str) -> str:
+    """The input domain of a field or drive key, in internal units."""
+    return f"[{_LEAST.get(name, -MAGNITUDE_MAX):g}, {MAGNITUDE_MAX:g}]"
+
+
 def mhz_to_angular(nu_mhz: float) -> float:
     """Frequency nu (MHz, the nu = omega/2pi convention) -> rad/us."""
     return TWO_PI * nu_mhz
@@ -64,7 +82,12 @@ class SystemParams:
     temperature: float
 
     def __post_init__(self):
-        _check(vars(self))
+        values = vars(self)
+        # every row of _CHECKS passes when these do, so only a failure is checked row by row
+        if not (sum(map(abs, values.values())) <= MAGNITUDE_MAX
+                and min(map(values.get, _RATES)) >= RATE_MIN
+                and min(map(values.get, _NON_NEGATIVE)) >= 0.0):
+            _check(values)
 
     def with_values(self, **changes) -> "SystemParams":
         """This record with `changes` set, checking only those: each check bounds one field
@@ -80,15 +103,12 @@ class SystemParams:
 
 # SystemParams' checks in whole-record order, as (field, test its value passes, message)
 _CHECKS = (
-    [(name, lambda v: v > 0.0, "{name} must be strictly positive, got {v!r}")
-     for name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2")]
+    [(name, lambda v: v > 0.0, "{name} must be strictly positive, got {v!r}") for name in _RATES]
     + [(name, lambda v: not v < 0.0, "{name} must be non-negative, got {v!r}")
-       for name in ("g1_eff", "g2_eff", "j_ac_mag", "j_ab", "temperature")]
-    + [(fld.name, math.isfinite, "{name} must be finite, got {v!r}")
-       for fld in fields(SystemParams)]
-    + [(name, lambda v: math.isfinite(2.0 * v),
-        "coupling {name} = {v!r} rad/us is too large: the Hamiltonian holds it doubled")
-       for name in ("g1_eff", "g2_eff", "j_ab")])
+       for name in _NON_NEGATIVE]
+    + [(fld.name, lambda v, lo=_LEAST.get(fld.name, -MAGNITUDE_MAX): lo <= v <= MAGNITUDE_MAX,
+        "{name} must lie in the input domain " + _domain(fld.name) + ", got {v!r}")
+       for fld in fields(SystemParams)])
 # field -> its checks, as (position in _CHECKS, test): each check bounds one field
 _CHECKS_OF = {fld.name: [(i, passes) for i, (name, passes, _) in enumerate(_CHECKS)
                          if name == fld.name] for fld in fields(SystemParams)}
@@ -128,53 +148,19 @@ class RawDriveParams:
 
 
 def thermal_occupation(omega_m: float, temperature: float) -> float:
-    """Bose-Einstein phonon number of the mechanical bath.
-
-    omega_m in rad/us, temperature in kelvin.  The zero-temperature
-    limit returns exactly 0 (no division by zero), also for a subnormal
-    temperature whose k_B T underflows to 0.  A temperature so high that
-    the diffusion's 2 n_th + 1 overflows a float (above about 1.04e305 K
-    at 24 MHz) is a ParameterError, and so is a negative or NaN temperature and an
-    omega_m so small that hbar omega_m / k_B T underflows to 0.
-    """
-    if not omega_m > 0.0:
-        raise ParameterError("omega_m must be positive")
-    if not temperature >= 0.0:
-        raise ParameterError("temperature must be non-negative")
+    """Bose-Einstein phonon number of the mechanical bath, omega_m in rad/us and temperature
+    in kelvin, each inside the input domain, where n_th and 2 n_th + 1 are finite.  The
+    zero-temperature limit is exactly 0, also for a subnormal temperature whose k_B T is 0."""
+    if not (RATE_MIN <= omega_m <= MAGNITUDE_MAX and 0.0 <= temperature <= MAGNITUDE_MAX):
+        raise ParameterError(f"omega_m {omega_m!r} rad/us or temperature {temperature!r} K is "
+                             "outside the input domain")
     k_t = K_B * temperature
     if k_t == 0.0:
         return 0.0
-    x = HBAR * omega_m * RAD_PER_US_TO_RAD_PER_S / k_t
     try:
-        n_th = 1.0 / math.expm1(x)
+        return 1.0 / math.expm1(HBAR * omega_m * RAD_PER_US_TO_RAD_PER_S / k_t)
     except OverflowError:  # x > ~709.8: n_th < 1e-308, so 2 n_th + 1 == 1
         return 0.0
-    except ZeroDivisionError:  # x underflowed to 0, as hbar omega_m does below 2.3e-290 rad/us
-        raise ParameterError(f"omega_m {omega_m!r} rad/us is too small: hbar omega_m / k_B T "
-                             f"underflows to 0 at temperature {temperature!r} K") from None
-    if not math.isfinite(2.0 * n_th + 1.0):
-        raise ParameterError(f"temperature {temperature!r} K is too high for a finite "
-                             "thermal occupation")
-    return n_th
-
-
-def drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
-    """Drive amplitude E = sqrt(2 P kappa / (hbar omega_l)) in rad/us.
-
-    power in watt (0 and -0 give 0.0), kappa and omega_l in rad/us.  A kappa / (hbar omega_l)
-    in SI units that is not finite and positive, or a negative, NaN or too high power, is an error.
-    """
-    if not power >= 0.0:
-        raise ParameterError("power must be non-negative")
-    kappa_si = kappa * RAD_PER_US_TO_RAD_PER_S
-    photon = HBAR * (omega_l * RAD_PER_US_TO_RAD_PER_S)
-    if not (0.0 < photon and 0.0 < kappa_si / photon < math.inf):
-        raise ParameterError(f"kappa {kappa!r} and laser frequency omega_l {omega_l!r} (rad/us) "
-                             "give no finite positive kappa / (hbar omega_l)")
-    e_si = math.sqrt(2.0 * power * kappa_si / photon)
-    if not math.isfinite(e_si):
-        raise ParameterError(f"power {power!r} W is too high for a finite drive amplitude")
-    return e_si / RAD_PER_US_TO_RAD_PER_S + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +266,24 @@ def system_config(cfg: dict) -> dict:
 
 def _internal(values: dict, omega_m: float) -> dict:
     """Config-unit `values` in internal units given omega_m in rad/us, each under the name
-    it sets.  The first key in table order whose finite value is not finite in them is
-    named, before any check of what it sets."""
+    it sets.  The first key in table order whose value in them leaves the input domain is
+    named, before any check of what it sets, unless a rate before it is not positive: that
+    is left to the record's sign rule."""
     out = {name: to_internal(v, omega_m)
            for key, v in values.items() for name, to_internal in (_CONVERSIONS[key],)}
-    # a non-finite value makes the sum non-finite, so look only then (an overflowing sum of
-    # finite values only costs the search)
-    if not math.isfinite(sum(out.values())):
+    # a NaN or a magnitude beyond the domain fails the sum, and a value below RATE_MIN the
+    # min, so search only then (a large sum of values inside the domain only costs the search)
+    if not (sum(map(abs, out.values())) <= MAGNITUDE_MAX
+            and min(map(out.get, _LEAST, _LEAST.values())) >= RATE_MIN):
         for key, (name, _) in _CONVERSIONS.items():
-            if key in values and math.isfinite(values[key]) and not math.isfinite(out[name]):
-                raise ParameterError(f"config key {key} = {values[key]!r} is too large: "
-                                     "it is not finite in rad/us")
+            if key not in values:
+                continue
+            if name in _RATES and values[key] <= 0.0:
+                break       # the record's sign rule names it, before any domain row
+            if not _LEAST.get(name, -MAGNITUDE_MAX) <= out[name] <= MAGNITUDE_MAX:
+                raise ParameterError(f"config key {key} = {values[key]!r} is outside the input "
+                                     f"domain {_domain(name)}: it is {out[name]!r} in internal "
+                                     "units")
     return out
 
 
@@ -315,7 +308,8 @@ def with_keys(p: SystemParams, values: dict) -> SystemParams:
 
 def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:
     """Resolve the drive keys of the `steady` subcommand: the four required ones and
-    one drive form, amplitudes or powers; a drive key the form does not read is an error."""
+    one drive form, amplitudes or powers; a drive key the form does not read is an error.
+    A power of 0 or -0 W gives a drive of exactly 0.0."""
     required = ("g1_khz", "g2_khz", "delta1_bare_over_omegam", "delta2_bare_over_omegam")
     missing = [k for k in required if k not in cfg]
     if missing:
@@ -325,8 +319,13 @@ def drive_from_config(cfg: dict, params: SystemParams) -> RawDriveParams:
         form, e1, e2 = ("E1_mhz", "E2_mhz"), c["E1_mhz"], c["E2_mhz"]
     elif "power1_w" in c and "power2_w" in c and "omega_l_thz" in c:
         form = ("power1_w", "power2_w", "omega_l_thz")
-        e1 = drive_amplitude(c["power1_w"], params.kappa1, c["omega_l_thz"])
-        e2 = drive_amplitude(c["power2_w"], params.kappa2, c["omega_l_thz"])
+        if not (c["power1_w"] >= 0.0 and c["power2_w"] >= 0.0):
+            raise ParameterError("power must be non-negative")
+        # E = sqrt(2 P kappa / (hbar omega_l)), at most 1.38e146 rad/us inside the domain
+        photon = HBAR * (c["omega_l_thz"] * RAD_PER_US_TO_RAD_PER_S)
+        e1, e2 = (math.sqrt(2.0 * c[key] * (kappa * RAD_PER_US_TO_RAD_PER_S) / photon)
+                  / RAD_PER_US_TO_RAD_PER_S + 0.0
+                  for key, kappa in (("power1_w", params.kappa1), ("power2_w", params.kappa2)))
     else:
         raise ConfigError("steady-state solve requires either E1_mhz/E2_mhz or "
                           "power1_w/power2_w/omega_l_thz")

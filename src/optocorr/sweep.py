@@ -5,9 +5,9 @@ evaluated on its own, and only as far as the spec's measures need: a
 stability-only or unstable point stops after the drift, the thermal
 occupation and the drift spectrum, and an `EN_*` point skips the
 discord and the tripartite spectra.  Each axis value is converted once,
-before any point (an overflow names its key), a point's record is the base
-with its axes' fields set (and only those checked), and the unstable
-policy is applied as the point is evaluated.
+before any point (a value outside the input domain names its key), a
+point's record is the base with its axes' fields set (and only those
+checked), and the unstable policy is applied as the point is evaluated.
 Rows are in grid order (axis1 outer, axis2 inner) for any worker count.
 """
 
@@ -109,7 +109,7 @@ class SweepResult:
 
 def _axis_table(spec: SweepSpec, axis: Axis) -> list:
     """Each value of `axis` in grid order, with the fields its keys set on the base,
-    converted once, so an overflow is named here; each point checks them as it sets them."""
+    converted once, naming a key outside the input domain; a point checks them as it sets them."""
     return [(value, key_fields(spec.base, dict.fromkeys(_AXIS_KEYS[axis.name], value)))
             for value in axis.values()]
 

@@ -25,7 +25,8 @@ import optocorr
 from optocorr.dynamics import assess_stability
 from optocorr.lyapunov import residual_bound, solve_lyapunov
 from optocorr import SystemParams, evaluate_point, figure_preset, params_from_config
-from optocorr.params import DRIVE_KEYS, KNOWN_KEYS, SYSTEM_KEYS, TWO_PI, drive_from_config
+from optocorr.params import (DRIVE_KEYS, KNOWN_KEYS, MAGNITUDE_MAX, RATE_MIN, SYSTEM_KEYS, TWO_PI,
+                             drive_from_config, thermal_occupation)
 from optocorr.steadystate import SteadyState, apply_steady_state, solve_steady_state
 from optocorr.sweep import MEASURE_KEYS
 
@@ -66,6 +67,14 @@ def test_readme_key_table_gives_each_system_keys_default_and_field():
     expected = {key: ("pi/2" if default == math.pi / 2 else "%g" % default, field)
                 for key, (default, field, _) in SYSTEM_KEYS.items()}
     assert {key: rows.get(key) for key in SYSTEM_KEYS} == expected
+
+
+def test_readme_states_the_input_domain():
+    # one section gives both constants of the domain, at the values the package checks
+    section = README.read_text().split("## Input domain\n", 1)[1].split("\n## ", 1)[0]
+    stated = dict(re.findall(r"`(MAGNITUDE_MAX|RATE_MIN) = ([-+.e0-9]+)`", section))
+    assert {name: float(v) for name, v in stated.items()} == {"MAGNITUDE_MAX": MAGNITUDE_MAX,
+                                                               "RATE_MIN": RATE_MIN}
 
 
 def readme_key_units():
@@ -258,4 +267,6 @@ def test_what_the_benchmark_reads_at_run_time():
     assert isinstance(point, SystemParams)
     result = evaluate_point(point)
     assert result.verdict.stable is True and result.error is None
+    # perfbench/check.py rebuilds D from thermal_occupation(omega_m, temperature)
+    assert thermal_occupation(point.omega_m, point.temperature) == result.n_th
     assert set(MEASURE_KEYS) - {"stability"} <= set(result.report.as_flat_dict())

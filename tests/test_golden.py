@@ -219,9 +219,11 @@ DRIVE_EDGES = [
      "E1_mhz": 11263.305188272174, "E2_mhz": 86734.80504791152,
      "delta1_bare_over_omegam": 1.07745660184991,
      "delta2_bare_over_omegam": 0.9269406368906039},
-    # |E|^2 overflows in the mean-field polynomial's coefficients
-    {"g1_khz": 1.0, "g2_khz": 1.0, "E1_mhz": 1e160, "E2_mhz": 1e160,
-     "delta1_bare_over_omegam": 1.0, "delta2_bare_over_omegam": 1.0},
+    # inside the input domain, |E2|^2 kappa2^2 overflows in the mean-field polynomial's
+    # coefficients and |E1 / kappa1|^2 in the damped iteration's first step (E1_mhz =
+    # E2_mhz = 1e160 at the defaults overflowed both, with the same line, before the domain)
+    {"g1_khz": 1.0, "g2_khz": 1.0, "E1_mhz": 1e80, "E2_mhz": 1e80, "kappa1_mhz": 1e-90,
+     "kappa2_mhz": 1e80, "delta1_bare_over_omegam": 0.0, "delta2_bare_over_omegam": 1.0},
     # undriven, with exact zeros throughout the map
     {"g1_khz": 1.0, "g2_khz": 0.0, "E1_mhz": 0.0, "E2_mhz": 0.0,
      "delta1_bare_over_omegam": 1.0, "delta2_bare_over_omegam": 0.0},

@@ -1,19 +1,30 @@
+import ast
 import dataclasses
 import itertools
 import math
 import random
 import re
-import sys
+from pathlib import Path
 
 import pytest
 
-from optocorr import SystemParams, params_from_config
+from conftest import AXIS_CONFIG_KEYS
+from optocorr import SystemParams, figure_preset, params_from_config
 from optocorr.errors import ConfigError, ParameterError
-from optocorr.params import (HBAR, K_B, SYSTEM_KEYS, TWO_PI, apply_overrides,
-                             drive_amplitude, drive_from_config, hz_to_angular, key_fields, load_config,
-                             thermal_occupation, with_keys)
+from optocorr.params import (DRIVE_KEYS, HBAR, K_B, MAGNITUDE_MAX, RATE_MIN, SYSTEM_KEYS, TWO_PI,
+                             apply_overrides, drive_from_config, hz_to_angular,
+                             key_fields, load_config, thermal_occupation, with_keys)
+from optocorr.sweep import PRESET_IDS
+
+from test_golden import DRIVE_RANGES
 
 OMEGA_M = TWO_PI * 24.0  # rad/us
+
+
+def domain_error(key, value, internal, least=-MAGNITUDE_MAX):
+    """The message of a config key whose value in internal units leaves the input domain."""
+    return (f"config key {key} = {value!r} is outside the input domain "
+            f"[{least:g}, {MAGNITUDE_MAX:g}]: it is {internal!r} in internal units")
 
 
 class TestThermalOccupation:
@@ -52,113 +63,73 @@ class TestThermalOccupation:
         for t in (1e-320, 5e-324):
             assert K_B * t == 0.0 and thermal_occupation(OMEGA_M, t) == 0.0
 
-    def test_overflowing_occupation_names_the_temperature(self):
-        # above about 2e305 K, 1/expm1(x) overflows; it read inf, and the
-        # covariance took the blame downstream
-        for t in (3e305, 1e308):
-            with pytest.raises(ParameterError, match=re.escape(f"temperature {t!r} K")):
-                thermal_occupation(OMEGA_M, t)
-        # just below the edge the occupation and the diffusion's 2 n_th + 1 are finite
-        assert thermal_occupation(OMEGA_M, 1e305) == pytest.approx(8.6819e307, rel=1e-4)
+    @pytest.mark.parametrize("omega_m", [RATE_MIN, OMEGA_M, MAGNITUDE_MAX])
+    def test_domain_corners_are_finite(self, omega_m):
+        # the hottest bath at the slowest mechanics gives n_th ~ 1.3e185, and the diffusion's
+        # gamma_m (2 n_th + 1) stays finite at the largest gamma_m
+        for t in (0.0, 5e-324, 1e-300, 1e-6, 0.01, MAGNITUDE_MAX):
+            n_th = thermal_occupation(omega_m, t)
+            assert 0.0 <= n_th and math.isfinite(MAGNITUDE_MAX * (2.0 * n_th + 1.0)), (omega_m, t)
+        assert thermal_occupation(RATE_MIN, MAGNITUDE_MAX) == pytest.approx(1.3092e185, rel=1e-4)
 
-    @pytest.mark.parametrize("t", [1.05e305, 1.1e305, 2e305])
-    def test_occupation_whose_diffusion_factor_overflows_names_the_temperature(self, t):
-        # n_th is finite up to about 2e305 K, but the diffusion's 2 n_th + 1
-        # overflows above about 1.04e305 K, and the covariance took the blame
-        with pytest.raises(ParameterError, match=re.escape(f"temperature {t!r} K is too high")):
-            thermal_occupation(OMEGA_M, t)
-
-    @pytest.mark.parametrize("omega_m, t", [(TWO_PI * 1e-300, 0.01), (TWO_PI * 5e-324, 0.01),
-                                            (1e-300, 1e300)], ids=["1e-300", "5e-324", "hot"])
-    def test_vanishing_frequency_is_named(self, omega_m, t):
-        # hbar omega_m underflows to 0, and with it x; this blamed the temperature, also
-        # at 10 mK, where the occupation of about 1/x would be finite
-        message = (f"omega_m {omega_m!r} rad/us is too small: hbar omega_m / k_B T underflows "
-                   f"to 0 at temperature {t!r} K")
+    # arguments outside the input domain: these overflowed n_th or 2 n_th + 1 (above about
+    # 1.04e305 K at 24 MHz) or underflowed hbar omega_m / k_B T to 0 (below 2.3e-290 rad/us)
+    @pytest.mark.parametrize("omega_m, t", [
+        (OMEGA_M, 1.05e305), (OMEGA_M, 1e308), (OMEGA_M, 1e91), (TWO_PI * 1e-300, 0.01),
+        (TWO_PI * 5e-324, 0.01), (1e-91, 0.01), (1e-300, 1e300), (1e91, 0.01), (0.0, 0.01),
+        (-1.0, 0.01), (math.inf, 0.01), (math.nan, 0.01), (OMEGA_M, -1.0), (OMEGA_M, -math.inf),
+        (OMEGA_M, math.nan), (OMEGA_M, math.inf)])
+    def test_arguments_outside_the_domain_are_named(self, omega_m, t):
+        message = f"omega_m {omega_m!r} rad/us or temperature {t!r} K is outside the input domain"
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             thermal_occupation(omega_m, t)
 
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            thermal_occupation(0.0, 0.01)
-        with pytest.raises(ParameterError):
-            thermal_occupation(OMEGA_M, -1.0)
-
-    @pytest.mark.parametrize("temperature", [-1.0, -math.inf, math.nan])
-    def test_negative_or_nan_temperature_rejected(self, temperature):
-        # NaN passes a bare `temperature < 0.0` test, and gave a NaN occupation
-        with pytest.raises(ParameterError, match="^temperature must be non-negative$"):
-            thermal_occupation(150.0, temperature)
-
 
 class TestDriveAmplitude:
+    """The power form of `drive_from_config`: E = sqrt(2 P kappa / (hbar omega_l))."""
+
     KAPPA = TWO_PI * 2.0             # rad/us
-    OMEGA_L = TWO_PI * 3.0e8         # 300 THz in rad/us
 
-    def test_zero_power(self):
+    @staticmethod
+    def amplitude(base, power, kappa, omega_l_thz=300.0, power2=0.0):
+        keys = {"g1_khz": 1.0, "g2_khz": 1.0, "delta1_bare_over_omegam": 1.0,
+                "delta2_bare_over_omegam": 1.0, "power1_w": power, "power2_w": power2,
+                "omega_l_thz": omega_l_thz}
+        return drive_from_config(keys, base.with_values(kappa1=kappa)).drive_e1
+
+    def test_zero_power(self, base_params):
         for power in (0.0, -0.0):
-            assert drive_amplitude(power, self.KAPPA, self.OMEGA_L).hex() == "0x0.0p+0"
+            assert self.amplitude(base_params, power, self.KAPPA).hex() == "0x0.0p+0"
 
-    def test_sqrt_scaling(self):
-        e1 = drive_amplitude(1e-3, self.KAPPA, self.OMEGA_L)
-        e2 = drive_amplitude(2e-3, self.KAPPA, self.OMEGA_L)
+    def test_sqrt_scaling(self, base_params):
+        e1 = self.amplitude(base_params, 1e-3, self.KAPPA)
+        e2 = self.amplitude(base_params, 2e-3, self.KAPPA)
         assert e2 == pytest.approx(math.sqrt(2.0) * e1, rel=1e-12)
 
-    def test_milliwatt_point(self):
+    def test_milliwatt_point(self, base_params):
         # independent evaluation in SI units, converted to rad/us at the end
         kappa_si = 2 * math.pi * 2.0e6
         omega_l_si = 2 * math.pi * 3.0e14
         e_si = math.sqrt(2 * 1e-3 * kappa_si / (1.054571817e-34 * omega_l_si))
-        got = drive_amplitude(1e-3, self.KAPPA, self.OMEGA_L)
+        got = self.amplitude(base_params, 1e-3, self.KAPPA)
         assert got == pytest.approx(e_si * 1e-6, rel=1e-12)
 
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            drive_amplitude(-1e-3, self.KAPPA, self.OMEGA_L)
-        with pytest.raises(ParameterError):
-            drive_amplitude(1e-3, 0.0, self.OMEGA_L)
-        with pytest.raises(ParameterError):
-            drive_amplitude(1e-3, self.KAPPA, -1.0)
-
-    def test_nan_power_is_not_non_negative(self):
-        # NaN passes a bare `power < 0.0` test, and gave a NaN amplitude
+    @pytest.mark.parametrize("power1, power2", [(-1e-3, 0.0), (-1e89, 0.0), (-5e-324, 0.0),
+                                                (1e-3, -1e-3)])
+    def test_negative_power_rejected(self, base_params, power1, power2):
         with pytest.raises(ParameterError, match="^power must be non-negative$"):
-            drive_amplitude(math.nan, self.KAPPA, self.OMEGA_L)
+            self.amplitude(base_params, power1, self.KAPPA, power2=power2)
 
-    @pytest.mark.parametrize("power", [math.inf, 1e308, 1e300])
-    def test_power_whose_amplitude_overflows(self, power):
-        with pytest.raises(ParameterError,
-                           match=re.escape(f"power {power!r} W is too high for a finite drive")):
-            drive_amplitude(power, self.KAPPA, self.OMEGA_L)
+    def test_largest_amplitude_in_the_domain_is_finite(self, base_params):
+        # the most power into the widest cavity at the slowest laser: 2 P kappa / (hbar omega_l)
+        # is 1.9e304 in SI units, where MAGNITUDE_MAX**2 / RATE_MIN may reach 9.4e273
+        omega_l_thz = RATE_MIN / (TWO_PI * 1e6)
+        e = self.amplitude(base_params, MAGNITUDE_MAX, MAGNITUDE_MAX, omega_l_thz)
+        omega_l = DRIVE_KEYS["omega_l_thz"](omega_l_thz, None)
+        assert RATE_MIN <= omega_l and e == pytest.approx(1.3772e146, rel=1e-4)
+        assert MAGNITUDE_MAX ** 2 / RATE_MIN <= 9.4e273
 
-    # (kappa, omega_l) in rad/us whose kappa / (hbar omega_l) is not a finite positive
-    # SI float.  An infinite omega_l, or one whose SI value overflows, gave E = 0; one
-    # whose photon energy underflows to 0 raised ZeroDivisionError; a quotient that
-    # overflows, from a subnormal photon energy or an overflowing SI kappa, blamed the power.
-    BAD_KAPPA_OMEGA_L = {
-        "omega_l-inf": (KAPPA, math.inf), "omega_l-si-overflows": (KAPPA, 1e303),
-        "photon-underflows-3e-317": (KAPPA, 3e-317), "photon-underflows-1e-314": (KAPPA, 1e-314),
-        "photon-subnormal-6e-294": (KAPPA, 6e-294), "kappa-si-overflows": (1e303, OMEGA_L),
-        "omega_l-0": (KAPPA, 0.0), "omega_l-negative": (KAPPA, -1.0),
-        "omega_l-nan": (KAPPA, math.nan), "kappa-0": (0.0, OMEGA_L),
-        "kappa-negative": (-1.0, OMEGA_L), "kappa-nan": (math.nan, OMEGA_L),
-    }
-
-    @pytest.mark.parametrize("power", [0.0, 1e-3])
-    @pytest.mark.parametrize("kappa, omega_l", BAD_KAPPA_OMEGA_L.values(),
-                             ids=BAD_KAPPA_OMEGA_L.keys())
-    def test_kappa_or_laser_frequency_without_a_finite_drive_is_named(self, power, kappa,
-                                                                      omega_l):
-        message = (f"kappa {kappa!r} and laser frequency omega_l {omega_l!r} (rad/us) "
-                   "give no finite positive kappa / (hbar omega_l)")
-        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
-            drive_amplitude(power, kappa, omega_l)
-
-    def test_power_is_checked_before_kappa_and_laser_frequency(self):
-        with pytest.raises(ParameterError, match="^power must be non-negative$"):
-            drive_amplitude(math.nan, math.nan, math.inf)
-
-    def test_bits_of_the_parent_function(self):
+    def test_bits_of_the_parent_function(self, base_params):
         rng = random.Random(33)
         for i in range(20000):
             if i % 100 < 2:
@@ -166,14 +137,15 @@ class TestDriveAmplitude:
             else:
                 power = 10.0 ** rng.uniform(-15.0, 4.0)
             kappa = TWO_PI * 10.0 ** rng.uniform(-2.0, 3.0)
-            omega_l = TWO_PI * rng.uniform(50.0, 2000.0) * 1e6
+            omega_l_thz = rng.uniform(50.0, 2000.0)
+            omega_l = DRIVE_KEYS["omega_l_thz"](omega_l_thz, None)
             want = frozen_drive_amplitude(power, kappa, omega_l)
-            assert drive_amplitude(power, kappa, omega_l).hex() == want.hex(), (power, kappa,
-                                                                              omega_l)
+            got = self.amplitude(base_params, power, kappa, omega_l_thz)
+            assert got.hex() == want.hex(), (power, kappa, omega_l_thz)
 
 
 def frozen_drive_amplitude(power: float, kappa: float, omega_l: float) -> float:
-    """`drive_amplitude` with its zero-power return and sign tests, as it was before
+    """The drive amplitude with its zero-power return and sign tests, as it was before
     one guard bounded kappa / (hbar omega_l): the reference for E's bits."""
     if not power >= 0.0:
         raise ParameterError("power must be non-negative")
@@ -212,22 +184,32 @@ class TestSystemParams:
         with pytest.raises(ParameterError):
             base_params.with_values(**{field: -0.1})
 
-    def test_nan_is_caught_by_the_finiteness_check(self, base_params):
-        # NaN passes the non-negativity test; only the finiteness loop stops it
-        with pytest.raises(ParameterError, match="^g1_eff must be finite, got nan$"):
+    def test_nan_is_caught_by_the_domain_check(self, base_params):
+        # NaN passes the non-negativity test; only the domain row stops it
+        with pytest.raises(ParameterError,
+                           match=r"^g1_eff must lie in the input domain "
+                                 r"\[-1e\+90, 1e\+90\], got nan$"):
             base_params.with_values(g1_eff=math.nan)
 
-    @pytest.mark.parametrize("field", ["g1_eff", "g2_eff", "j_ab"])
-    def test_coupling_whose_double_overflows(self, base_params, field):
-        # H holds 2 G1, 2 G2 and 2 J_ab, so a finite coupling above half the
-        # largest float is an inf in the drift matrix
-        with pytest.raises(ParameterError,
-                           match=f"^coupling {field} = 1e\\+308 rad/us is too large"):
-            base_params.with_values(**{field: 1e308})
-        half = sys.float_info.max / 2.0
-        assert getattr(base_params.with_values(**{field: half}), field) == half
-        # the beam splitter J_ac enters H once
-        assert base_params.with_values(j_ac_mag=1e308).j_ac_mag == 1e308
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
+    def test_domain_edges_of_each_field(self, base_params, field):
+        # a field takes its edges and nothing beyond them; a rate's floor is RATE_MIN
+        rate = field in ("omega_m", "gamma_m", "f", "kappa1", "kappa2")
+        least = RATE_MIN if rate else -MAGNITUDE_MAX
+        edges = (RATE_MIN, MAGNITUDE_MAX) if rate else \
+            (0.0, MAGNITUDE_MAX) if field in ("g1_eff", "g2_eff", "j_ac_mag", "j_ab",
+                                              "temperature") else (-MAGNITUDE_MAX, MAGNITUDE_MAX)
+        for v in edges:
+            assert getattr(base_params.with_values(**{field: v}), field) == v
+        beyond = [math.nextafter(MAGNITUDE_MAX, math.inf), 1e91, math.inf]
+        if rate:
+            beyond += [math.nextafter(RATE_MIN, 0.0), 1e-91]
+        elif edges[0] < 0.0:
+            beyond += [-1e91]
+        for v in beyond:
+            message = f"{field} must lie in the input domain [{least:g}, 1e+90], got {v!r}"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                base_params.with_values(**{field: v})
 
     def test_merged_record_is_the_checked_record(self, base_params):
         # with_values merges the changes into the base's fields, checking only them
@@ -241,7 +223,8 @@ class TestSystemParams:
     @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SystemParams)])
     def test_merged_record_checks_what_is_set_on_it(self, base_params, field):
         record = base_params.with_values(phi=0.3)
-        with pytest.raises(ParameterError, match=f"^{field} must be finite, got inf$"):
+        with pytest.raises(ParameterError,
+                           match=rf"^{field} must lie in the input domain \[.*\], got inf$"):
             record.with_values(**{field: math.inf})
 
     def test_unknown_field_is_a_type_error(self, base_params):
@@ -256,8 +239,9 @@ class TestSystemParams:
 
 
 def frozen_checks(values: dict) -> None:
-    """`SystemParams.__post_init__` as four loops over the whole record, as it was
-    before its checks became one table: the reference for what a record raises."""
+    """`SystemParams.__post_init__` as three loops over the whole record, as it was
+    before its checks became one table, with the input domain in place of its finite
+    and doubled-coupling loops: the reference for what a record raises."""
     for name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2"):
         if not values[name] > 0.0:
             raise ParameterError(f"{name} must be strictly positive, got {values[name]!r}")
@@ -266,12 +250,11 @@ def frozen_checks(values: dict) -> None:
             raise ParameterError(f"{name} must be non-negative, got {values[name]!r}")
     for fld in dataclasses.fields(SystemParams):
         v = values[fld.name]
-        if not math.isfinite(v):
-            raise ParameterError(f"{fld.name} must be finite, got {v!r}")
-    for name in ("g1_eff", "g2_eff", "j_ab"):
-        if not math.isfinite(2.0 * values[name]):
-            raise ParameterError(f"coupling {name} = {values[name]!r} rad/us is too "
-                                 "large: the Hamiltonian holds it doubled")
+        least = RATE_MIN if fld.name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2") \
+            else -MAGNITUDE_MAX
+        if not least <= v <= MAGNITUDE_MAX:
+            raise ParameterError(f"{fld.name} must lie in the input domain "
+                                 f"[{least:g}, {MAGNITUDE_MAX:g}], got {v!r}")
 
 
 def raised(build):
@@ -291,8 +274,9 @@ class TestChecksKeepTheirOrder:
 
     @staticmethod
     def values_for(name):
-        doubled = (1e308,) if name in ("g1_eff", "g2_eff", "j_ab") else ()
-        return (-1.0, -0.0, math.nan, math.inf, -math.inf) + doubled
+        # the domain's edges and what lies just beyond them
+        return (-1.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 1e91, -1e91, 1e-91,
+                MAGNITUDE_MAX, -MAGNITUDE_MAX, RATE_MIN)
 
     @staticmethod
     def bits(record):
@@ -399,8 +383,8 @@ class TestConfig:
                 "delta2_bare_over_omegam": 0.5, "power1_w": 1e-3, "power2_w": 4e-3}
         raw = drive_from_config({**keys, "omega_l_thz": 300.0}, p)
         omega_l = TWO_PI * 3.0e8
-        assert raw.drive_e1 == drive_amplitude(1e-3, p.kappa1, omega_l)
-        assert raw.drive_e2 == drive_amplitude(4e-3, p.kappa2, omega_l)
+        assert raw.drive_e1 == frozen_drive_amplitude(1e-3, p.kappa1, omega_l)
+        assert raw.drive_e2 == frozen_drive_amplitude(4e-3, p.kappa2, omega_l)
         assert raw.drive_e2 == pytest.approx(2.0 * math.sqrt(2.0) * raw.drive_e1, rel=1e-12)
         assert (raw.delta1_bare, raw.delta2_bare) == (p.omega_m, 0.5 * p.omega_m)
         with pytest.raises(ConfigError, match="power1_w/power2_w/omega_l_thz"):
@@ -423,45 +407,125 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             drive_from_config({**keys, **extra}, base_params)
 
-    # every system key whose conversion scales its value up: phi_rad and T_kelvin are
-    # taken as set
-    @pytest.mark.parametrize("key", [key for key in SYSTEM_KEYS
-                                     if key not in ("phi_rad", "T_kelvin")])
-    def test_system_key_whose_conversion_overflows_is_named(self, key):
-        with pytest.raises(ParameterError,
-                           match=rf"^config key {key} = 1e\+308 is too large: "
-                                 r"it is not finite in rad/us$"):
-            params_from_config({key: 1e308})
+    @pytest.mark.parametrize("value", [1e308, 1e100, -1e100, math.inf, math.nan])
+    @pytest.mark.parametrize("key", list(SYSTEM_KEYS))
+    def test_system_key_outside_the_domain_is_named(self, key, value):
+        # these overflowed, or named the field they set ("kappa1 must be finite, got inf")
+        internal = SYSTEM_KEYS[key][2](value, OMEGA_M)
+        rate = SYSTEM_KEYS[key][1] in ("omega_m", "gamma_m", "f", "kappa1", "kappa2")
+        if rate and value < 0.0:
+            return      # a rate's sign rule is the record's
+        message = domain_error(key, value, internal, RATE_MIN if rate else -MAGNITUDE_MAX)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            params_from_config({key: value})
 
-    def test_first_overflowing_key_wins_over_a_record_check(self):
+    @pytest.mark.parametrize("key, value, internal", [
+        ("gamma_m_hz", 1e-320, 0.0), ("omega_m_mhz", 1e-300, TWO_PI * 1e-300),
+        ("omega_m_mhz", 5e-324, TWO_PI * 5e-324), ("kappa1_mhz", 1e-91, TWO_PI * 1e-91),
+        ("f_mhz", 1e-100, TWO_PI * 1e-100)])
+    def test_rate_below_the_floor_is_named(self, key, value, internal):
+        # these read "gamma_m must be strictly positive, got 0.0" or blamed hbar omega_m
+        with pytest.raises(ParameterError,
+                           match=f"^{re.escape(domain_error(key, value, internal, RATE_MIN))}$"):
+            params_from_config({key: value})
+
+    @pytest.mark.parametrize("key, field", [("kappa1_mhz", "kappa1"), ("omega_m_mhz", "omega_m"),
+                                            ("gamma_m_hz", "gamma_m")])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0, -1e308, -math.inf])
+    def test_rate_sign_is_the_records_rule(self, key, field, value):
+        internal = SYSTEM_KEYS[key][2](value, OMEGA_M)
+        message = f"{field} must be strictly positive, got {internal!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            params_from_config({key: value})
+
+    def test_non_finite_omega_m_is_named_not_a_detuning(self):
+        # the detunings are multiples of omega_m, so these blamed delta1_over_omegam
+        for value in (math.inf, math.nan):
+            message = domain_error("omega_m_mhz", value, value, RATE_MIN)
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                params_from_config({"omega_m_mhz": value})
+
+    def test_zero_a_conversion_underflows_to_is_inside_the_domain(self, base_params):
+        # a coupling may be 0, so a value that converts to 0 is one
+        keys = {"g1_khz": 1e-322, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,
+                "delta2_bare_over_omegam": 0.5, **self.AMPLITUDES}
+        assert drive_from_config(keys, base_params).g1 == 0.0
+
+    def test_first_key_outside_the_domain_wins_over_a_record_check(self):
         # T_kelvin=-1 fails the record, and Jab_mhz comes after kappa2_mhz in the table
         with pytest.raises(ParameterError, match=r"^config key kappa2_mhz = 1e\+308 "):
             params_from_config({"T_kelvin": -1.0, "Jab_mhz": 1e308, "kappa2_mhz": 1e308})
 
-    # the g*_khz keys are scaled down before they are scaled up, and power*_w are
-    # taken as set, so no finite value of theirs overflows; the last two cases raised
-    # the drive-form and unread-key ConfigErrors
-    @pytest.mark.parametrize("form, key, value", [
-        (AMPLITUDES, "E1_mhz", 1e308),
-        (AMPLITUDES, "E2_mhz", 1e308),
-        (AMPLITUDES, "delta1_bare_over_omegam", 1e307),
-        (POWERS, "delta2_bare_over_omegam", 1e307),
-        (POWERS, "omega_l_thz", 1e305),
-        ({}, "E1_mhz", 1e308),
-        ({**AMPLITUDES, "power1_w": 1e-3}, "E2_mhz", 1e308),
-    ], ids=["E1", "E2", "delta1_bare", "delta2_bare", "omega_l", "before-the-form",
-            "before-an-unread-key"])
-    def test_drive_key_whose_conversion_overflows_is_named(self, base_params, form, key,
-                                                           value):
+    # the last two cases raised the drive-form and unread-key ConfigErrors
+    @pytest.mark.parametrize("form, key, value, internal", [
+        (AMPLITUDES, "E1_mhz", 1e308, math.inf),
+        (AMPLITUDES, "E2_mhz", 1e90, TWO_PI * 1e90),
+        (AMPLITUDES, "g1_khz", 1e308, TWO_PI * 1e305),
+        (AMPLITUDES, "delta1_bare_over_omegam", 1e307, math.inf),
+        (POWERS, "delta2_bare_over_omegam", -1e89, -1e89 * OMEGA_M),
+        (POWERS, "power1_w", 1e91, 1e91),
+        (POWERS, "power2_w", math.nan, math.nan),
+        ({}, "E1_mhz", 1e308, math.inf),
+        ({**AMPLITUDES, "power1_w": 1e-3}, "E2_mhz", 1e308, math.inf),
+    ], ids=["E1", "E2", "g1", "delta1_bare", "delta2_bare", "power1", "power2-nan",
+            "before-the-form", "before-an-unread-key"])
+    def test_drive_key_outside_the_domain_is_named(self, base_params, form, key, value,
+                                                   internal):
         keys = {"g1_khz": 1.0, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,
                 "delta2_bare_over_omegam": 0.5, **form}
         with pytest.raises(ParameterError,
-                           match=rf"^config key {key} = {re.escape(repr(value))} is too "
-                                 r"large: it is not finite in rad/us$"):
+                           match=f"^{re.escape(domain_error(key, value, internal))}$"):
             drive_from_config({**keys, key: value}, base_params)
+
+    @pytest.mark.parametrize("value", [math.inf, 1e305, 0.0, -1.0, 1e-320, 1e-97, math.nan])
+    def test_laser_frequency_outside_the_domain_is_named(self, base_params, value):
+        # these gave a zero drive, a ZeroDivisionError, or named kappa / (hbar omega_l)
+        keys = {"g1_khz": 1.0, "g2_khz": 2.0, "delta1_bare_over_omegam": 1.0,
+                "delta2_bare_over_omegam": 0.5, **self.POWERS, "omega_l_thz": value}
+        internal = DRIVE_KEYS["omega_l_thz"](value, None)
+        message = domain_error("omega_l_thz", value, internal, RATE_MIN)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            drive_from_config(keys, base_params)
 
     def test_override_bad_value(self):
         with pytest.raises(ConfigError):
             apply_overrides({}, ["G1_mhz=abc"])
         with pytest.raises(ConfigError):
             apply_overrides({}, ["G1_mhz"])
+
+
+class TestTrafficInsideTheDomain:
+    """Every value the physical workloads use lies inside the input domain with at least
+    10^40 headroom: the package defaults (conftest's base point), each figure preset's
+    shift and axis endpoints, and the raw-drive ranges the drive benchmark draws from."""
+
+    HEADROOM = 1e40
+
+    def assert_inside(self, name, v):
+        if name in ("omega_m", "gamma_m", "f", "kappa1", "kappa2", "omega_l_thz"):
+            assert RATE_MIN * self.HEADROOM <= v <= MAGNITUDE_MAX / self.HEADROOM, (name, v)
+        else:
+            assert abs(v) <= MAGNITUDE_MAX / self.HEADROOM, (name, v)
+
+    def test_defaults_and_preset_grids(self, base_params):
+        for pid in PRESET_IDS:
+            spec = figure_preset(pid, base_params)
+            for record in (base_params, spec.base):
+                for name, v in vars(record).items():
+                    self.assert_inside(name, v)
+            for axis in filter(None, (spec.axis1, spec.axis2)):
+                for value in (axis.start, axis.stop):
+                    keys = dict.fromkeys(AXIS_CONFIG_KEYS[axis.name], value)
+                    for name, v in key_fields(spec.base, keys).items():
+                        self.assert_inside(name, v)
+
+    def test_drive_ranges(self, base_params):
+        # the tests' copy of the ranges is the benchmark's own
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+        bench = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets] == ["DRIVE_RANGES"])
+        assert bench == DRIVE_RANGES
+        for key, lo, hi in DRIVE_RANGES:
+            for value in (lo, hi):
+                self.assert_inside(key, DRIVE_KEYS[key](value, base_params.omega_m))

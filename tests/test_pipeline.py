@@ -92,14 +92,6 @@ class TestFullReport:
         assert correlation_report(cov) == evaluate_point(base_params).report
         assert correlation_report(cov, {"DG"}) == evaluate_point(base_params, DG_MEASURES).report
 
-    def test_overflowing_diffusion_is_an_error_cell(self, base_params):
-        # n_th ~ 8.7e305 is finite, gamma_m (2 n_th + 1) is not; the covariance took the blame
-        p = base_params.with_values(gamma_m=1e4, temperature=1e303)
-        result = evaluate_point(p)
-        assert result.verdict.stable and result.report is None
-        assert result.error.startswith("NumericDomainError: diffusion gamma_m(2 n_th + 1) "
-                                       "overflows at n_th 8.68")
-
     def test_stability_only_point_stops_at_the_verdict(self, base_params):
         full = evaluate_point(base_params)
         for wanted in (("stability",), ()):

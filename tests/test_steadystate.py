@@ -10,7 +10,7 @@ import pytest
 from optocorr import cli
 from optocorr.errors import NonConvergenceError, OptocorrError, ParameterError
 from optocorr.dynamics import build_drift, default_margin_tol
-from optocorr.params import (TWO_PI, RawDriveParams, SystemParams, drive_from_config,
+from optocorr.params import (RATE_MIN, TWO_PI, RawDriveParams, SystemParams, drive_from_config,
                              params_from_config)
 from optocorr.pipeline import evaluate_point
 import optocorr.pipeline as pipeline
@@ -610,10 +610,10 @@ class TestDegreeDrop:
         assert ss.beta == 0.0 and ss.residual_norm == 0.0
 
     def test_undriven_with_every_coefficient_underflowed(self, base_params):
-        # kappa1 = kappa2 = 2 pi 1e-300: every coefficient of the cubic underflows
-        base = base_params.with_values(kappa1=TWO_PI * 1e-300, kappa2=TWO_PI * 1e-300,
-                                       j_ac_mag=0.0)
-        raw = make_raw(g1=TWO_PI * 1e-3, d1=0.0, d2=0.0, base=base)
+        # kappa1 = kappa2 = RATE_MIN, the least of the input domain, and g1 = 1e-80 rad/us:
+        # every coefficient of the cubic underflows
+        base = base_params.with_values(kappa1=RATE_MIN, kappa2=RATE_MIN, j_ac_mag=0.0)
+        raw = make_raw(g1=1e-80, d1=0.0, d2=0.0, base=base)
         assert not any(quintic(raw, base))
         ss = solve_steady_state(raw, base)
         assert (ss.alpha1, ss.alpha2, ss.xi, ss.beta) == (0.0, 0.0, 0.0, 0.0)

@@ -290,10 +290,12 @@ class TestAxisTables:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_value_is_named_before_any_point(self, monkeypatch, serial_pool,
                                                          workers):
-        # G1 = 5e307 MHz is not finite in rad/us; the unstable G1 = 0.1 point stopped the sweep
+        # G1 = 5e307 MHz is outside the input domain; the unstable G1 = 0.1 point stopped
+        # the sweep
         calls = spy(monkeypatch, sweep, "evaluate_point")
         with pytest.raises(ParameterError, match=re.escape(
-                "config key G1_mhz = 5e+307 is too large: it is not finite in rad/us")):
+                "config key G1_mhz = 5e+307 is outside the input domain [-1e+90, 1e+90]: "
+                "it is inf in internal units")):
             run_sweep(self.g1_spec(0.1, 1e308), workers=workers)
         assert calls == [] and serial_pool.pools == []
 
