@@ -7,10 +7,14 @@ Quadrature basis order, fixed once for the whole package:
 i.e. cavity 1, cavity 2, atomic ensemble, mechanical oscillator, each
 contributing an (amplitude, phase) quadrature pair.
 
-The model is the Hamiltonian matrix H of (1/2) r^T H r and the damping
-vector Gamma: A = Omega H - diag(Gamma) (Serafini, Quantum Continuous
-Variables, CRC 2017, ch. 5), written once, entry by entry; H = Omega^T
-(A + Gamma) is what `test_drift_is_omega_times_paper_hamiltonian` checks.
+The drift A = Omega H - diag(Gamma), of the Hamiltonian matrix H of
+(1/2) r^T H r and the damping vector Gamma (Serafini, Quantum Continuous
+Variables, CRC 2017, ch. 5), is linear in the 13 scalars theta that `THETA`
+names, and is written once, in `_drift_entries`.  Its values at the integer
+unit thetas are the rows dA/dtheta_k of `DRIFT_TABLE`, and A = theta DRIFT_TABLE
+is exact in any order of summation: each entry is +-1 times one theta_k plus
+zeros, kappa1 * 0 = +0 among them, so no zero comes out signed.
+`test_drift_is_omega_times_paper_hamiltonian` checks H = Omega^T (A + Gamma).
 """
 
 from __future__ import annotations
@@ -50,25 +54,29 @@ def _damping_rates(p: SystemParams) -> tuple:
     return p.kappa1, p.kappa2, p.f, p.gamma_m
 
 
-# flat index (8 row + column) of each drift entry, in the order build_drift lists them
-_DRIFT_FLAT = np.array((0, 1, 4, 5, 8, 9, 12, 13, 14, 18, 19, 26, 27, 30,
-                        32, 33, 36, 37, 40, 41, 44, 45, 46, 54, 55, 56, 58, 60, 62, 63))
+THETA = ("kappa1", "kappa2", "f", "gamma_m", "delta1_eff", "delta2_eff", "delta_at", "omega_m",
+         "jac_cos_phi", "jac_sin_phi", "g1_eff_x2", "g2_eff_x2", "j_ab_x2")
+
+
+def _drift_entries(k1, k2, f, gm, d1, d2, dat, wm, jc, js, g1, g2, jab) -> tuple:
+    """A at theta: row 2k of Omega H is row 2k+1 of H, and row 2k+1 is minus row 2k."""
+    return ((-k1, d1, 0, 0, js, jc, 0, 0), (-d1, -k1, 0, 0, -jc, js, -g1, 0),       # c1
+            (0, 0, -k2, d2, 0, 0, 0, 0), (0, 0, -d2, -k2, 0, 0, -g2, 0),            # c2
+            (-js, jc, 0, 0, -f, dat, 0, 0), (-jc, -js, 0, 0, -dat, -f, -jab, 0),   # atoms
+            (0, 0, 0, 0, 0, 0, -gm, wm), (-g1, 0, -g2, 0, -jab, 0, -wm, -gm))      # mechanics
+
+
+DRIFT_TABLE = np.array([_drift_entries(*unit) for unit in np.eye(len(THETA), dtype=int).tolist()],
+                       dtype=float).reshape(len(THETA), DIM * DIM)
+DRIFT_TABLE.flags.writeable = False
 
 
 def build_drift(p: SystemParams) -> np.ndarray:
-    """8x8 drift matrix A = Omega H - Gamma, written entry by entry: row 2k of
-    Omega H is row 2k+1 of H and row 2k+1 is minus row 2k.  Adding 0.0 turns
-    each -0.0 into the +0.0 the product gives, so A is that product bit for bit."""
-    k1, k2, f, gm = _damping_rates(p)
-    d1, d2, dat, wm = p.delta1_eff, p.delta2_eff, p.delta_at, p.omega_m
-    jc, js = p.j_ac_mag * math.cos(p.phi), p.j_ac_mag * math.sin(p.phi)
-    g1, g2, jab = 2.0 * p.g1_eff, 2.0 * p.g2_eff, 2.0 * p.j_ab
-    a = np.zeros(DIM * DIM)
-    a[_DRIFT_FLAT] = (-k1, d1, js, jc, -d1, -k1, -jc, js, -g1,        # c1
-                      -k2, d2, -d2, -k2, -g2,                          # c2
-                      -js, jc, -f, dat, -jc, -js, -dat, -f, -jab,      # atoms
-                      -gm, wm, -g1, -g2, -jab, -wm, -gm)               # mechanics
-    return a.reshape(DIM, DIM) + 0.0
+    """8x8 drift matrix A = theta DRIFT_TABLE, theta in `THETA` order."""
+    jac, phi = p.j_ac_mag, p.phi
+    theta = (*_damping_rates(p), p.delta1_eff, p.delta2_eff, p.delta_at, p.omega_m,
+             jac * math.cos(phi), jac * math.sin(phi), 2.0 * p.g1_eff, 2.0 * p.g2_eff, 2.0 * p.j_ab)
+    return (np.array(theta) @ DRIFT_TABLE).reshape(DIM, DIM)
 
 
 def build_diffusion(p: SystemParams, n_th: float) -> np.ndarray:

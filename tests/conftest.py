@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from optocorr import SystemParams, figure_preset, lapack, params_from_config, run_sweep
-from optocorr.dynamics import (MODE_BLOCKS, assess_stability, build_diffusion, build_drift,
-                               default_margin_tol)
+from optocorr.dynamics import (DRIFT_TABLE, MODE_BLOCKS, assess_stability, build_diffusion,
+                               build_drift, default_margin_tol)
 from optocorr.params import thermal_occupation, with_keys
 
 
@@ -34,6 +34,13 @@ def point_matrices(params: SystemParams):
     return a, build_diffusion(params, n_th), verdict, n_th
 
 
+def theta_of(a: np.ndarray) -> np.ndarray:
+    """The theta a drift was built from, read back through `DRIFT_TABLE`: the
+    column of each row's one nonzero holds +-theta_k."""
+    columns = np.argmax(DRIFT_TABLE != 0.0, axis=1)
+    return DRIFT_TABLE[np.arange(len(columns)), columns] * a.ravel()[columns]
+
+
 def spy_drift_spectra(monkeypatch) -> list:
     """The bytes of every 8x8 matrix handed to `lapack.eigvals` from now on, in order."""
     spectra = []
@@ -46,6 +53,11 @@ def spy_drift_spectra(monkeypatch) -> list:
 
     monkeypatch.setattr(lapack, "eigvals", spy)
     return spectra
+
+
+# the grid counts of the golden figure files
+SMALL_GRIDS = {"fig2": (13, 11), "fig3": (12, 12), "fig4": (8, 6), "fig5": (21,), "fig6": (8, 6),
+               "fig7": (12, 3), "fig8": (8, 6), "fig9": (10, 3), "fig10": (21,)}
 
 
 def apply_axes(spec, point) -> SystemParams:

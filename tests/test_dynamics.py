@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from optocorr import OMEGA_4, build_diffusion, build_drift, params_from_config
-from optocorr.dynamics import MODE_BLOCKS, assess_stability, default_margin_tol
+from optocorr.dynamics import DRIFT_TABLE, MODE_BLOCKS, THETA, assess_stability, default_margin_tol
 from optocorr.errors import NumericDomainError
-from optocorr.params import TWO_PI, thermal_occupation
+from optocorr.params import MAGNITUDE_MAX, RATE_MIN, TWO_PI, thermal_occupation
 from optocorr.sweep import PRESET_IDS, figure_preset
 
-from conftest import apply_axes
+from conftest import SMALL_GRIDS, apply_axes, theta_of
 
 
 def hand_drift_matrix(phi=math.pi / 2, g1=2.0, g2=4.0, jac=12.0, jab=1.0):
@@ -61,11 +61,6 @@ def frozen_product_drift(p):
     h.flat[::9] = (p.delta1_eff, p.delta1_eff, p.delta2_eff, p.delta2_eff,
                    p.delta_at, p.delta_at, p.omega_m, p.omega_m)
     return OMEGA_4 @ h - np.diag(damping_rates(p))
-
-
-# the grid counts of the golden figure files
-SMALL_GRIDS = {"fig2": (13, 11), "fig3": (12, 12), "fig4": (8, 6), "fig5": (21,), "fig6": (8, 6),
-               "fig7": (12, 3), "fig8": (8, 6), "fig9": (10, 3), "fig10": (21,)}
 
 
 def paper_hamiltonian_matrix(p):
@@ -200,6 +195,39 @@ class TestBuildDrift:
         assert v0.max_real_part == pytest.approx(v1.max_real_part, rel=1e-9)
 
 
+class TestDriftTable:
+    """theta DRIFT_TABLE is exact in any order of summation, on any BLAS kernel,
+    because each column holds at most one +-1 and every zero in it is +0: an entry
+    is +-theta_k plus zeros, kappa1 * (+0) = +0 among them."""
+
+    def test_each_column_holds_at_most_one_nonzero(self):
+        assert DRIFT_TABLE.shape == (len(THETA), 64) == (13, 64)
+        assert (np.count_nonzero(DRIFT_TABLE, axis=0) <= 1).all()
+
+    def test_each_nonzero_is_plus_or_minus_one(self):
+        assert set(DRIFT_TABLE[DRIFT_TABLE != 0.0].tolist()) == {-1.0, 1.0}
+
+    def test_thirty_columns_are_nonzero(self):
+        assert np.count_nonzero(DRIFT_TABLE.any(axis=0)) == 30
+
+    def test_no_zero_is_signed(self):
+        assert not np.signbit(DRIFT_TABLE[DRIFT_TABLE == 0.0]).any()
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError):
+            DRIFT_TABLE[0, 0] = 1.0
+
+    def test_theta_is_what_its_names_say(self, base_params):
+        p = base_params.with_values(phi=0.7)
+        jac, g1, g2, jab = p.j_ac_mag, p.g1_eff, p.g2_eff, p.j_ab
+        assert dict(zip(THETA, theta_of(build_drift(p)).tolist(), strict=True)) == {
+            "kappa1": p.kappa1, "kappa2": p.kappa2, "f": p.f, "gamma_m": p.gamma_m,
+            "delta1_eff": p.delta1_eff, "delta2_eff": p.delta2_eff, "delta_at": p.delta_at,
+            "omega_m": p.omega_m, "jac_cos_phi": jac * math.cos(0.7),
+            "jac_sin_phi": jac * math.sin(0.7), "g1_eff_x2": 2 * g1, "g2_eff_x2": 2 * g2,
+            "j_ab_x2": 2 * jab}
+
+
 class TestDriftIsTheProductBitForBit:
     # tobytes, since np.array_equal cannot see the sign of a zero
     @pytest.mark.parametrize("preset", PRESET_IDS)
@@ -217,6 +245,18 @@ class TestDriftIsTheProductBitForBit:
             p = base_params.with_values(phi=phi, delta1_eff=d1, delta2_eff=d2, delta_at=dat,
                                         g1_eff=g1, g2_eff=g2, j_ac_mag=jac, j_ab=jab)
             assert build_drift(p).tobytes() == frozen_product_drift(p).tobytes(), p
+
+    @pytest.mark.parametrize("phi", [0.0, -0.0, math.pi, 1e89, -1e89])
+    def test_input_domain_corners(self, base_params, phi):
+        # every rate at either end of the domain, detunings and couplings subnormal
+        # or signed zeros: 32 x 27 records per phase
+        for rates in itertools.product((RATE_MIN, MAGNITUDE_MAX / 20), repeat=5):
+            for x, c, jac in itertools.product((0.0, -0.0, 5e-324), repeat=3):
+                p = base_params.with_values(
+                    phi=phi, **dict(zip(("omega_m", "gamma_m", "f", "kappa1", "kappa2"), rates)),
+                    delta1_eff=x, delta2_eff=-x, delta_at=x, g1_eff=c, g2_eff=c, j_ac_mag=jac,
+                    j_ab=c)
+                assert build_drift(p).tobytes() == frozen_product_drift(p).tobytes(), p
 
 
 class TestBuildDiffusion:

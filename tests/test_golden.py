@@ -36,11 +36,14 @@ import scipy
 import optocorr
 from optocorr import params_from_config
 from optocorr.cli import main
+from optocorr.dynamics import build_drift
 from optocorr.errors import OptocorrError
 from optocorr.params import drive_from_config
 from optocorr.pipeline import evaluate_point
 from optocorr.steadystate import apply_steady_state, solve_steady_state
 from optocorr.sweep import config_hash, figure_preset, run_sweep
+
+from conftest import apply_axes
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,13 +126,19 @@ def kernel_mismatches(columns, want, got):
     return mismatches
 
 
-# run in a child process: its build, and the rows of each GOLDEN grid
+def golden_drifts():
+    """`build_drift`'s bytes at each point of each GOLDEN grid."""
+    return [[build_drift(apply_axes(spec, point)).tobytes() for point in spec.grid()]
+            for spec in (golden_spec(args) for args, _ in GOLDEN)]
+
+
+# run in a child process: its build, the rows of each GOLDEN grid and its drifts
 KERNEL_RUN = """
 import pickle, sys
 from optocorr.sweep import run_sweep
-from test_golden import GOLDEN, golden_spec, running_build
+from test_golden import GOLDEN, golden_drifts, golden_spec, running_build
 rows = [run_sweep(golden_spec(args)).rows for args, _ in GOLDEN]
-sys.stdout.buffer.write(pickle.dumps((running_build(), rows)))
+sys.stdout.buffer.write(pickle.dumps((running_build(), rows, golden_drifts())))
 """
 
 
@@ -137,18 +146,27 @@ class TestCrossKernel:
     """The golden grids under OpenBLAS's Haswell kernels, against this run's:
     identical verdicts and error cells, and every measure cell within twice
     its family's oracle budget.  SandyBridge moves E_N cells by up to 1.98e-11,
-    beyond that budget, so only Haswell is pinned."""
+    beyond that budget, so only Haswell is pinned.  The drift, a BLAS product
+    that is exact in any order of summation, is pinned bit for bit."""
 
-    def test_haswell_grids_within_budget(self):
+    @pytest.fixture(scope="class")
+    def haswell(self):
+        """(build, rows, drifts) of KERNEL_RUN under the Haswell kernels."""
         paths = [str(Path(optocorr.__file__).resolve().parents[1]), str(Path(__file__).parent)]
         env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
                "PYTHONPATH": os.pathsep.join(filter(None, [*paths, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-W", "error", "-c", KERNEL_RUN], env=env,
                               capture_output=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        build, runs = pickle.loads(proc.stdout)
+        build, runs, drifts = pickle.loads(proc.stdout)
         assert build["openblas_core"] == "Haswell", build
-        for (args, _), rows in zip(GOLDEN, runs, strict=True):
+        return build, runs, drifts
+
+    def test_haswell_drifts_are_bitwise(self, haswell):
+        assert haswell[2] == golden_drifts()
+
+    def test_haswell_grids_within_budget(self, haswell):
+        for (args, _), rows in zip(GOLDEN, haswell[1], strict=True):
             result = run_sweep(golden_spec(args))
             assert kernel_mismatches(result.columns, result.rows, rows) == [], args
 

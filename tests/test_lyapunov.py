@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from optocorr import evaluate_point, lyapunov, solve_lyapunov
-from optocorr.dynamics import assess_stability, default_margin_tol
+from optocorr import build_drift, evaluate_point, lapack, lyapunov, solve_lyapunov
+from optocorr.dynamics import DRIFT_TABLE, assess_stability, default_margin_tol
 from optocorr.errors import SingularSystemError, UnstableDriftError
 from optocorr.lyapunov import RESIDUAL_RTOL, _vech_index, lyapunov_residual, residual_bound
 from optocorr.params import params_from_config
 from optocorr.sweep import PRESET_IDS, figure_preset
 
-from conftest import apply_axes, point_matrices, random_stable_system, stable_drifts
+from conftest import (SMALL_GRIDS, apply_axes, point_matrices, random_stable_system, stable_drifts,
+                      theta_of)
 
 
 def integrate_covariance(a, d, rel_window=35.0):
@@ -347,6 +348,39 @@ class TestHalfVectorizedOperator:
                         assert (v[2 * p:2 * p + 2, 2 * q:2 * q + 2] == 0.0).all()
                     else:
                         assert (np.diag(v[2 * p:2 * p + 2, 2 * p:2 * p + 2]) > 0.0).all()
+
+
+class TestOperatorTable:
+    """The operator is linear in theta as A is: T, each `DRIFT_TABLE` row scattered
+    by `_vech_index`'s bincount, gives theta T equal bit for bit to the operator
+    `solve_lyapunov` builds.  No slot sums more than two terms, so either sum is
+    one rounding of the same two exact values, in any order of summation."""
+
+    @staticmethod
+    def operator_table():
+        slot, term, upper, _ = _vech_index(8)
+        return np.array([np.bincount(slot, weights=row[term], minlength=upper.size ** 2)
+                         for row in DRIFT_TABLE])
+
+    def test_no_slot_sums_more_than_two_terms(self):
+        assert np.bincount(_vech_index(8)[0]).max() == 2
+
+    @pytest.mark.parametrize("preset", PRESET_IDS)
+    def test_small_preset_grids(self, preset, monkeypatch):
+        table = self.operator_table()
+        solved = []
+        solve = lapack.solve
+        monkeypatch.setattr(lapack, "solve",
+                            lambda op, b: solved.append(op.tobytes()) or solve(op, b))
+        spec = figure_preset(preset, params_from_config({}), SMALL_GRIDS[preset])
+        for point in spec.grid():
+            a = build_drift(apply_axes(spec, point))
+            try:
+                solve_lyapunov(a, np.eye(8), check_stability=False)
+            except SingularSystemError:
+                pass
+            assert solved.pop() == (theta_of(a) @ table).tobytes(), point
+        assert solved == []
 
 
 def decimal_lyapunov(a, d, prec=50):

@@ -1,12 +1,12 @@
 """phi-derivatives of the covariance and the pair measures at fig5's base point.
 
 dV/dphi solves the Lyapunov operator again with a new right-hand side:
-A dV + dV A^T = -(dA V + V dA^T), where dA = Omega dH is nonzero only in
-the c1-a block and D does not depend on phi.  Each pair measure's
-phi-derivative then follows from its Seralian invariants by a complex step
-along dV (Squire & Trapp, SIAM Rev. 40, 110 (1998)), which is exact to
-round-off with no step-size trade-off.  Bisection on these derivatives
-finds the extremizers behind acceptance criteria 5 and 6 without a grid.
+A dV + dV A^T = -(dA V + V dA^T).  D does not depend on phi, and A only through
+theta's Jac cos phi and Jac sin phi, so dA/dphi = Jac (cos phi G_{Jac sin} - sin phi
+G_{Jac cos}), off those two rows of the drift's table.  Each pair measure's slope
+follows from its Seralian invariants by a complex step along dV (Squire & Trapp,
+SIAM Rev. 40, 110 (1998)), exact to round-off with no step-size trade-off.
+Bisection on these slopes finds the extremizers of criteria 5 and 6 without a grid.
 """
 
 import cmath
@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from optocorr import OMEGA_4, evaluate_point, figure_preset, params_from_config, solve_lyapunov
-from optocorr.dynamics import MODE_BLOCKS
+from optocorr import evaluate_point, figure_preset, params_from_config, solve_lyapunov
+from optocorr.dynamics import DRIFT_TABLE, MODE_BLOCKS, THETA
 from optocorr.measures import CANONICAL_PAIRS, _pair_invariants
 from optocorr.params import TWO_PI
 
@@ -25,15 +25,7 @@ from conftest import point_matrices
 BASE = figure_preset("fig5", params_from_config({})).base
 PAIRS = {"".join(pair): pair for pair in CANONICAL_PAIRS}     # "c2a" -> ("c2", "a")
 STEP = 1e-20        # the complex step along dV
-
-
-def dh_dphi(p):
-    """d/dphi of the Hamiltonian matrix: only the c1-a beam splitter,
-    J_ac ((cos, -sin), (sin, cos)), depends on phi."""
-    js, jc = p.j_ac_mag * math.sin(p.phi), p.j_ac_mag * math.cos(p.phi)
-    u = np.zeros((8, 8))
-    u[0:2, 4:6] = ((-js, -jc), (jc, -js))
-    return u + u.T
+G = dict(zip(THETA, DRIFT_TABLE.reshape(-1, 8, 8)))       # dA/dtheta_k by name
 
 
 def covariance_and_derivative(phi):
@@ -42,7 +34,7 @@ def covariance_and_derivative(phi):
     a, d, verdict, _ = point_matrices(p)
     assert verdict.stable
     v = solve_lyapunov(a, d).matrix
-    da = OMEGA_4 @ dh_dphi(p)
+    da = p.j_ac_mag * (math.cos(phi) * G["jac_sin_phi"] - math.sin(phi) * G["jac_cos_phi"])
     return v, solve_lyapunov(a, da @ v + v @ da.T).matrix
 
 
