@@ -82,12 +82,7 @@ class SystemParams:
     temperature: float
 
     def __post_init__(self):
-        values = vars(self)
-        # every row of _CHECKS passes when these do, so only a failure is checked row by row
-        if not (sum(map(abs, values.values())) <= MAGNITUDE_MAX
-                and min(map(values.get, _RATES)) >= RATE_MIN
-                and min(map(values.get, _NON_NEGATIVE)) >= 0.0):
-            _check(values)
+        _check(vars(self))
 
     def with_values(self, **changes) -> "SystemParams":
         """This record with `changes` set, checking only those: each check bounds one field
@@ -109,17 +104,13 @@ _CHECKS = (
     + [(fld.name, lambda v, lo=_LEAST.get(fld.name, -MAGNITUDE_MAX): lo <= v <= MAGNITUDE_MAX,
         "{name} must lie in the input domain " + _domain(fld.name) + ", got {v!r}")
        for fld in fields(SystemParams)])
-# field -> its checks, as (position in _CHECKS, test): each check bounds one field
-_CHECKS_OF = {fld.name: [(i, passes) for i, (name, passes, _) in enumerate(_CHECKS)
-                         if name == fld.name] for fld in fields(SystemParams)}
 
 
 def _check(values: dict) -> None:
-    """Raise the first of `_CHECKS` that a field in `values` fails."""
-    failed = [i for name, v in values.items() for i, passes in _CHECKS_OF[name] if not passes(v)]
-    if failed:
-        name, _, message = _CHECKS[min(failed)]
-        raise ParameterError(message.format(name=name, v=values[name]))
+    """Raise the first of `_CHECKS`, in whole-record order, that a field in `values` fails."""
+    for name, passes, message in _CHECKS:
+        if name in values and not passes(values[name]):
+            raise ParameterError(message.format(name=name, v=values[name]))
 
 
 @dataclass(frozen=True)
@@ -266,24 +257,18 @@ def system_config(cfg: dict) -> dict:
 
 def _internal(values: dict, omega_m: float) -> dict:
     """Config-unit `values` in internal units given omega_m in rad/us, each under the name
-    it sets.  The first key in table order whose value in them leaves the input domain is
-    named, before any check of what it sets, unless a rate before it is not positive: that
-    is left to the record's sign rule."""
-    out = {name: to_internal(v, omega_m)
-           for key, v in values.items() for name, to_internal in (_CONVERSIONS[key],)}
-    # a NaN or a magnitude beyond the domain fails the sum, and a value below RATE_MIN the
-    # min, so search only then (a large sum of values inside the domain only costs the search)
-    if not (sum(map(abs, out.values())) <= MAGNITUDE_MAX
-            and min(map(out.get, _LEAST, _LEAST.values())) >= RATE_MIN):
-        for key, (name, _) in _CONVERSIONS.items():
-            if key not in values:
-                continue
-            if name in _RATES and values[key] <= 0.0:
-                break       # the record's sign rule names it, before any domain row
-            if not _LEAST.get(name, -MAGNITUDE_MAX) <= out[name] <= MAGNITUDE_MAX:
-                raise ParameterError(f"config key {key} = {values[key]!r} is outside the input "
-                                     f"domain {_domain(name)}: it is {out[name]!r} in internal "
-                                     "units")
+    it sets, in one pass in table order.  The first key whose value in them leaves the input
+    domain is named, before any check of what it sets, unless a rate before it is not
+    positive: that is left to the record's sign rule."""
+    out, checking = {}, True
+    for key, (name, to_internal) in _CONVERSIONS.items():
+        if key not in values:
+            continue
+        v = out[name] = to_internal(values[key], omega_m)
+        checking = checking and not (name in _RATES and values[key] <= 0.0)
+        if checking and not _LEAST.get(name, -MAGNITUDE_MAX) <= v <= MAGNITUDE_MAX:
+            raise ParameterError(f"config key {key} = {values[key]!r} is outside the input "
+                                 f"domain {_domain(name)}: it is {v!r} in internal units")
     return out
 
 

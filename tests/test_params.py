@@ -9,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from conftest import AXIS_CONFIG_KEYS
-from optocorr import SystemParams, figure_preset, params_from_config
+from optocorr import SystemParams, cli, figure_preset, params_from_config, pipeline, steadystate
 from optocorr.errors import ConfigError, ParameterError
 from optocorr.params import (DRIVE_KEYS, HBAR, K_B, MAGNITUDE_MAX, RATE_MIN, SYSTEM_KEYS, TWO_PI,
-                             apply_overrides, drive_from_config, hz_to_angular,
-                             key_fields, load_config, thermal_occupation, with_keys)
+                             _internal, apply_overrides, drive_from_config, hz_to_angular,
+                             key_fields, load_config, system_config, thermal_occupation,
+                             with_keys)
 from optocorr.sweep import PRESET_IDS
 
 from test_golden import DRIVE_RANGES
@@ -307,6 +308,107 @@ class TestChecksKeepTheirOrder:
             names = rng.sample(self.FIELDS, 3)
             self.check(base_params, {name: rng.choice(self.values_for(name)) for name in names})
 
+    def test_seeded_records_with_many_fields_changed(self, base_params):
+        # most of these fail several rows, so only the first row in record order passes
+        rng = random.Random(39)
+        passed = sum(self.check(base_params, {name: rng.choice(self.values_for(name))
+                                              for name in rng.sample(self.FIELDS, k)})
+                     for k in (rng.randint(4, 14) for _ in range(3000)))
+        assert 0 < passed < 3000
+
+
+# config key -> (the name it sets, its conversion), in table order; and the floored names
+CONVERSIONS = {**{key: (field, convert) for key, (_, field, convert) in SYSTEM_KEYS.items()},
+               **{key: (key, convert) for key, convert in DRIVE_KEYS.items()}}
+RATES = ("omega_m", "gamma_m", "f", "kappa1", "kappa2")
+LEAST = dict.fromkeys(RATES + ("omega_l_thz",), RATE_MIN)
+
+
+def frozen_internal(values: dict, omega_m: float) -> dict:
+    """`params._internal` as it was with its fast path: every value converted in the
+    caller's order, then a sum and a minimum over them, and a search in table order only
+    when those fail: the reference for what the config gate returns and raises."""
+    out = {name: to_internal(v, omega_m)
+           for key, v in values.items() for name, to_internal in (CONVERSIONS[key],)}
+    if not (sum(map(abs, out.values())) <= MAGNITUDE_MAX
+            and min(map(out.get, LEAST, LEAST.values())) >= RATE_MIN):
+        for key, (name, _) in CONVERSIONS.items():
+            if key not in values:
+                continue
+            if name in RATES and values[key] <= 0.0:
+                break
+            least = LEAST.get(name, -MAGNITUDE_MAX)
+            if not least <= out[name] <= MAGNITUDE_MAX:
+                raise ParameterError(domain_error(key, values[key], out[name], least))
+    return out
+
+
+class TestConfigGateKeepsItsOrder:
+    """The config gate returns, bit for bit, and raises, word for word, what the frozen
+    `_internal` does, whatever keys are set and in whatever order: directly, through
+    `params_from_config` and through `with_keys`."""
+
+    VALUES = (0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e91, -1e91, 1e-91,
+              1e89, -1e89, 1e-89, -1e-89, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.5, 24.0)
+    OMEGA_MS = (OMEGA_M, 1e-80, 1e80)
+
+    @staticmethod
+    def bits(mapping):
+        return {name: v.hex() for name, v in mapping.items()}
+
+    def configs(self, seed, keys, n):
+        rng = random.Random(seed)
+        for _ in range(n):
+            yield rng.choice(self.OMEGA_MS), {key: rng.choice(self.VALUES)
+                                               for key in rng.sample(keys, rng.randint(1, 6))}
+
+    def test_internal(self):
+        outcomes = set()
+        for omega_m, values in self.configs(391, list(CONVERSIONS), 20000):
+            expected = raised(lambda: self.bits(frozen_internal(values, omega_m)))
+            assert raised(lambda: self.bits(_internal(values, omega_m))) == expected, values
+            outcomes.add(isinstance(expected, dict))
+        assert outcomes == {True, False}
+
+    def test_params_from_config(self):
+        def frozen(cfg):
+            c = system_config(cfg)
+            values = frozen_internal(c, SYSTEM_KEYS["omega_m_mhz"][2](c["omega_m_mhz"], None))
+            frozen_checks(values)
+            return SystemParams(**values)
+
+        for omega_m, cfg in self.configs(392, list(CONVERSIONS), 20000):
+            if omega_m != OMEGA_M:
+                cfg.setdefault("omega_m_mhz", omega_m / TWO_PI)
+            expected = raised(lambda: self.bits(vars(frozen(cfg))))
+            assert raised(lambda: self.bits(vars(params_from_config(cfg)))) == expected, cfg
+
+    def test_with_keys(self, base_params):
+        def frozen(base, values):
+            changes = frozen_internal(values, base.omega_m)
+            frozen_checks({**vars(base), **changes})
+            return dataclasses.replace(base, **changes)
+
+        keys = [key for key in SYSTEM_KEYS if key != "omega_m_mhz"]
+        for omega_m, values in self.configs(393, keys, 20000):
+            base = base_params.with_values(omega_m=omega_m)
+            expected = raised(lambda: self.bits(vars(frozen(base, values))))
+            assert raised(lambda: self.bits(vars(with_keys(base, values)))) == expected, values
+
+    def test_first_key_in_table_order_is_named_not_the_callers_first(self, base_params):
+        internal = SYSTEM_KEYS["delta1_over_omegam"][2](1e307, base_params.omega_m)
+        message = domain_error("delta1_over_omegam", 1e307, internal)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            key_fields(base_params, {"delta2_over_omegam": 1e308, "delta1_over_omegam": 1e307})
+
+    def test_a_rate_below_zero_earlier_in_the_table_stops_the_domain_checks(self, base_params):
+        # kappa2_mhz comes before Jab_mhz in the table, so its sign rule is named
+        values = {"Jab_mhz": 1e308, "kappa2_mhz": -1.0}
+        key_fields(base_params, values)
+        message = "kappa2 must be strictly positive, got -6.283185307179586"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            with_keys(base_params, values)
+
 
 class TestConfig:
     def test_unknown_key_names_key(self, tmp_path):
@@ -529,3 +631,40 @@ class TestTrafficInsideTheDomain:
         for key, lo, hi in DRIVE_RANGES:
             for value in (lo, hi):
                 self.assert_inside(key, DRIVE_KEYS[key](value, base_params.omega_m))
+
+
+class TestWholeRecordTraffic:
+    """A figure run and a drive op each build one whole record, which runs every row of
+    the checks; every other record comes from `with_values`, which checks only what it
+    sets.  A whole record per grid point would pay all the rows at every point."""
+
+    @staticmethod
+    def count(monkeypatch):
+        calls = {"__post_init__": 0, "with_values": 0}
+        for name in calls:
+            original = getattr(SystemParams, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(SystemParams, name, counted)
+        return calls
+
+    def test_figure_run(self, monkeypatch, capsys):
+        calls = self.count(monkeypatch)
+        assert cli.main(["figure", "fig3", "--grid", "6x6"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 36     # provenance, header
+        assert calls["__post_init__"] == 1
+        assert calls["with_values"] >= 36
+
+    def test_drive_op(self, monkeypatch):
+        # the drive benchmark's op: config -> record -> mean field -> point -> measures
+        cfg = {key: (lo + hi) / 2.0 for key, lo, hi in DRIVE_RANGES}
+        calls = self.count(monkeypatch)
+        params = params_from_config(cfg)
+        ss = steadystate.solve_steady_state(drive_from_config(cfg, params), params)
+        point = steadystate.apply_steady_state(params, ss)
+        assert pipeline.evaluate_point(point).report is not None
+        assert calls["__post_init__"] == 1
+        assert calls["with_values"] >= 1
